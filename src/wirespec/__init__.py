@@ -5,7 +5,7 @@ from .bits import BitString
 from .channel import Channel, connect_tcp, in_process_pair
 from .codec import Classified, InvalidFormat, decode_message, encode_message
 from .engine import EngineConfig, Role, TestReport, Verdict, run_test, selfplay
-from .generate import GenConfig, Generator, generate_message
+from .generate import GenConfig, Generator
 from .resolve import ResolvedSpec, load_spec, resolve
 from .syntax import parse_spec
 
@@ -26,7 +26,6 @@ __all__ = [
     "connect_tcp",
     "decode_message",
     "encode_message",
-    "generate_message",
     "in_process_pair",
     "load_spec",
     "parse_spec",

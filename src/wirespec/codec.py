@@ -1,27 +1,33 @@
 """Bidirectional translation between values and bitstrings.
 
-Each field pairs a (dependent) type with a codec; records encode as the
-concatenation of their fields in declaration order.  Decoding is
-incremental: running out of input raises an :class:`IncompleteInput`
-subclass so that callers feeding a growing stream buffer can distinguish
-"wait for more bytes" from a malformed message.
+Each field pairs a (dependent) type with a codec.  :func:`compile_node`
+turns the pair into a node that checks, encodes, decodes and generates
+values of that field; records encode as the concatenation of their fields
+in declaration order.  A message type's node, its plan, is compiled on
+first use and cached on the spec.  Decoding is incremental: running out
+of input raises an :class:`IncompleteInput` subclass so that callers
+feeding a growing stream buffer can distinguish "wait for more bytes"
+from a malformed message.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 from .bits import EMPTY, BitString
 from .errors import (
     ConstraintViolation,
+    EvalError,
     IncompleteInput,
     MissingTerminator,
     NotByteAligned,
     TerminatorInPayload,
-    Underrun,
+    UnsatisfiableConstraint,
     Unrepresentable,
 )
-from .resolve import RCodec, RType, ResolvedSpec
+from .patterns import Pattern, alphabet_for_charset, compile_pattern
+from .resolve import CODED_TYPES, RCodec, RType, ResolvedSpec
 from .values import (
     ABSENT,
     BitsVal,
@@ -32,15 +38,13 @@ from .values import (
     ListVal,
     RecordVal,
     TextVal,
-    bind_record_env,
-    check_value,
-    effective_field_type,
-    eval_bool,
-    eval_expr,
-    eval_int,
+    as_bool,
+    as_int,
+    compile_arg,
+    fold,
 )
 
-RAW_BINARY = RCodec("RawBinary", {})
+PRINTABLE = "".join(chr(c) for c in range(0x20, 0x7F))
 
 
 def signed_range(width: int, signed: bool) -> tuple[int, int]:
@@ -56,268 +60,528 @@ def _encode_text_bytes(text: str, encoding: str) -> bytes:
         raise Unrepresentable(f"text {text!r} not encodable as {encoding}") from e
 
 
-# --- field encoding -----------------------------------------------------------
-
-def encode_field(value, rtype: RType, rcodec: RCodec | None, env: Env, spec: ResolvedSpec) -> BitString:
-    base = rtype.base
-
-    if base == "Optional":
-        if eval_bool(rtype.args["is_empty"], env):
-            return EMPTY
-        return encode_field(value, rtype.args["subject"], rcodec, env, spec)
-
-    if base == "Record":
-        return _encode_record(value, rtype, env, spec)
-
-    if base == "Binary":
-        return value.bits
-
-    if base == "Enum":
-        enum = spec.enums[rtype.enum]
-        return encode_field(enum.constants[value.constant], enum.base, rcodec, env, spec)
-
-    if rcodec is None:
-        raise Unrepresentable(f"{base} field has no codec")
-
-    if rcodec.base == "BigEndian":
-        width = eval_int(rcodec.args["length"], env)
-        signed = eval_bool(rcodec.args["signed"], env) if "signed" in rcodec.args else False
-        lo, hi = signed_range(width, signed)
-        if not lo <= value.value <= hi:
-            raise Unrepresentable(
-                f"{value.value} does not fit {width}-bit {'signed' if signed else 'unsigned'}"
-            )
-        return BitString(value.value & ((1 << width) - 1), width)
-
-    if rcodec.base == "BoolBits":
-        return rcodec.args["truth_string" if value.value else "falsehood_string"]
-
-    if rcodec.base == "TerminatedText":
-        encoding = rcodec.args.get("encoding", "ascii")
-        terminator = rcodec.args["terminator"]
-        if terminator in value.text:
-            raise TerminatorInPayload(
-                f"text {value.text!r} contains its terminator {terminator!r}"
-            )
-        data = _encode_text_bytes(value.text + terminator, encoding)
-        return BitString.from_bytes(data)
-
-    if rcodec.base == "FixedCountText":
-        encoding = rcodec.args.get("encoding", "ascii")
-        count = _fixed_text_count(rtype, env)
-        if len(value.text) != count:
-            raise Unrepresentable(
-                f"fixed-count text must be exactly {count} characters, got {len(value.text)}"
-            )
-        return BitString.from_bytes(_encode_text_bytes(value.text, encoding))
-
-    if rcodec.base == "TextInteger":
-        text = TextVal(str(value.value))
-        return encode_field(text, RType("Text", {}), rcodec.args["text_codec"], env, spec)
-
-    if rcodec.base == "CountPrefixList":
-        count = encode_field(
-            IntVal(len(value.items)), RType("Integer", {}), rcodec.args["count_codec"], env, spec
-        )
-        parts = [count]
-        elem = rtype.args["elem"]
-        for item in value.items:
-            parts.append(encode_field(item, elem, None, env, spec))
-        return BitString.concat(parts)
-
-    if rcodec.base == "RawBinary":
-        return value.bits
-
-    raise Unrepresentable(f"no encoding rule for {base} as {rcodec.base}")
-
-
-def _fixed_text_count(rtype: RType, env: Env) -> int:
-    if "max_count" in rtype.args:
-        return eval_int(rtype.args["max_count"], env)
-    if "value" in rtype.args:
-        fixed = eval_expr(rtype.args["value"], env)
-        return len(fixed.text)
-    raise Unrepresentable("FixedCountText needs the type's max_count or value")
-
-
-def _encode_record(value: RecordVal, rtype: RType, outer: Env, spec: ResolvedSpec) -> BitString:
-    record = spec.records[rtype.record]
-    env = bind_record_env(rtype, record, outer, spec)
-    parts = []
-    for fld in record.fields:
-        v = value.get(fld.name)
-        parts.append(encode_field(v, effective_field_type(rtype, fld), fld.codec, env, spec))
-        env.bind(fld.name, v)
-    return BitString.concat(parts)
-
-
-# --- field decoding -----------------------------------------------------------
-
-def decode_field(bs: BitString, rtype: RType, rcodec: RCodec | None, env: Env, spec: ResolvedSpec):
-    """Returns (value, rest).  Raises IncompleteInput subclasses when the
-    buffer may simply be short, ConstraintViolation when the input
-    contradicts the type."""
-    base = rtype.base
-
-    if base == "Optional":
-        if eval_bool(rtype.args["is_empty"], env):
-            return ABSENT, bs
-        return decode_field(bs, rtype.args["subject"], rcodec, env, spec)
-
-    if base == "Record":
-        return _decode_record(bs, rtype, env, spec)
-
-    if base == "Enum":
-        enum = spec.enums[rtype.enum]
-        raw, rest = decode_field(bs, enum.base, rcodec, env, spec)
-        constant = None
-        for cname, cval in enum.constants.items():
-            if cval == raw:
-                constant = cname
-                break
-        if constant is None:
-            raise ConstraintViolation(f"{raw!r} is not a {enum.name} constant")
-        value = EnumVal(enum.name, constant)
-        _checked(value, rtype, env, spec)
-        return value, rest
-
-    if base == "Binary":
-        value_arg = rtype.args.get("value")
-        if value_arg is not None:
-            expected = eval_expr(value_arg, env).bits
-            length = expected.length
-        elif "length" in rtype.args:
-            length = eval_int(rtype.args["length"], env)
-        else:
-            raise ConstraintViolation("Binary field needs a length or a fixed value")
-        head, rest = bs.take(length)
-        value = BitsVal(head)
-        _checked(value, rtype, env, spec)
-        return value, rest
-
-    if rcodec is None:
-        raise ConstraintViolation(f"{base} field has no codec")
-
-    if rcodec.base == "BigEndian":
-        width = eval_int(rcodec.args["length"], env)
-        signed = eval_bool(rcodec.args["signed"], env) if "signed" in rcodec.args else False
-        head, rest = bs.take(width)
-        raw = head.value
-        if signed and raw >> (width - 1):
-            raw -= 1 << width
-        value = IntVal(raw)
-        _checked(value, rtype, env, spec)
-        return value, rest
-
-    if rcodec.base == "BoolBits":
-        truth = rcodec.args["truth_string"]
-        falsehood = rcodec.args["falsehood_string"]
-        head, rest = bs.take(truth.length)
-        if head == truth:
-            value = BoolVal(True)
-        elif head == falsehood:
-            value = BoolVal(False)
-        else:
-            raise ConstraintViolation(f"bits {head!r} are neither truth nor falsehood pattern")
-        _checked(value, rtype, env, spec)
-        return value, rest
-
-    if rcodec.base == "TerminatedText":
-        encoding = rcodec.args.get("encoding", "ascii")
-        terminator = rcodec.args["terminator"]
-        text, rest = _scan_terminated(bs, terminator, encoding)
-        value = TextVal(text, rtype.args.get("charset", "ascii"))
-        _checked(value, rtype, env, spec)
-        return value, rest
-
-    if rcodec.base == "FixedCountText":
-        count = _fixed_text_count(rtype, env)
-        chars = []
-        rest = bs
-        for _ in range(count):
-            head, rest = rest.take(8)
-            chars.append(chr(head.value))
-        value = TextVal("".join(chars), rtype.args.get("charset", "ascii"))
-        _checked(value, rtype, env, spec)
-        return value, rest
-
-    if rcodec.base == "TextInteger":
-        raw, rest = decode_field(bs, RType("Text", {}), rcodec.args["text_codec"], env, spec)
-        text = raw.text
-        body = text[1:] if text.startswith("-") else text
-        if not body or not body.isdigit():
-            raise ConstraintViolation(f"{text!r} is not a decimal integer")
-        value = IntVal(int(text))
-        _checked(value, rtype, env, spec)
-        return value, rest
-
-    if rcodec.base == "CountPrefixList":
-        count_val, rest = decode_field(
-            bs, RType("Integer", {}), rcodec.args["count_codec"], env, spec
-        )
-        count = count_val.value
-        if count < 0:
-            raise ConstraintViolation(f"negative list count {count}")
-        if "max_length" in rtype.args and count > eval_int(rtype.args["max_length"], env):
-            raise ConstraintViolation(f"list count {count} exceeds max_length")
-        items = []
-        elem = rtype.args["elem"]
-        for _ in range(count):
-            item, rest = decode_field(rest, elem, None, env, spec)
-            items.append(item)
-        return ListVal(tuple(items)), rest
-
-    raise ConstraintViolation(f"no decoding rule for {base} as {rcodec.base}")
-
-
-def _checked(value, rtype: RType, env: Env, spec: ResolvedSpec):
-    reason = check_value(value, rtype, env, spec)
-    if reason:
-        raise ConstraintViolation(reason)
-
-
 def _scan_terminated(bs: BitString, terminator: str, encoding: str) -> tuple[str, BitString]:
-    term = terminator
-    out = []
+    text = ""
     rest = bs
-    while True:
-        if len(out) >= len(term) and "".join(out[-len(term):]) == term:
-            return "".join(out[: -len(term)]), rest
+    while not text.endswith(terminator):
         if rest.length < 8:
             raise MissingTerminator(f"terminator {terminator!r} not found")
         head, rest = rest.take(8)
         code = head.value
         if encoding == "ascii" and code > 127:
             raise ConstraintViolation(f"byte {code:#x} is not ASCII")
-        out.append(chr(code))
+        text += chr(code)
+    return text[: len(text) - len(terminator)], rest
 
 
-def _decode_record(bs: BitString, rtype: RType, outer: Env, spec: ResolvedSpec):
-    record = spec.records[rtype.record]
-    env = bind_record_env(rtype, record, outer, spec)
-    entries = []
-    rest = bs
-    for fld in record.fields:
-        value, rest = decode_field(rest, effective_field_type(rtype, fld), fld.codec, env, spec)
-        entries.append((fld.name, value))
-        env.bind(fld.name, value)
-    return RecordVal(record.name, tuple(entries)), rest
+def _literal_pattern(text: str) -> Pattern:
+    named = {"\n": "\\n", "\r": "\\r", "\t": "\\t"}
+    escaped = "".join(
+        named.get(c, c if c.isalnum() else f"\\{c}") for c in text
+    )
+    return compile_pattern(escaped)
+
+
+# --- compilation ------------------------------------------------------------------
+
+def compile_node(rtype: RType, rcodec: RCodec | None, spec: ResolvedSpec) -> "Node":
+    """Compile one field's type and codec into a :class:`Node`.  This is the
+    only place that dispatches on type and codec names."""
+    coded = rcodec is not None and rtype.base in CODED_TYPES
+    return Node.classes[rcodec.base if coded else rtype.base](rtype, rcodec, spec)
+
+
+def message_plan(spec: ResolvedSpec, msg_type: str) -> "RecordNode":
+    """The node of a whole message type, compiled on first use and cached on the spec."""
+    plan = spec.plans.get(msg_type)
+    if plan is None:
+        record = spec.message_record(msg_type)
+        plan = compile_node(RType("Record", {}, record=record.name), None, spec)
+        spec.plans[msg_type] = plan
+    return plan
+
+
+# --- field nodes ------------------------------------------------------------------
+
+class Node:
+    """One field's type and codec, compiled.
+
+    ``check(value, env)`` returns None, or the reason the value breaks the
+    type.  ``encode(value, env)`` returns the value's bits.  ``decode(bs,
+    env)`` returns ``(value, rest)``; it raises IncompleteInput subclasses
+    when the buffer may simply be short and ConstraintViolation when the
+    input contradicts the type.  ``generate(gen, env, path)`` draws a
+    well-formed value with the :class:`~wirespec.generate.Generator` ``gen``.
+    ``env`` binds the enclosing record's parameters and earlier fields.
+    Each subclass is named after the type or codec it codes.
+    """
+
+    classes = {}  # type or codec name -> node class
+
+    def __init_subclass__(cls):
+        Node.classes[cls.__name__.removesuffix("Node")] = cls
+
+    def decode(self, bs: BitString, env: Env):
+        value, rest = self.read(bs, env)
+        reason = self.check(value, env)
+        if reason:
+            raise ConstraintViolation(reason)
+        return value, rest
+
+
+class IntegerNode(Node):
+    def __init__(self, rtype, rcodec, spec):
+        self.codec_range = lambda env: (None, None)
+        self.pin = compile_arg(rtype.args, "value", spec.constants, as_int)
+        self.min = compile_arg(rtype.args, "min", spec.constants, as_int)
+        self.max = compile_arg(rtype.args, "max", spec.constants, as_int)
+
+    def check(self, value, env):
+        if not isinstance(value, IntVal):
+            return f"expected an integer, got {value!r}"
+        n = value.value
+        if self.pin is not None and n != self.pin(env):
+            return f"must equal {self.pin(env)}, got {n}"
+        if self.min is not None and n < self.min(env):
+            return f"{n} below minimum {self.min(env)}"
+        if self.max is not None and n > self.max(env):
+            return f"{n} above maximum {self.max(env)}"
+        return None
+
+    def generate(self, gen, env, path):
+        if self.pin is not None:
+            return IntVal(self.pin(env))
+        lo = None if self.min is None else self.min(env)
+        hi = None if self.max is None else self.max(env)
+        clo, chi = self.codec_range(env)
+        if clo is not None:
+            lo = clo if lo is None else max(lo, clo)
+            hi = chi if hi is None else min(hi, chi)
+        if lo is None or hi is None:
+            raise UnsatisfiableConstraint(f"{path}: integer range is unbounded")
+        if lo > hi:
+            raise UnsatisfiableConstraint(f"{path}: empty integer range [{lo}, {hi}]")
+        return IntVal(gen.rng.randint(lo, hi))
+
+
+class BigEndianNode(IntegerNode):
+    def __init__(self, rtype, rcodec, spec):
+        super().__init__(rtype, rcodec, spec)
+        self.width = compile_arg(rcodec.args, "length", spec.constants, as_int)
+        signed = compile_arg(rcodec.args, "signed", spec.constants, as_bool)
+        self.signed = signed or (lambda env: False)
+        self.codec_range = fold(
+            lambda env: signed_range(self.width(env), self.signed(env)), spec.constants
+        )
+
+    def encode(self, value, env):
+        width, signed = self.width(env), self.signed(env)
+        lo, hi = self.codec_range(env)
+        if not lo <= value.value <= hi:
+            raise Unrepresentable(
+                f"{value.value} does not fit {width}-bit {'signed' if signed else 'unsigned'}"
+            )
+        return BitString(value.value & ((1 << width) - 1), width)
+
+    def read(self, bs, env):
+        width, signed = self.width(env), self.signed(env)
+        if width < 0 or (signed and width == 0):
+            raise ConstraintViolation(f"no {width}-bit integer exists")
+        head, rest = bs.take(width)
+        raw = head.value
+        if signed and raw >> (width - 1):
+            raw -= 1 << width
+        return IntVal(raw), rest
+
+
+class TextIntegerNode(IntegerNode):
+    def __init__(self, rtype, rcodec, spec):
+        super().__init__(rtype, rcodec, spec)
+        self.text = compile_node(RType("Text", {}), rcodec.args["text_codec"], spec)
+
+    def encode(self, value, env):
+        return self.text.encode(TextVal(str(value.value)), env)
+
+    def read(self, bs, env):
+        raw, rest = self.text.decode(bs, env)
+        text = raw.text
+        body = text[1:] if text.startswith("-") else text
+        if not body or not body.isdigit():
+            raise ConstraintViolation(f"{text!r} is not a decimal integer")
+        return IntVal(int(text)), rest
+
+
+class TextNode(Node):
+    def __init__(self, rtype, rcodec, spec):
+        args = rtype.args
+        self.exact = lambda env: None  # the length a fixed-count codec forces on every draw
+        self.charset = args.get("charset", "ascii")
+        self.alphabet = frozenset(alphabet_for_charset(self.charset))
+        self.pin = compile_arg(args, "value", spec.constants)
+        self.max_count = compile_arg(args, "max_count", spec.constants, as_int)
+        self.pattern = args.get("pattern")
+        self.exclude = args.get("exclude_pattern")
+        self.excludes = () if self.exclude is None else (self.exclude,)
+        self.draw_alphabet = alphabet_for_charset(self.charset) if self.pattern else PRINTABLE
+        self.cap = self.max_count  # when None, the GenConfig cap named by default_cap
+        self.default_cap = "regex_expansion_cap" if self.pattern else "max_text_len"
+
+    def check(self, value, env):
+        if not isinstance(value, TextVal):
+            return f"expected text, got {value!r}"
+        text = value.text
+        if not self.alphabet.issuperset(text):
+            ch = next(c for c in text if c not in self.alphabet)
+            return f"character {ch!r} outside charset {self.charset!r}"
+        if self.pin is not None:
+            expected = self.pin(env)
+            if not isinstance(expected, TextVal) or text != expected.text:
+                return f"must equal {expected!r}, got {text!r}"
+        if self.max_count is not None and len(text) > self.max_count(env):
+            return f"{len(text)} characters exceeds max_count"
+        if self.pattern is not None and not self.pattern.fullmatch(text):
+            return f"{text!r} does not match {self.pattern!r}"
+        if self.exclude is not None and self.exclude.search(text):
+            return f"{text!r} contains a substring matching {self.exclude!r}"
+        return None
+
+    def generate(self, gen, env, path):
+        if self.pin is not None:
+            return TextVal(self.pin(env).text, self.charset)
+        exact = self.exact(env)
+        cap = getattr(gen.cfg, self.default_cap) if self.cap is None else self.cap(env)
+        sampler = gen.sampler(self.pattern, self.draw_alphabet, self.excludes, cap)
+        try:
+            text = sampler.sample(gen.rng, exact)
+        except UnsatisfiableConstraint as e:
+            raise UnsatisfiableConstraint(f"{path}: {e}") from None
+        return TextVal(text, self.charset)
+
+
+class TerminatedTextNode(TextNode):
+    def __init__(self, rtype, rcodec, spec):
+        super().__init__(rtype, rcodec, spec)
+        self.encoding = rcodec.args.get("encoding", "ascii")
+        self.terminator = rcodec.args["terminator"]
+        self.excludes += (_literal_pattern(self.terminator),)
+
+    def encode(self, value, env):
+        if self.terminator in value.text:
+            raise TerminatorInPayload(
+                f"text {value.text!r} contains its terminator {self.terminator!r}"
+            )
+        data = _encode_text_bytes(value.text + self.terminator, self.encoding)
+        return BitString.from_bytes(data)
+
+    def read(self, bs, env):
+        text, rest = _scan_terminated(bs, self.terminator, self.encoding)
+        return TextVal(text, self.charset), rest
+
+
+class FixedCountTextNode(TextNode):
+    def __init__(self, rtype, rcodec, spec):
+        super().__init__(rtype, rcodec, spec)
+        self.encoding = rcodec.args.get("encoding", "ascii")
+        # the resolver guarantees the type gives max_count or value
+        self.exact = self.max_count or (lambda env: len(self.pin(env).text))
+        self.cap = self.exact
+
+    def encode(self, value, env):
+        count = self.exact(env)
+        if len(value.text) != count:
+            raise Unrepresentable(
+                f"fixed-count text must be exactly {count} characters, got {len(value.text)}"
+            )
+        return BitString.from_bytes(_encode_text_bytes(value.text, self.encoding))
+
+    def read(self, bs, env):
+        head, rest = bs.take(8 * max(self.exact(env), 0))
+        return TextVal(head.to_bytes().decode("latin-1"), self.charset), rest
+
+
+class BoolNode(Node):
+    def __init__(self, rtype, rcodec, spec):
+        self.pin = compile_arg(rtype.args, "value", spec.constants, as_bool)
+
+    def check(self, value, env):
+        if not isinstance(value, BoolVal):
+            return f"expected a boolean, got {value!r}"
+        if self.pin is not None and value.value != self.pin(env):
+            return "boolean has the wrong fixed value"
+        return None
+
+    def generate(self, gen, env, path):
+        if self.pin is not None:
+            return BoolVal(self.pin(env))
+        return BoolVal(gen.rng.random() < 0.5)
+
+
+class BoolBitsNode(BoolNode):
+    def __init__(self, rtype, rcodec, spec):
+        super().__init__(rtype, rcodec, spec)
+        self.truth = rcodec.args["truth_string"]
+        self.falsehood = rcodec.args["falsehood_string"]
+
+    def encode(self, value, env):
+        return self.truth if value.value else self.falsehood
+
+    def read(self, bs, env):
+        head, rest = bs.take(self.truth.length)
+        if head == self.truth:
+            return BoolVal(True), rest
+        if head == self.falsehood:
+            return BoolVal(False), rest
+        raise ConstraintViolation(f"bits {head!r} are neither truth nor falsehood pattern")
+
+
+class BinaryNode(Node):
+    """Binary values are their own bits; a codec on the field is not used."""
+
+    def __init__(self, rtype, rcodec, spec):
+        self.pin = compile_arg(rtype.args, "value", spec.constants)
+        self.length = compile_arg(rtype.args, "length", spec.constants, as_int)
+        self.pattern = rtype.args.get("char8_pattern")
+        # the resolver guarantees the type gives length or value
+        self.size = self.length if self.pin is None else lambda env: self.pin(env).bits.length
+
+    def check(self, value, env):
+        if not isinstance(value, BitsVal):
+            return f"expected bits, got {value!r}"
+        bits = value.bits
+        if self.pin is not None:
+            expected = self.pin(env).bits
+            if bits != expected:
+                return f"must equal {expected!r}, got {bits!r}"
+        if self.length is not None and bits.length != self.length(env):
+            return f"length {bits.length} bits, expected {self.length(env)}"
+        if self.pattern is not None and not self.pattern.fullmatch(bits.to_bits()):
+            return f"bits {bits.to_bits()!r} do not match {self.pattern!r}"
+        return None
+
+    def encode(self, value, env):
+        return value.bits
+
+    def read(self, bs, env):
+        length = self.size(env)
+        if length < 0:
+            raise ConstraintViolation(f"negative bit length {length}")
+        head, rest = bs.take(length)
+        return BitsVal(head), rest
+
+    def generate(self, gen, env, path):
+        if self.pin is not None:
+            return BitsVal(self.pin(env).bits)
+        length = self.length(env)
+        if length < 0:
+            raise UnsatisfiableConstraint(f"{path}: negative bit length {length}")
+        if self.pattern is None:
+            return BitsVal(BitString(gen.rng.getrandbits(length), length))
+        sampler = gen.sampler(self.pattern, "01", (), length)
+        try:
+            bits = sampler.sample(gen.rng, length)
+        except UnsatisfiableConstraint:
+            raise UnsatisfiableConstraint(
+                f"{path}: no {length}-bit string matches {self.pattern!r}"
+            ) from None
+        return BitsVal(BitString.from_bits(bits))
+
+
+class ListNode(Node):
+    def __init__(self, rtype, rcodec, spec):
+        self.max_length = compile_arg(rtype.args, "max_length", spec.constants, as_int)
+        self.elem = compile_node(rtype.args["elem"], None, spec)
+
+    def check(self, value, env):
+        if not isinstance(value, ListVal):
+            return f"expected a list, got {value!r}"
+        if self.max_length is not None and len(value.items) > self.max_length(env):
+            return f"{len(value.items)} elements exceeds max_length"
+        for i, item in enumerate(value.items):
+            reason = self.elem.check(item, env)
+            if reason:
+                return f"element {i}: {reason}"
+        return None
+
+    def generate(self, gen, env, path):
+        cap = gen.cfg.max_list_len if self.max_length is None else self.max_length(env)
+        count = gen.rng.randint(0, cap)
+        return ListVal(
+            tuple(self.elem.generate(gen, env, f"{path}[{i}]") for i in range(count))
+        )
+
+
+class CountPrefixListNode(ListNode):
+    def __init__(self, rtype, rcodec, spec):
+        super().__init__(rtype, rcodec, spec)
+        self.count = compile_node(RType("Integer", {}), rcodec.args["count_codec"], spec)
+
+    def encode(self, value, env):
+        parts = [self.count.encode(IntVal(len(value.items)), env)]
+        parts.extend(self.elem.encode(item, env) for item in value.items)
+        return BitString.concat(parts)
+
+    def decode(self, bs, env):
+        count_val, rest = self.count.decode(bs, env)
+        count = count_val.value
+        if count < 0:
+            raise ConstraintViolation(f"negative list count {count}")
+        if self.max_length is not None and count > self.max_length(env):
+            raise ConstraintViolation(f"list count {count} exceeds max_length")
+        items = []
+        for _ in range(count):
+            item, rest = self.elem.decode(rest, env)
+            items.append(item)
+        return ListVal(tuple(items)), rest
+
+
+class EnumNode(Node):
+    """Maps constants to and from their values, which code as the enum's base type."""
+
+    def __init__(self, rtype, rcodec, spec):
+        enum = spec.enums[rtype.enum]
+        self.name = enum.name
+        self.constants = enum.constants
+        self.choices = list(enum.constants)
+        # reversed, so that the first of two constants with one value wins
+        self.by_value = {cval: cname for cname, cval in reversed(enum.constants.items())}
+        self.base = compile_node(enum.base, rcodec, spec)
+        self.pin = compile_arg(rtype.args, "value", spec.constants)
+
+    def check(self, value, env):
+        if not isinstance(value, EnumVal) or value.enum != self.name:
+            return f"expected a {self.name} constant, got {value!r}"
+        if value.constant not in self.constants:
+            return f"{value.constant!r} is not a constant of {self.name}"
+        if self.pin is not None:
+            expected = self.pin(env)
+            if not isinstance(expected, EnumVal) or expected.constant != value.constant:
+                return f"must be {expected!r}, got {value.constant}"
+        return None
+
+    def encode(self, value, env):
+        return self.base.encode(self.constants[value.constant], env)
+
+    def read(self, bs, env):
+        raw, rest = self.base.decode(bs, env)
+        constant = self.by_value.get(raw)
+        if constant is None:
+            raise ConstraintViolation(f"{raw!r} is not a {self.name} constant")
+        return EnumVal(self.name, constant), rest
+
+    def generate(self, gen, env, path):
+        if self.pin is not None:
+            return EnumVal(self.name, self.pin(env).constant)
+        return EnumVal(self.name, gen.rng.choice(self.choices))
+
+
+class OptionalNode(Node):
+    """Present or absent by its guard; a present value codes as the subject."""
+
+    def __init__(self, rtype, rcodec, spec):
+        self.is_empty = compile_arg(rtype.args, "is_empty", spec.constants, as_bool)
+        self.subject = compile_node(rtype.args["subject"], rcodec, spec)
+
+    def check(self, value, env):
+        if self.is_empty(env):
+            return None if value is ABSENT else "value must be absent"
+        if value is ABSENT:
+            return "value is required but absent"
+        return self.subject.check(value, env)
+
+    def encode(self, value, env):
+        return EMPTY if self.is_empty(env) else self.subject.encode(value, env)
+
+    def decode(self, bs, env):
+        return (ABSENT, bs) if self.is_empty(env) else self.subject.decode(bs, env)
+
+    def generate(self, gen, env, path):
+        return ABSENT if self.is_empty(env) else self.subject.generate(gen, env, path)
+
+
+class RecordNode(Node):
+    """A record instance: binds its parameters, applies field pins such as
+    ``Header(flag=1)``, and binds each field in turn for the later ones."""
+
+    def __init__(self, rtype, rcodec, spec):
+        self.rtype = rtype
+        self.record = spec.records[rtype.record]
+        self.name = self.record.name
+        self.spec = spec
+        self.params = [
+            (p, compile_arg(rtype.args, p, spec.constants))
+            for p in self.record.params
+            if p in rtype.args
+        ]
+        self.names = [f.name for f in self.record.fields]
+
+    @cached_property
+    def fields(self) -> list:
+        """(name, node) pairs, compiled on first use so a record may nest itself."""
+        out = []
+        for fld in self.record.fields:
+            ftype = fld.type
+            if fld.name in self.rtype.args:
+                ftype = ftype.replace_args({**ftype.args, "value": self.rtype.args[fld.name]})
+            out.append((fld.name, compile_node(ftype, fld.codec, self.spec)))
+        return out
+
+    def bind(self, outer: Env) -> Env:
+        """The record's own environment; parameter arguments see the outer one."""
+        env = outer.child()
+        for name, arg in self.params:
+            env.bind(name, arg(outer))
+        return env
+
+    def check(self, value, env):
+        if not isinstance(value, RecordVal) or value.type_name != self.name:
+            return f"expected a {self.name} record, got {value!r}"
+        if value.names() != self.names:
+            return f"field set mismatch for {self.name}"
+        inner = self.bind(env)
+        for (name, node), (_, v) in zip(self.fields, value.entries):
+            reason = node.check(v, inner)
+            if reason:
+                return f"{self.name}.{name}: {reason}"
+            inner.bind(name, v)
+        return None
+
+    def encode(self, value, env):
+        inner = self.bind(env)
+        parts = []
+        for (name, node), (_, v) in zip(self.fields, value.entries):
+            parts.append(node.encode(v, inner))
+            inner.bind(name, v)
+        return BitString.concat(parts)
+
+    def decode(self, bs, env):
+        inner = self.bind(env)
+        entries = []
+        rest = bs
+        for name, node in self.fields:
+            value, rest = node.decode(rest, inner)
+            entries.append((name, value))
+            inner.bind(name, value)
+        return RecordVal(self.name, tuple(entries)), rest
+
+    def generate(self, gen, env, path):
+        inner = self.bind(env)
+        entries = []
+        for name, node in self.fields:
+            value = node.generate(gen, inner, f"{path}.{name}")
+            entries.append((name, value))
+            inner.bind(name, value)
+        return RecordVal(self.name, tuple(entries))
 
 
 # --- whole messages ---------------------------------------------------------------
 
-def record_type(spec: ResolvedSpec, name: str) -> RType:
-    return RType("Record", {}, record=name)
-
-
 def encode_message(msg_type: str, value: RecordVal, spec: ResolvedSpec) -> bytes:
-    record = spec.message_record(msg_type)
-    rtype = record_type(spec, record.name)
+    plan = message_plan(spec, msg_type)
     env = Env(spec.constants)
-    reason = check_value(value, rtype, env, spec)
+    reason = plan.check(value, env)
     if reason:
         raise ConstraintViolation(f"{msg_type}: {reason}")
-    bits = _encode_record(value, rtype, env, spec)
+    bits = plan.encode(value, env)
     if bits.length % 8:
         raise NotByteAligned(
             f"{msg_type} encodes to {bits.length} bits for this value"
@@ -357,7 +621,8 @@ def decode_message(
     Candidates are attempted in specification declaration order; the first
     full decode wins.  Returns Classified, NEED_MORE, or InvalidFormat.
     """
-    ordered = [m for m in spec.message_types if m in set(candidates)]
+    wanted = set(candidates)
+    ordered = [m for m in spec.message_types if m in wanted]
     if not ordered:
         raise ValueError("no candidate message types")
     bits = BitString.from_bytes(buf)
@@ -368,9 +633,7 @@ def decode_message(
         if winner is not None and not report_ambiguity:
             break
         try:
-            value, rest = _decode_record(
-                bits, record_type(spec, name), Env(spec.constants), spec
-            )
+            value, rest = message_plan(spec, name).decode(bits, Env(spec.constants))
             if rest.length % 8:
                 raise ConstraintViolation("message does not end on a byte boundary")
             if winner is None:
@@ -382,7 +645,9 @@ def decode_message(
         except IncompleteInput as e:
             incomplete = True
             diagnostics[name] = f"incomplete: {e}"
-        except ConstraintViolation as e:
+        except (ConstraintViolation, EvalError) as e:
+            # peer-controlled values reach expressions (lengths, guards), so
+            # an expression that fails to evaluate is a malformed message
             diagnostics[name] = str(e)
     if winner is not None:
         return winner

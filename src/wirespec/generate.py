@@ -1,10 +1,12 @@
 """Seeded random generation of well-formed message values.
 
-Fields are generated in dependency order so that every dependent
-constraint (lengths, optional presence, fixed values) sees the values it
-needs.  Codec representability is honored too: fixed-count text is drawn
-at its exact length, terminated text never contains its terminator, and
-integers stay inside their codec's width.
+The compiled field nodes of :mod:`wirespec.codec` draw the values: fields
+in dependency order, so that every dependent constraint (lengths, optional
+presence, fixed values) sees the values it needs, and within what the codec
+can represent: fixed-count text is drawn at its exact length, terminated
+text never contains its terminator, and integers stay inside their codec's
+width.  A :class:`Generator` holds what the draws share: the rng, the caps
+and the sampler cache.
 """
 
 from __future__ import annotations
@@ -12,29 +14,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from random import Random
 
-from .bits import BitString
-from .codec import _fixed_text_count, signed_range
-from .errors import UnsatisfiableConstraint
-from .patterns import LanguageSampler, Pattern, alphabet_for_charset, compile_pattern
-from .resolve import RCodec, RType, ResolvedSpec
-from .values import (
-    ABSENT,
-    BitsVal,
-    BoolVal,
-    Env,
-    EnumVal,
-    IntVal,
-    ListVal,
-    RecordVal,
-    TextVal,
-    bind_record_env,
-    effective_field_type,
-    eval_bool,
-    eval_expr,
-    eval_int,
-)
-
-PRINTABLE = "".join(chr(c) for c in range(0x20, 0x7F))
+from .codec import message_plan
+from .patterns import LanguageSampler, Pattern
+from .resolve import ResolvedSpec
+from .values import Env, RecordVal
 
 
 @dataclass
@@ -60,136 +43,10 @@ class Generator:
         self._samplers = {}
 
     def message(self, msg_type: str) -> RecordVal:
-        record = self.spec.message_record(msg_type)
-        rtype = RType("Record", {}, record=record.name)
-        return self.value(rtype, None, Env(self.spec.constants), path=msg_type)
+        plan = message_plan(self.spec, msg_type)
+        return plan.generate(self, Env(self.spec.constants), msg_type)
 
-    def value(self, rtype: RType, rcodec: RCodec | None, env: Env, path: str):
-        base = rtype.base
-        if base == "Record":
-            return self._record(rtype, env, path)
-        if base == "Optional":
-            if eval_bool(rtype.args["is_empty"], env):
-                return ABSENT
-            return self.value(rtype.args["subject"], rcodec, env, path)
-        if base == "Integer":
-            return self._integer(rtype, rcodec, env, path)
-        if base == "Text":
-            return self._text(rtype, rcodec, env, path)
-        if base == "Binary":
-            return self._binary(rtype, env, path)
-        if base == "Bool":
-            if "value" in rtype.args:
-                return BoolVal(eval_bool(rtype.args["value"], env))
-            return BoolVal(self.rng.random() < 0.5)
-        if base == "List":
-            return self._list(rtype, env, path)
-        if base == "Enum":
-            return self._enum(rtype, env)
-        raise UnsatisfiableConstraint(f"{path}: cannot generate a {base}")
-
-    def _record(self, rtype: RType, outer: Env, path: str) -> RecordVal:
-        record = self.spec.records[rtype.record]
-        env = bind_record_env(rtype, record, outer, self.spec)
-        entries = []
-        for fld in record.fields:
-            v = self.value(
-                effective_field_type(rtype, fld), fld.codec, env, f"{path}.{fld.name}"
-            )
-            entries.append((fld.name, v))
-            env.bind(fld.name, v)
-        return RecordVal(record.name, tuple(entries))
-
-    def _integer(self, rtype: RType, rcodec: RCodec | None, env: Env, path: str) -> IntVal:
-        args = rtype.args
-        if "value" in args:
-            return IntVal(eval_int(args["value"], env))
-        lo = eval_int(args["min"], env) if "min" in args else None
-        hi = eval_int(args["max"], env) if "max" in args else None
-        if rcodec is not None and rcodec.base == "BigEndian":
-            width = eval_int(rcodec.args["length"], env)
-            signed = (
-                eval_bool(rcodec.args["signed"], env) if "signed" in rcodec.args else False
-            )
-            clo, chi = signed_range(width, signed)
-            lo = clo if lo is None else max(lo, clo)
-            hi = chi if hi is None else min(hi, chi)
-        if lo is None or hi is None:
-            raise UnsatisfiableConstraint(f"{path}: integer range is unbounded")
-        if lo > hi:
-            raise UnsatisfiableConstraint(f"{path}: empty integer range [{lo}, {hi}]")
-        return IntVal(self.rng.randint(lo, hi))
-
-    def _text(self, rtype: RType, rcodec: RCodec | None, env: Env, path: str) -> TextVal:
-        args = rtype.args
-        charset = args.get("charset", "ascii")
-        if "value" in args:
-            fixed = eval_expr(args["value"], env)
-            return TextVal(fixed.text, charset)
-        pattern = args.get("pattern")
-        excludes = []
-        if "exclude_pattern" in args:
-            excludes.append(args["exclude_pattern"])
-        exact_len = None
-        if rcodec is not None and rcodec.base == "FixedCountText":
-            exact_len = _fixed_text_count(rtype, env)
-        if rcodec is not None and rcodec.base == "TerminatedText":
-            excludes.append(_literal_pattern(rcodec.args["terminator"]))
-        if "max_count" in args:
-            cap = eval_int(args["max_count"], env)
-        elif pattern is not None:
-            cap = self.cfg.regex_expansion_cap
-        else:
-            cap = self.cfg.max_text_len
-        if exact_len is not None:
-            cap = exact_len
-        alphabet = alphabet_for_charset(charset) if pattern else PRINTABLE
-        sampler = self._sampler(pattern, alphabet, tuple(excludes), cap)
-        try:
-            text = sampler.sample(self.rng, exact_len)
-        except UnsatisfiableConstraint as e:
-            raise UnsatisfiableConstraint(f"{path}: {e}") from None
-        return TextVal(text, charset)
-
-    def _binary(self, rtype: RType, env: Env, path: str) -> BitsVal:
-        args = rtype.args
-        if "value" in args:
-            return BitsVal(eval_expr(args["value"], env).bits)
-        if "length" not in args:
-            raise UnsatisfiableConstraint(f"{path}: Binary needs a length or fixed value")
-        length = eval_int(args["length"], env)
-        if length < 0:
-            raise UnsatisfiableConstraint(f"{path}: negative bit length {length}")
-        pattern = args.get("char8_pattern")
-        if pattern is None:
-            return BitsVal(BitString(self.rng.getrandbits(length), length))
-        sampler = self._sampler(pattern, "01", (), length)
-        try:
-            bits = sampler.sample(self.rng, length)
-        except UnsatisfiableConstraint:
-            raise UnsatisfiableConstraint(
-                f"{path}: no {length}-bit string matches {pattern!r}"
-            ) from None
-        return BitsVal(BitString.from_bits(bits))
-
-    def _list(self, rtype: RType, env: Env, path: str) -> ListVal:
-        cap = self.cfg.max_list_len
-        if "max_length" in rtype.args:
-            cap = eval_int(rtype.args["max_length"], env)
-        count = self.rng.randint(0, cap)
-        elem = rtype.args["elem"]
-        return ListVal(
-            tuple(self.value(elem, None, env, f"{path}[{i}]") for i in range(count))
-        )
-
-    def _enum(self, rtype: RType, env: Env) -> EnumVal:
-        enum = self.spec.enums[rtype.enum]
-        if "value" in rtype.args:
-            pinned = eval_expr(rtype.args["value"], env)
-            return EnumVal(enum.name, pinned.constant)
-        return EnumVal(enum.name, self.rng.choice(list(enum.constants)))
-
-    def _sampler(
+    def sampler(
         self, pattern: Pattern | None, alphabet: str, excludes: tuple, max_len: int
     ) -> LanguageSampler:
         key = (
@@ -203,15 +60,3 @@ class Generator:
             sampler = LanguageSampler(pattern, alphabet, excludes, max_len=max_len)
             self._samplers[key] = sampler
         return sampler
-
-
-def _literal_pattern(text: str) -> Pattern:
-    named = {"\n": "\\n", "\r": "\\r", "\t": "\\t"}
-    escaped = "".join(
-        named.get(c, c if c.isalnum() else f"\\{c}") for c in text
-    )
-    return compile_pattern(escaped)
-
-
-def generate_message(msg_type: str, spec: ResolvedSpec, cfg: GenConfig) -> RecordVal:
-    return Generator(spec, cfg).message(msg_type)

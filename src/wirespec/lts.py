@@ -54,13 +54,6 @@ class IOLTS:
         for e in self.edges:
             self._out[e.src].append(e)
 
-    def outgoing(self, state: str) -> list:
-        return self._out[state]
-
-    def tau_closure(self, states) -> frozenset:
-        closed, _ = self.tau_closure_edges(states)
-        return closed
-
     def tau_closure_edges(self, states) -> tuple[frozenset, list]:
         """Least superset closed under tau edges, plus the tau edges used."""
         out = set(states)
@@ -75,10 +68,6 @@ class IOLTS:
                         out.add(e.dst)
                         stack.append(e.dst)
         return frozenset(out), used
-
-    def successors(self, states, label) -> frozenset:
-        moved, _ = self.successors_edges(states, label)
-        return moved
 
     def successors_edges(self, states, label) -> tuple[frozenset, list]:
         """Exact one-step image under a label (caller tau-closes), plus the

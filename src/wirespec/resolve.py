@@ -30,15 +30,18 @@ BASE_TYPES = {
     "Optional": {"is_empty", "subject"},
 }
 
-BASE_CODECS = {
-    "BigEndian": {"signed", "length"},
-    "BoolBits": {"truth_string", "falsehood_string"},
-    "TerminatedText": {"encoding", "terminator"},
-    "FixedCountText": {"encoding"},
-    "CountPrefixList": {"count_codec"},
-    "TextInteger": {"text_codec"},
-    "RawBinary": set(),
+BASE_CODECS = {  # codec -> (the value type it codes, its arguments)
+    "BigEndian": ("Integer", {"signed", "length"}),
+    "BoolBits": ("Bool", {"truth_string", "falsehood_string"}),
+    "TerminatedText": ("Text", {"encoding", "terminator"}),
+    "FixedCountText": ("Text", {"encoding"}),
+    "CountPrefixList": ("List", {"count_codec"}),
+    "TextInteger": ("Integer", {"text_codec"}),
 }
+
+# Fields of these types need a codec that codes their type; so do enums, for
+# their base type.
+CODED_TYPES = frozenset(t for t, _ in BASE_CODECS.values())
 
 _TYPE_ARG_KINDS = {
     "elem": "type",
@@ -122,6 +125,8 @@ class ResolvedSpec:
     enums: dict
     actors: dict  # actor name -> IOLTS
     constants: dict  # enum constant name -> EnumVal
+    # message type -> compiled plan (see wirespec.codec.message_plan)
+    plans: dict = field(default_factory=dict, compare=False, repr=False)
 
     def message_record(self, name: str) -> RecordDef:
         rec = self.records.get(name)
@@ -299,7 +304,7 @@ class _Resolver:
     def _codec_args(self, base: str, args: list, stack: tuple) -> dict:
         out = {}
         for aname, expr in args:
-            if aname not in BASE_CODECS[base]:
+            if aname not in BASE_CODECS[base][1]:
                 raise UnknownName(f"codec {base} has no argument named {aname!r}")
             kind = _CODEC_ARG_KINDS.get(aname, "expr")
             if kind == "codec":
@@ -326,6 +331,9 @@ class _Resolver:
         fields = []
         seen = []
         params = tuple(decl.params)
+        for name in params + tuple(f.name for f in decl.fields):
+            if name in self.constants or name in ("true", "false"):
+                raise DuplicateName(f"{name!r} in {decl.name} shadows a constant")
         for f in decl.fields:
             if f.name in seen:
                 raise DuplicateName(f"field {f.name!r} declared twice in {decl.name}")
@@ -338,7 +346,8 @@ class _Resolver:
             deps = self._check_references(decl, f.name, seen, params, rtype, rcodec)
             fields.append(RField(f.name, rtype, rcodec, tuple(deps)))
             seen.append(f.name)
-        self._check_codecs(decl.name, fields)
+        for f in fields:
+            self._check_coding(f"{decl.name}.{f.name}", f.type, f.codec)
         return RecordDef(decl.name, params, fields, decl.name in self.message_order)
 
     def _check_references(self, decl, fname, earlier, params, rtype, rcodec) -> list:
@@ -389,30 +398,44 @@ class _Resolver:
             walk_args(rcodec.args)
         return deps
 
-    def _check_codecs(self, record_name: str, fields: list) -> None:
-        for f in fields:
-            where = f"{record_name}.{f.name}"
-            subject = f.type
-            while subject.base == "Optional":
-                self._require_args(subject, where)
-                subject = subject.args["subject"]
-            self._require_args(subject, where)
-            if f.codec is None:
-                if subject.base in ("Integer", "Text", "Bool", "List", "Enum"):
-                    raise ResolutionError(f"{where}: a {subject.base} field needs a codec")
-                continue
-            missing = _REQUIRED_CODEC_ARGS.get(f.codec.base, set()) - set(f.codec.args)
-            if missing:
+    def _check_coding(self, where: str, rtype: RType, rcodec: RCodec | None) -> None:
+        """Reject a type and codec that cannot code every value of the type."""
+        while rtype.base == "Optional":
+            self._require_args(rtype, where)
+            rtype = rtype.args["subject"]
+        self._require_args(rtype, where)
+        if rtype.base == "List":
+            # elements are coded without a codec of their own
+            self._check_coding(f"{where} element", rtype.args["elem"], None)
+        base = rtype.base
+        if base == "Enum":
+            rtype = self.enums[rtype.enum].base
+        if rtype.base == "Binary" and not {"length", "value"} & set(rtype.args):
+            raise ResolutionError(f"{where}: Binary needs a length or a fixed value")
+        if rcodec is None:
+            if base == "Enum" or rtype.base in CODED_TYPES:
+                raise ResolutionError(f"{where}: a {base} field needs a codec")
+            return
+        missing = _REQUIRED_CODEC_ARGS.get(rcodec.base, set()) - set(rcodec.args)
+        if missing:
+            raise ResolutionError(
+                f"{where}: codec {rcodec.base} is missing {sorted(missing)}"
+            )
+        if rtype.base in CODED_TYPES and BASE_CODECS[rcodec.base][0] != rtype.base:
+            raise ResolutionError(f"{where}: codec {rcodec.base} cannot code a {rtype.base}")
+        if rcodec.base == "BoolBits":
+            t = rcodec.args["truth_string"]
+            fa = rcodec.args["falsehood_string"]
+            if t == fa or t.length != fa.length:
                 raise ResolutionError(
-                    f"{where}: codec {f.codec.base} is missing {sorted(missing)}"
+                    f"{where}: BoolBits strings must be distinct and equal-length"
                 )
-            if f.codec.base == "BoolBits":
-                t = f.codec.args["truth_string"]
-                fa = f.codec.args["falsehood_string"]
-                if t == fa or t.length != fa.length:
-                    raise ResolutionError(
-                        f"{where}: BoolBits strings must be distinct and equal-length"
-                    )
+        if rcodec.base == "FixedCountText" and not {"max_count", "value"} & set(rtype.args):
+            raise ResolutionError(f"{where}: FixedCountText needs the type's max_count or value")
+        if rcodec.base == "CountPrefixList":
+            self._check_coding(where, RType("Integer", {}), rcodec.args["count_codec"])
+        if rcodec.base == "TextInteger":
+            self._check_coding(where, RType("Text", {}), rcodec.args["text_codec"])
 
     def _require_args(self, rtype: RType, where: str) -> None:
         missing = _REQUIRED_TYPE_ARGS.get(rtype.base, set()) - set(rtype.args)

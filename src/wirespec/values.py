@@ -3,7 +3,8 @@
 Values are what the generator produces, the codec serializes, and the
 checker validates.  Field types are dependent: their arguments are
 expressions over earlier fields of the same record, evaluated against an
-:class:`Env` of already-known field values.
+:class:`Env` of already-known field values, or compiled once into
+callables that do so.
 """
 
 from __future__ import annotations
@@ -11,9 +12,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .bits import BitString
-from .errors import DivisionByZero, TypeMismatch, UnboundName
+from .errors import DivisionByZero, EvalError, TypeMismatch, UnboundName
 from . import syntax
-from .patterns import alphabet_for_charset
 
 
 # --- value model ---------------------------------------------------------------
@@ -107,7 +107,7 @@ class Env:
             return BoolVal(False)
         if name in self.constants:
             return self.constants[name]
-        raise UnboundName(name)
+        raise UnboundName(f"unbound name {name!r}")
 
 
 def eval_expr(expr, env: Env):
@@ -140,158 +140,45 @@ def eval_expr(expr, env: Env):
         if expr.op == "*":
             return IntVal(left.value * right.value)
         if right.value == 0:
-            raise DivisionByZero(syntax.format_expr(expr))
+            raise DivisionByZero(f"division by zero in {syntax.format_expr(expr)}")
         return IntVal(left.value % right.value)
     raise TypeMismatch(f"not a value expression: {syntax.format_expr(expr)}")
 
 
-def eval_int(expr, env: Env) -> int:
-    v = eval_expr(expr, env)
-    if not isinstance(v, IntVal):
-        raise TypeMismatch(f"expected an integer, got {v!r}")
-    return v.value
+def as_int(value) -> int:
+    if not isinstance(value, IntVal):
+        raise TypeMismatch(f"expected an integer, got {value!r}")
+    return value.value
 
 
-def eval_bool(expr, env: Env) -> bool:
-    v = eval_expr(expr, env)
-    if not isinstance(v, BoolVal):
-        raise TypeMismatch(f"expected a boolean, got {v!r}")
-    return v.value
+def as_bool(value) -> bool:
+    if not isinstance(value, BoolVal):
+        raise TypeMismatch(f"expected a boolean, got {value!r}")
+    return value.value
 
 
-# --- dependent-type checking ------------------------------------------------------
+# --- compiled expressions ----------------------------------------------------------
 
-def check_value(value, rtype, env: Env, spec) -> str | None:
-    """Returns None when the value satisfies the type, else a reason string."""
-    base = rtype.base
-    args = rtype.args
+def fold(fn, constants: dict):
+    """``fn`` (``env -> value``) computed once when it needs no field or
+    parameter, else ``fn`` itself: an error then surfaces at run time, where
+    it always did.  The resolver keeps field and parameter names apart from
+    constants, so a value computed without them cannot be shadowed."""
+    try:
+        value = fn(Env(constants))
+    except (EvalError, ValueError):  # ValueError: a negative bit width in a shift
+        return fn
+    return lambda env: value
 
-    if base == "Integer":
-        if not isinstance(value, IntVal):
-            return f"expected an integer, got {value!r}"
-        if "value" in args and value.value != eval_int(args["value"], env):
-            return f"must equal {eval_int(args['value'], env)}, got {value.value}"
-        if "min" in args and value.value < eval_int(args["min"], env):
-            return f"{value.value} below minimum {eval_int(args['min'], env)}"
-        if "max" in args and value.value > eval_int(args["max"], env):
-            return f"{value.value} above maximum {eval_int(args['max'], env)}"
+
+def compile_arg(args: dict, name: str, constants: dict, convert=lambda value: value):
+    """The type or codec argument ``name`` as a folded ``env -> value``,
+    passed through ``convert`` (``as_int``, ``as_bool``); None when the
+    argument is not given."""
+    if name not in args:
         return None
-
-    if base == "Text":
-        if not isinstance(value, TextVal):
-            return f"expected text, got {value!r}"
-        charset = args.get("charset", "ascii")
-        alphabet = alphabet_for_charset(charset)
-        for ch in value.text:
-            if ch not in alphabet:
-                return f"character {ch!r} outside charset {charset!r}"
-        if "value" in args:
-            expected = eval_expr(args["value"], env)
-            if not isinstance(expected, TextVal) or value.text != expected.text:
-                return f"must equal {expected!r}, got {value.text!r}"
-        if "max_count" in args and len(value.text) > eval_int(args["max_count"], env):
-            return f"{len(value.text)} characters exceeds max_count"
-        if "pattern" in args and not args["pattern"].fullmatch(value.text):
-            return f"{value.text!r} does not match {args['pattern']!r}"
-        if "exclude_pattern" in args and args["exclude_pattern"].search(value.text):
-            return f"{value.text!r} contains a substring matching {args['exclude_pattern']!r}"
-        return None
-
-    if base == "Binary":
-        if not isinstance(value, BitsVal):
-            return f"expected bits, got {value!r}"
-        if "value" in args:
-            expected = eval_expr(args["value"], env)
-            if value.bits != expected.bits:
-                return f"must equal {expected.bits!r}, got {value.bits!r}"
-        if "length" in args and value.bits.length != eval_int(args["length"], env):
-            return (
-                f"length {value.bits.length} bits, expected "
-                f"{eval_int(args['length'], env)}"
-            )
-        if "char8_pattern" in args and not args["char8_pattern"].fullmatch(value.bits.to_bits()):
-            return f"bits {value.bits.to_bits()!r} do not match {args['char8_pattern']!r}"
-        return None
-
-    if base == "Bool":
-        if not isinstance(value, BoolVal):
-            return f"expected a boolean, got {value!r}"
-        if "value" in args and value.value != eval_bool(args["value"], env):
-            return "boolean has the wrong fixed value"
-        return None
-
-    if base == "List":
-        if not isinstance(value, ListVal):
-            return f"expected a list, got {value!r}"
-        if "max_length" in args and len(value.items) > eval_int(args["max_length"], env):
-            return f"{len(value.items)} elements exceeds max_length"
-        elem = args["elem"]
-        for i, item in enumerate(value.items):
-            reason = check_value(item, elem, env, spec)
-            if reason:
-                return f"element {i}: {reason}"
-        return None
-
-    if base == "Optional":
-        empty = eval_bool(args["is_empty"], env)
-        if empty:
-            return None if value is ABSENT else "value must be absent"
-        if value is ABSENT:
-            return "value is required but absent"
-        return check_value(value, args["subject"], env, spec)
-
-    if base == "Record":
-        record = spec.records[rtype.record]
-        if not isinstance(value, RecordVal) or value.type_name != record.name:
-            return f"expected a {record.name} record, got {value!r}"
-        if value.names() != [f.name for f in record.fields]:
-            return f"field set mismatch for {record.name}"
-        inner = bind_record_env(rtype, record, env, spec)
-        for fld in record.fields:
-            v = value.get(fld.name)
-            reason = check_value(v, effective_field_type(rtype, fld), inner, spec)
-            if reason:
-                return f"{record.name}.{fld.name}: {reason}"
-            inner.bind(fld.name, v)
-        return None
-
-    if base == "Enum":
-        enum = spec.enums[rtype.enum]
-        if not isinstance(value, EnumVal) or value.enum != enum.name:
-            return f"expected a {enum.name} constant, got {value!r}"
-        if value.constant not in enum.constants:
-            return f"{value.constant!r} is not a constant of {enum.name}"
-        if "value" in args:
-            expected = eval_expr(args["value"], env)
-            if not isinstance(expected, EnumVal) or expected.constant != value.constant:
-                return f"must be {expected!r}, got {value.constant}"
-        return None
-
-    return f"unknown base type {base!r}"
-
-
-def bind_record_env(rtype, record, outer: Env, spec) -> Env:
-    """Evaluate a record instantiation's parameter arguments in the outer env."""
-    inner = outer.child()
-    for param in record.params:
-        if param in rtype.args:
-            inner.bind(param, eval_expr(rtype.args[param], outer))
-    return inner
-
-
-def effective_field_type(rtype, fld):
-    """Apply instantiation pins (``Header(flag=1)``) to a field's type."""
-    if fld.name in rtype.args:
-        pinned = dict(fld.type.args)
-        pinned["value"] = rtype.args[fld.name]
-        return fld.type.replace_args(pinned)
-    return fld.type
-
-
-def dependency_order(record) -> list[str]:
-    """Field generation/decoding order; resolution guarantees declaration
-    order is already topological."""
-    return [f.name for f in record.fields]
+    expr = args[name]
+    return fold(lambda env: convert(eval_expr(expr, env)), constants)
 
 
 # --- value literals (CLI surface) -------------------------------------------------

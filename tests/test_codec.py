@@ -7,9 +7,8 @@ from wirespec.codec import (
     Classified,
     InvalidFormat,
     NEED_MORE,
-    decode_field,
     decode_message,
-    encode_field,
+    compile_node,
     encode_message,
 )
 from wirespec.errors import (
@@ -49,7 +48,7 @@ SPEC = empty_spec()
 
 
 def test_bigendian_unsigned():
-    bits = encode_field(IntVal(5), INT, r_codec("BigEndian", length=_lit(32)), Env(), SPEC)
+    bits = compile_node(INT, r_codec("BigEndian", length=_lit(32)), SPEC).encode(IntVal(5), Env())
     assert bits.to_bytes() == bytes.fromhex("00000005")
 
 
@@ -68,26 +67,29 @@ def _true():
 def test_bigendian_signed_two_complement():
     # struct-style oracle: -1 in 8-bit two's complement is 0xFF
     codec = r_codec("BigEndian", signed=_true(), length=_lit(8))
-    assert encode_field(IntVal(-1), INT, codec, Env(), SPEC).to_bytes() == b"\xff"
-    assert encode_field(IntVal(-128), INT, codec, Env(), SPEC).to_bytes() == b"\x80"
-    v, rest = decode_field(BitString.from_bytes(b"\x80"), INT, codec, Env(), SPEC)
+    node = compile_node(INT, codec, SPEC)
+    assert node.encode(IntVal(-1), Env()).to_bytes() == b"\xff"
+    assert node.encode(IntVal(-128), Env()).to_bytes() == b"\x80"
+    v, rest = node.decode(BitString.from_bytes(b"\x80"), Env())
     assert v == IntVal(-128) and rest.length == 0
 
 
 def test_bigendian_width_enforced():
     with pytest.raises(Unrepresentable):
-        encode_field(IntVal(4), INT, r_codec("BigEndian", length=_lit(2)), Env(), SPEC)
+        compile_node(INT, r_codec("BigEndian", length=_lit(2)), SPEC).encode(IntVal(4), Env())
     with pytest.raises(Unrepresentable):
-        encode_field(IntVal(128), INT, r_codec("BigEndian", signed=_true(), length=_lit(8)), Env(), SPEC)
+        signed8 = r_codec("BigEndian", signed=_true(), length=_lit(8))
+        compile_node(INT, signed8, SPEC).encode(IntVal(128), Env())
 
 
 @given(st.integers(min_value=-(2**31), max_value=2**31 - 1))
 @settings(max_examples=60)
 def test_bigendian_roundtrip_signed_32(n):
     codec = r_codec("BigEndian", signed=_true(), length=_lit(32))
-    bits = encode_field(IntVal(n), INT, codec, Env(), SPEC)
+    node = compile_node(INT, codec, SPEC)
+    bits = node.encode(IntVal(n), Env())
     assert bits.to_bytes() == n.to_bytes(4, "big", signed=True)  # stdlib oracle
-    v, rest = decode_field(bits, INT, codec, Env(), SPEC)
+    v, rest = node.decode(bits, Env())
     assert v == IntVal(n) and rest.length == 0
 
 
@@ -100,12 +102,13 @@ BOOLBITS = r_codec(
 
 
 def test_boolbits():
-    assert encode_field(BoolVal(True), BOOL, BOOLBITS, Env(), SPEC).to_bytes() == b"\xff"
-    assert encode_field(BoolVal(False), BOOL, BOOLBITS, Env(), SPEC).to_bytes() == b"\x00"
-    v, _ = decode_field(BitString.from_hex("ff"), BOOL, BOOLBITS, Env(), SPEC)
+    node = compile_node(BOOL, BOOLBITS, SPEC)
+    assert node.encode(BoolVal(True), Env()).to_bytes() == b"\xff"
+    assert node.encode(BoolVal(False), Env()).to_bytes() == b"\x00"
+    v, _ = node.decode(BitString.from_hex("ff"), Env())
     assert v == BoolVal(True)
     with pytest.raises(ConstraintViolation):
-        decode_field(BitString.from_hex("01"), BOOL, BOOLBITS, Env(), SPEC)
+        node.decode(BitString.from_hex("01"), Env())
 
 
 TEXT = RType("Text", {})
@@ -113,13 +116,13 @@ TEXT = RType("Text", {})
 
 def test_terminated_text_appends_terminator():
     codec = r_codec("TerminatedText", encoding="ascii", terminator=" ")
-    bits = encode_field(TextVal("DELETE"), TEXT, codec, Env(), SPEC)
+    bits = compile_node(TEXT, codec, SPEC).encode(TextVal("DELETE"), Env())
     assert bits.to_bytes() == b"DELETE "
 
 
 def test_terminated_text_first_terminator_wins():
     codec = r_codec("TerminatedText", encoding="ascii", terminator=" ")
-    v, rest = decode_field(BitString.from_bytes(b"A B"), TEXT, codec, Env(), SPEC)
+    v, rest = compile_node(TEXT, codec, SPEC).decode(BitString.from_bytes(b"A B"), Env())
     assert v == TextVal("A")
     assert rest.to_bytes() == b"B"
 
@@ -127,57 +130,60 @@ def test_terminated_text_first_terminator_wins():
 def test_terminator_in_payload_rejected():
     codec = r_codec("TerminatedText", encoding="ascii", terminator=" ")
     with pytest.raises(TerminatorInPayload):
-        encode_field(TextVal("A B"), TEXT, codec, Env(), SPEC)
+        compile_node(TEXT, codec, SPEC).encode(TextVal("A B"), Env())
 
 
 def test_missing_terminator_is_incomplete():
     codec = r_codec("TerminatedText", encoding="ascii", terminator="\r\n")
     with pytest.raises(MissingTerminator):
-        decode_field(BitString.from_bytes(b"no line end"), TEXT, codec, Env(), SPEC)
+        compile_node(TEXT, codec, SPEC).decode(BitString.from_bytes(b"no line end"), Env())
 
 
 def test_multichar_terminator_roundtrip():
     codec = r_codec("TerminatedText", encoding="ascii", terminator="\r\n")
-    bits = encode_field(TextVal("a1 OK done"), TEXT, codec, Env(), SPEC)
+    node = compile_node(TEXT, codec, SPEC)
+    bits = node.encode(TextVal("a1 OK done"), Env())
     assert bits.to_bytes() == b"a1 OK done\r\n"
-    v, rest = decode_field(bits, TEXT, codec, Env(), SPEC)
+    v, rest = node.decode(bits, Env())
     assert v == TextVal("a1 OK done") and rest.length == 0
 
 
 def test_fixed_count_text():
     rtype = RType("Text", {"max_count": _lit(4)})
     codec = r_codec("FixedCountText", encoding="ascii")
-    assert encode_field(TextVal("ABCD"), rtype, codec, Env(), SPEC).to_bytes() == b"ABCD"
+    node = compile_node(rtype, codec, SPEC)
+    assert node.encode(TextVal("ABCD"), Env()).to_bytes() == b"ABCD"
     with pytest.raises(Unrepresentable):
-        encode_field(TextVal("ABC"), rtype, codec, Env(), SPEC)
-    v, rest = decode_field(BitString.from_bytes(b"ABCDE"), rtype, codec, Env(), SPEC)
+        node.encode(TextVal("ABC"), Env())
+    v, rest = node.decode(BitString.from_bytes(b"ABCDE"), Env())
     assert v == TextVal("ABCD") and rest.to_bytes() == b"E"
 
 
 def test_text_integer_decimal():
     codec = r_codec("TextInteger", text_codec=r_codec("TerminatedText", terminator=" "))
-    bits = encode_field(IntVal(42), INT, codec, Env(), SPEC)
+    node = compile_node(INT, codec, SPEC)
+    bits = node.encode(IntVal(42), Env())
     assert bits.to_bytes() == b"42 "
-    v, _ = decode_field(bits, INT, codec, Env(), SPEC)
+    v, _ = node.decode(bits, Env())
     assert v == IntVal(42)
-    v, _ = decode_field(BitString.from_bytes(b"007 "), INT, codec, Env(), SPEC)
+    v, _ = node.decode(BitString.from_bytes(b"007 "), Env())
     assert v == IntVal(7)  # leading zeros accepted on decode
     with pytest.raises(ConstraintViolation):
-        decode_field(BitString.from_bytes(b"4x2 "), INT, codec, Env(), SPEC)
+        node.decode(BitString.from_bytes(b"4x2 "), Env())
 
 
 # --- whole messages over the bundled MyP spec --------------------------------------
 
 def test_count_prefix_empty_list(myp_spec):
     data = next(f for f in myp_spec.records["Data"].fields if f.name == "payload")
-    bits = encode_field(ListVal(()), data.type, data.codec, Env(), myp_spec)
+    bits = compile_node(data.type, data.codec, myp_spec).encode(ListVal(()), Env())
     assert bits.to_bytes() == bytes.fromhex("00000000")
 
 
 def test_header_decode_golden(myp_spec):
     # 0x40 = bits 01 000000: flag 1, reserved zeros
     rtype = RType("Record", {}, record="Header")
-    value, rest = decode_field(BitString.from_hex("40"), rtype, None, Env(), myp_spec)
+    value, rest = compile_node(rtype, None, myp_spec).decode(BitString.from_hex("40"), Env())
     assert value == RecordVal(
         "Header",
         (("flag", IntVal(1)), ("reserved", BitsVal(BitString.from_bits("000000")))),
@@ -303,3 +309,27 @@ def test_unaligned_message_rejected():
     gen = Generator(spec, GenConfig(seed=0))
     with pytest.raises(NotByteAligned):
         encode_message("Odd", gen.message("Odd"), spec)
+
+
+def test_negative_peer_length_is_invalid_format():
+    spec = resolve(
+        parse_spec(
+            "message module M message X with n is Integer as BigEndian(length=8) "
+            "b is Binary(length=8*n - 8) end end"
+        )
+    )
+    out = decode_message(b"\x00", ["X"], spec)
+    assert isinstance(out, InvalidFormat)
+    assert "negative bit length -8" in out.diagnostics["X"]
+
+
+def test_peer_zero_divisor_is_invalid_format():
+    spec = resolve(
+        parse_spec(
+            "message module M message X with n is Integer as BigEndian(length=8) "
+            "b is Binary(length=8 * (4 % n)) end end"
+        )
+    )
+    out = decode_message(b"\x00", ["X"], spec)
+    assert isinstance(out, InvalidFormat)
+    assert "division by zero" in out.diagnostics["X"]

@@ -2,12 +2,12 @@ from random import Random
 
 import pytest
 
-from wirespec.codec import Classified, decode_message, encode_message
+from wirespec.codec import Classified, decode_message, encode_message, message_plan
 from wirespec.errors import UnsatisfiableConstraint
 from wirespec.generate import GenConfig, Generator
 from wirespec.resolve import resolve
 from wirespec.syntax import parse_spec
-from wirespec.values import ABSENT, BitsVal, Env, IntVal, check_value
+from wirespec.values import ABSENT, BitsVal, Env, IntVal
 
 
 def test_ask_has_a_single_possible_value(myp_spec):
@@ -49,19 +49,8 @@ def test_every_generated_value_checks(myp_spec, imap_spec):
         for msg_type in spec.message_types:
             for _ in range(10):
                 value = gen.message(msg_type)
-                rtype_reason = check_value(
-                    value,
-                    _rtype(spec, msg_type),
-                    Env(spec.constants),
-                    spec,
-                )
-                assert rtype_reason is None, (msg_type, rtype_reason)
-
-
-def _rtype(spec, name):
-    from wirespec.resolve import RType
-
-    return RType("Record", {}, record=name)
+                reason = message_plan(spec, msg_type).check(value, Env(spec.constants))
+                assert reason is None, (msg_type, reason)
 
 
 def test_determinism_per_seed(imap_spec):

@@ -13,17 +13,17 @@ def build(edges, initial="s0", states=None):
 
 def test_tau_closure_identity_without_tau():
     lts = build([Edge("s0", ("!", "A"), "s1")])
-    assert lts.tau_closure({"s0"}) == frozenset({"s0"})
+    assert lts.tau_closure_edges({"s0"})[0] == frozenset({"s0"})
 
 
 def test_tau_closure_follows_chain():
     lts = build([Edge("s0", TAU, "s1")])
-    assert lts.tau_closure({"s0"}) == frozenset({"s0", "s1"})
+    assert lts.tau_closure_edges({"s0"})[0] == frozenset({"s0", "s1"})
 
 
 def test_tau_closure_terminates_on_cycles():
     lts = build([Edge("s0", TAU, "s1"), Edge("s1", TAU, "s0")])
-    assert lts.tau_closure({"s0"}) == frozenset({"s0", "s1"})
+    assert lts.tau_closure_edges({"s0"})[0] == frozenset({"s0", "s1"})
 
 
 def test_tau_closure_monotone_idempotent_extensive():
@@ -35,25 +35,26 @@ def test_tau_closure_monotone_idempotent_extensive():
     lts = build(edges, states=states)
     small = frozenset({"s0"})
     big = frozenset({"s0", "s3"})
-    c_small, c_big = lts.tau_closure(small), lts.tau_closure(big)
+    c_small, c_big = lts.tau_closure_edges(small)[0], lts.tau_closure_edges(big)[0]
     assert small <= c_small  # extensive
     assert c_small <= c_big  # monotone
-    assert lts.tau_closure(c_small) == c_small  # idempotent
+    assert lts.tau_closure_edges(c_small)[0] == c_small  # idempotent
 
 
 def test_successors_exact_image(myp_spec):
     client = myp_spec.actors["Client"]
     server = myp_spec.actors["Server"]
-    assert client.successors({"Starting"}, ("!", "Ask")) == frozenset({"Waiting"})
-    assert server.successors({"Serving"}, ("?", "Done")) == frozenset({"Serving"})
-    assert server.successors(frozenset(), ("?", "Done")) == frozenset()
+    assert client.successors_edges({"Starting"}, ("!", "Ask"))[0] == frozenset({"Waiting"})
+    assert server.successors_edges({"Serving"}, ("?", "Done"))[0] == frozenset({"Serving"})
+    assert server.successors_edges(frozenset(), ("?", "Done"))[0] == frozenset()
 
 
 def test_successors_distributes_over_union(myp_spec):
     client = myp_spec.actors["Client"]
     label = ("!", "Ask")
-    u = client.successors({"Starting", "u1"}, label)
-    assert u == client.successors({"Starting"}, label) | client.successors({"u1"}, label)
+    u = client.successors_edges({"Starting", "u1"}, label)[0]
+    starting, _ = client.successors_edges({"Starting"}, label)
+    assert u == starting | client.successors_edges({"u1"}, label)[0]
 
 
 def test_enabled_inputs(myp_spec):
@@ -91,9 +92,9 @@ def test_state_set_invariant_by_exhaustive_traces(myp_spec):
             if len(trace) == 5:
                 return
             for label in labels:
-                moved = lts.successors(S, label)
+                moved = lts.successors_edges(S, label)[0]
                 if moved:
                     entry = ("quit", None) if label == QUIT else label
-                    explore(trace + [entry], lts.tau_closure(moved))
+                    explore(trace + [entry], lts.tau_closure_edges(moved)[0])
 
-        explore([], lts.tau_closure({lts.initial}))
+        explore([], lts.tau_closure_edges({lts.initial})[0])

@@ -9,7 +9,6 @@ from wirespec.errors import (
 )
 from wirespec.resolve import resolve
 from wirespec.syntax import parse_spec
-from wirespec.values import dependency_order
 
 
 def rs(body, interactions=""):
@@ -58,7 +57,7 @@ def test_dependency_edges_and_order():
         """
     )
     record = spec.records["DataItem"]
-    assert dependency_order(record) == ["n", "data", "padding"]
+    assert [f.name for f in record.fields] == ["n", "data", "padding"]
     assert record.fields[1].deps == ("n",)
     assert record.fields[0].deps == ()
 
@@ -73,7 +72,7 @@ def test_declaration_order_preserved_for_independent_fields():
         end
         """
     )
-    assert dependency_order(spec.records["R"]) == ["a", "b", "c"]
+    assert [f.name for f in spec.records["R"].fields] == ["a", "b", "c"]
 
 
 def test_forward_reference_rejected():
@@ -119,6 +118,37 @@ def test_duplicates_rejected():
 def test_codec_required_for_coded_types():
     with pytest.raises(ResolutionError):
         rs("message X with n is Integer end")
+
+
+def test_list_elements_need_no_codec():
+    # elements are coded without a codec, so a codec-needing element can never be encoded
+    with pytest.raises(ResolutionError):
+        rs(
+            "message X with xs is List(elem=Integer(min=0, max=3)) "
+            "as CountPrefixList(count_codec=BigEndian(length=8)) end"
+        )
+
+
+def test_codec_must_code_the_field_type():
+    with pytest.raises(ResolutionError):
+        rs("message X with n is Integer as TerminatedText(terminator=' ') end")
+    with pytest.raises(ResolutionError):
+        rs("message X with n is Integer as TextInteger(text_codec=BigEndian(length=8)) end")
+
+
+def test_field_size_must_be_known():
+    with pytest.raises(ResolutionError):
+        rs("message X with t is Text as FixedCountText end")
+    with pytest.raises(ResolutionError):
+        rs("message X with b is Binary end")
+
+
+def test_names_must_not_shadow_constants():
+    with pytest.raises(DuplicateName):
+        rs(
+            "enum E of Text with ok as 'OK' end "
+            "message X with ok is Integer as BigEndian(length=8) end"
+        )
 
 
 def test_boolbits_strings_must_differ():

@@ -1,6 +1,7 @@
 import pytest
 
 from wirespec.bits import BitString
+from wirespec.codec import compile_node
 from wirespec.errors import DivisionByZero, TypeMismatch, UnboundName
 from wirespec.resolve import resolve
 from wirespec.syntax import parse_spec
@@ -14,7 +15,6 @@ from wirespec.values import (
     ListVal,
     RecordVal,
     TextVal,
-    check_value,
     eval_expr,
     format_value,
     parse_value_text,
@@ -66,7 +66,7 @@ def test_true_false_builtins():
     assert eval_expr(expr("!true"), env()) == BoolVal(False)
 
 
-# --- check_value ------------------------------------------------------------------
+# --- checking ---------------------------------------------------------------------
 
 SPEC_SRC = """
 message module M
@@ -97,9 +97,10 @@ def field_type(spec, name):
 
 def test_integer_bounds(spec):
     t = field_type(spec, "n")
-    assert check_value(IntVal(500), t, Env(), spec) is None
-    assert "above maximum" in check_value(IntVal(501), t, Env(), spec)
-    assert check_value(IntVal(-1), t, Env(), spec) is not None
+    node = compile_node(t, None, spec)
+    assert node.check(IntVal(500), Env()) is None
+    assert "above maximum" in node.check(IntVal(501), Env())
+    assert node.check(IntVal(-1), Env()) is not None
 
 
 def test_text_pattern_and_count():
@@ -111,29 +112,32 @@ def test_text_pattern_and_count():
     )
     wspec = resolve(parse_spec(src))
     tag_rtype = wspec.records["W"].fields[0].type
-    assert check_value(TextVal("ABC12"), tag_rtype, Env(), wspec) is None
-    assert check_value(TextVal(""), tag_rtype, Env(), wspec) is not None
-    assert check_value(TextVal("a" * 21), tag_rtype, Env(), wspec) is not None
-    assert check_value(TextVal("no spaces"), tag_rtype, Env(), wspec) is not None
+    node = compile_node(tag_rtype, None, wspec)
+    assert node.check(TextVal("ABC12"), Env()) is None
+    assert node.check(TextVal(""), Env()) is not None
+    assert node.check(TextVal("a" * 21), Env()) is not None
+    assert node.check(TextVal("no spaces"), Env()) is not None
 
 
 def test_optional_exclusivity(spec):
     t = field_type(spec, "foot")
     present_env = env(hasfoot=BoolVal(True))
     absent_env = env(hasfoot=BoolVal(False))
+    node = compile_node(t, None, spec)
     # guard true: the footer is required
-    assert check_value(ABSENT, t, present_env, spec) is not None
-    assert check_value(TextVal("hi"), t, present_env, spec) is None
+    assert node.check(ABSENT, present_env) is not None
+    assert node.check(TextVal("hi"), present_env) is None
     # guard false: the footer must be absent
-    assert check_value(ABSENT, t, absent_env, spec) is None
-    assert check_value(TextVal("hi"), t, absent_env, spec) is not None
+    assert node.check(ABSENT, absent_env) is None
+    assert node.check(TextVal("hi"), absent_env) is not None
 
 
 def test_binary_bit_pattern(spec):
     t = field_type(spec, "pad")
-    assert check_value(BitsVal(BitString.from_bits("00000001")), t, Env(), spec) is None
-    assert check_value(BitsVal(BitString.from_bits("00000000")), t, Env(), spec) is not None
-    assert check_value(BitsVal(BitString.from_bits("001")), t, Env(), spec) is not None
+    node = compile_node(t, None, spec)
+    assert node.check(BitsVal(BitString.from_bits("00000001")), Env()) is None
+    assert node.check(BitsVal(BitString.from_bits("00000000")), Env()) is not None
+    assert node.check(BitsVal(BitString.from_bits("001")), Env()) is not None
 
 
 def test_list_elements_checked(spec):
@@ -141,15 +145,17 @@ def test_list_elements_checked(spec):
     good = ListVal((RecordVal("Item", (("v", IntVal(3)),)),))
     bad = ListVal((RecordVal("Item", (("v", IntVal(10)),)),))
     over = ListVal(tuple(RecordVal("Item", (("v", IntVal(1)),)) for _ in range(3)))
-    assert check_value(good, t, Env(), spec) is None
-    assert "element 0" in check_value(bad, t, Env(), spec)
-    assert "max_length" in check_value(over, t, Env(), spec)
+    node = compile_node(t, None, spec)
+    assert node.check(good, Env()) is None
+    assert "element 0" in node.check(bad, Env())
+    assert "max_length" in node.check(over, Env())
 
 
 def test_enum_constants(spec):
     t = field_type(spec, "status")
-    assert check_value(EnumVal("Status", "ok"), t, Env(spec.constants), spec) is None
-    assert check_value(EnumVal("Status", "maybe"), t, Env(spec.constants), spec) is not None
+    node = compile_node(t, None, spec)
+    assert node.check(EnumVal("Status", "ok"), Env(spec.constants)) is None
+    assert node.check(EnumVal("Status", "maybe"), Env(spec.constants)) is not None
 
 
 def test_value_literals_roundtrip():
