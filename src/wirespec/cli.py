@@ -93,7 +93,10 @@ def cmd_encode(args) -> int:
 def cmd_decode(args) -> int:
     spec = _load(args.spec)
     candidates = args.types.split(",") if args.types else list(spec.message_types)
-    buf = bytes.fromhex(args.hex)
+    try:
+        buf = bytes.fromhex(args.hex)
+    except ValueError as e:
+        raise WirespecError(f"bad hex input: {e}") from None
     outcome = decode_message(buf, candidates, spec, report_ambiguity=args.verbose)
     if isinstance(outcome, Classified):
         print(f"{outcome.msg_type} {format_value(outcome.value)}")
@@ -119,9 +122,14 @@ def _retype(value, msg_type: str, spec: ResolvedSpec):
     def walk(v, rtype):
         if isinstance(v, RecordVal) and rtype.base == "Record":
             record = spec.records[rtype.record]
+            given = dict(v.entries)
+            names = {fld.name for fld in record.fields}
+            for name in given:
+                if name not in names:
+                    raise WirespecError(f"{record.name} has no field {name!r}")
             entries = []
             for fld in record.fields:
-                sub = dict(v.entries).get(fld.name)
+                sub = given.get(fld.name)
                 if sub is None:
                     raise WirespecError(f"missing field {fld.name!r}")
                 ftype = fld.type

@@ -28,6 +28,7 @@ from .errors import (
 )
 from .patterns import Pattern, alphabet_for_charset, compile_pattern
 from .resolve import CODED_TYPES, RCodec, RType, ResolvedSpec
+from .syntax import NameRef
 from .values import (
     ABSENT,
     BitsVal,
@@ -507,11 +508,8 @@ class RecordNode(Node):
         self.record = spec.records[rtype.record]
         self.name = self.record.name
         self.spec = spec
-        self.params = [
-            (p, compile_arg(rtype.args, p, spec.constants))
-            for p in self.record.params
-            if p in rtype.args
-        ]
+        # parameter arguments and field pins, both over the outer environment
+        self.args = [(name, compile_arg(rtype.args, name, spec.constants)) for name in rtype.args]
         self.names = [f.name for f in self.record.fields]
 
     @cached_property
@@ -521,14 +519,18 @@ class RecordNode(Node):
         for fld in self.record.fields:
             ftype = fld.type
             if fld.name in self.rtype.args:
-                ftype = ftype.replace_args({**ftype.args, "value": self.rtype.args[fld.name]})
+                # the pin's value is bound under the field's own name (see bind)
+                ftype = ftype.replace_args({**ftype.args, "value": NameRef(fld.name)})
             out.append((fld.name, compile_node(ftype, fld.codec, self.spec)))
         return out
 
     def bind(self, outer: Env) -> Env:
-        """The record's own environment; parameter arguments see the outer one."""
+        """The record's own environment, with its parameters and pins evaluated
+        in the outer one.  A pinned field's name holds the pin until the field
+        itself is bound; earlier fields cannot see it, as the resolver rejects
+        references to later fields."""
         env = outer.child()
-        for name, arg in self.params:
+        for name, arg in self.args:
             env.bind(name, arg(outer))
         return env
 

@@ -18,7 +18,7 @@ from .errors import (
     UnknownName,
 )
 from .lts import IOLTS, QUIT, QUIT_STATE, TAU, Edge, recv, send
-from .patterns import compile_pattern
+from .patterns import ALPHABETS, compile_pattern
 from .values import BitsVal, EnumVal, IntVal, TextVal
 
 BASE_TYPES = {
@@ -410,6 +410,8 @@ class _Resolver:
         base = rtype.base
         if base == "Enum":
             rtype = self.enums[rtype.enum].base
+        if rtype.base == "Text" and rtype.args.get("charset", "ascii") not in ALPHABETS:
+            raise ResolutionError(f"{where}: unknown charset {rtype.args['charset']!r}")
         if rtype.base == "Binary" and not {"length", "value"} & set(rtype.args):
             raise ResolutionError(f"{where}: Binary needs a length or a fixed value")
         if rcodec is None:

@@ -3,7 +3,9 @@
 A specification consists of a message module (message, record, type,
 codec and enum declarations) and an interactions module (actor state
 machines).  Parsing produces a plain AST; name resolution and actor
-compilation live in :mod:`wirespec.resolve`.
+compilation live in :mod:`wirespec.resolve`.  The same lexer reads the
+value literals of :func:`wirespec.values.parse_value_text`, so quoted text,
+bit and hex literals and integers are scanned here only.
 """
 
 from __future__ import annotations
@@ -19,7 +21,7 @@ KEYWORDS = {
     "anytime", "on", "do", "send", "next", "continue", "quit", "or",
 }
 
-PUNCT = set("()=,+-*%!")
+PUNCT = set("()=,+-*%!{}[]")  # braces and brackets appear only in value literals
 
 
 # --- AST -----------------------------------------------------------------
@@ -552,7 +554,7 @@ def parse_spec(source: str) -> SpecAST:
     return _Parser(tokenize(source)).spec()
 
 
-# --- pretty printer ----------------------------------------------------------
+# --- printing expressions ----------------------------------------------------
 
 def _fmt_text(value: str) -> str:
     out = value.replace("\\", "\\\\").replace("'", "\\'")
@@ -595,69 +597,3 @@ def _prec(node) -> int:
 def _wrap(node, minimum: int) -> str:
     text = format_expr(node)
     return f"({text})" if _prec(node) < minimum else text
-
-
-def pretty(ast: SpecAST) -> str:
-    lines = []
-    for mod in ast.message_modules:
-        lines.append(f"message module {mod.name}")
-        for d in mod.decls:
-            lines.extend(_pretty_decl(d))
-        lines.append("end")
-    for mod in ast.interaction_modules:
-        lines.append(f"interactions module {mod.name}")
-        for actor in mod.actors:
-            lines.append(f"  actor {actor.name} with")
-            for st in actor.states:
-                prefix = "init state" if st.init else "state"
-                lines.append(f"    {prefix} {st.name} where")
-                for cl in st.clauses:
-                    head = "anytime" if cl.trigger is None else f"on {cl.trigger}"
-                    alts = " or ".join(_pretty_alt(a) for a in cl.alternatives)
-                    lines.append(f"      {head} {alts}")
-                lines.append("    end")
-            lines.append("  end")
-        lines.append("end")
-    return "\n".join(lines) + "\n"
-
-
-def _pretty_alt(alt: Alternative) -> str:
-    words = ["do"]
-    for s in alt.sends:
-        words.append(f"send {s}")
-    if alt.terminator[0] == "next":
-        words.append(f"next {alt.terminator[1]}")
-    else:
-        words.append(alt.terminator[0])
-    return " ".join(words)
-
-
-def _pretty_decl(d) -> list:
-    if isinstance(d, MessageDecl):
-        if not d.fields:
-            return [f"  message {d.name} end"]
-        out = [f"  message {d.name} with"]
-        out.extend(_pretty_field(f) for f in d.fields)
-        out.append("  end")
-        return out
-    if isinstance(d, RecordDecl):
-        params = f"({', '.join(d.params)})" if d.params else ""
-        out = [f"  record {d.name}{params} with"]
-        out.extend(_pretty_field(f) for f in d.fields)
-        out.append("  end")
-        return out
-    if isinstance(d, TypeDecl):
-        return [f"  type {d.name} is {format_expr(d.expr)}"]
-    if isinstance(d, CodecDecl):
-        return [f"  codec {d.name} is {format_expr(d.expr)}"]
-    if isinstance(d, EnumDecl):
-        consts = "  ".join(f"{n} as {format_expr(v)}" for n, v in d.constants)
-        return [f"  enum {d.name} of {format_expr(d.base)} with {consts} end"]
-    raise TypeError(f"cannot format {d!r}")
-
-
-def _pretty_field(f: FieldDecl) -> str:
-    text = f"    {f.name} is {format_expr(f.type_expr)}"
-    if f.codec_expr is not None:
-        text += f" as {format_expr(f.codec_expr)}"
-    return text

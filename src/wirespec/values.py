@@ -207,123 +207,61 @@ def format_value(value) -> str:
 def parse_value_text(text: str):
     """Parse the textual value notation printed by :func:`format_value`.
 
-    Record braces carry no type name; the codec layer re-types them against
-    the message definition when encoding.
+    The notation uses the spec language's literals and is read with its
+    lexer.  Commas between entries are optional.  Record braces carry no
+    type name; the codec layer re-types them against the message definition
+    when encoding.  A malformed literal raises SpecSyntaxError.
     """
-    return _ValueParser(text).parse()
+    parser = syntax._Parser(syntax.tokenize(text))
+    value = _read_value(parser)
+    if parser.cur.kind != "EOF":
+        raise parser.error("expected end of input")
+    return value
 
 
-class _ValueParser:
-    def __init__(self, text: str):
-        self.text = text
-        self.pos = 0
+_WORDS = {"true": BoolVal(True), "false": BoolVal(False), "absent": ABSENT}
 
-    def skip_ws(self):
-        while self.pos < len(self.text) and self.text[self.pos] in " \t\r\n":
-            self.pos += 1
 
-    def fail(self, msg):
-        raise ValueError(f"bad value literal at {self.pos}: {msg}")
+def _read_value(p: syntax._Parser):
+    if p.at_punct("{"):
+        return RecordVal("", _read_items(p, "}", _read_entry))
+    if p.at_punct("["):
+        return ListVal(_read_items(p, "]", _read_value))
+    sign = 1
+    if p.at_punct("-"):
+        p.advance()
+        sign = -1
+        if p.cur.kind != "INT":
+            raise p.error("expected an integer")
+    t = p.cur
+    if t.kind == "INT":
+        p.advance()
+        return IntVal(sign * t.value)
+    if t.kind == "TEXT":
+        p.advance()
+        return TextVal(t.value)
+    if t.kind == "BITS":
+        p.advance()
+        return BitsVal(t.value)
+    if t.kind == "NAME":
+        p.advance()
+        # any other name is an enum constant, typed during encode
+        return _WORDS[t.value] if t.value in _WORDS else EnumVal("", t.value)
+    raise p.error("expected a value")
 
-    def parse(self):
-        v = self.value()
-        self.skip_ws()
-        if self.pos != len(self.text):
-            self.fail("trailing input")
-        return v
 
-    def value(self):
-        self.skip_ws()
-        if self.pos >= len(self.text):
-            self.fail("expected a value")
-        ch = self.text[self.pos]
-        if ch == "{":
-            return self.record()
-        if ch == "[":
-            return self.list()
-        if ch == "'":
-            return TextVal(self.quoted())
-        if ch.isdigit() or ch == "-":
-            return IntVal(self.integer())
-        word = self.word()
-        if word == "true":
-            return BoolVal(True)
-        if word == "false":
-            return BoolVal(False)
-        if word == "absent":
-            return ABSENT
-        if word in ("b", "X", "x") and self.pos < len(self.text) and self.text[self.pos] == "'":
-            body = self.quoted()
-            return BitsVal(
-                BitString.from_bits(body) if word == "b" else BitString.from_hex(body)
-            )
-        if word:
-            return EnumVal("", word)  # enum constant; typed during encode
-        self.fail(f"unexpected {ch!r}")
+def _read_entry(p: syntax._Parser) -> tuple:
+    name = p.name("a field name")
+    p.expect_punct("=")
+    return (name, _read_value(p))
 
-    def record(self):
-        self.pos += 1  # '{'
-        entries = []
-        self.skip_ws()
-        while self.text[self.pos : self.pos + 1] != "}":
-            name = self.word()
-            if not name:
-                self.fail("expected a field name")
-            self.skip_ws()
-            if self.text[self.pos : self.pos + 1] != "=":
-                self.fail("expected '='")
-            self.pos += 1
-            entries.append((name, self.value()))
-            self.skip_ws()
-            if self.text[self.pos : self.pos + 1] == ",":
-                self.pos += 1
-                self.skip_ws()
-        self.pos += 1
-        return RecordVal("", tuple(entries))
 
-    def list(self):
-        self.pos += 1  # '['
-        items = []
-        self.skip_ws()
-        while self.text[self.pos : self.pos + 1] != "]":
-            items.append(self.value())
-            self.skip_ws()
-            if self.text[self.pos : self.pos + 1] == ",":
-                self.pos += 1
-                self.skip_ws()
-        self.pos += 1
-        return ListVal(tuple(items))
-
-    def quoted(self) -> str:
-        self.pos += 1  # opening quote
-        out = []
-        while self.pos < len(self.text) and self.text[self.pos] != "'":
-            c = self.text[self.pos]
-            if c == "\\":
-                self.pos += 1
-                c = {"n": "\n", "r": "\r", "t": "\t"}.get(
-                    self.text[self.pos], self.text[self.pos]
-                )
-            out.append(c)
-            self.pos += 1
-        if self.pos >= len(self.text):
-            self.fail("unterminated quote")
-        self.pos += 1
-        return "".join(out)
-
-    def integer(self) -> int:
-        start = self.pos
-        if self.text[self.pos] == "-":
-            self.pos += 1
-        while self.pos < len(self.text) and self.text[self.pos].isdigit():
-            self.pos += 1
-        return int(self.text[start : self.pos])
-
-    def word(self) -> str:
-        self.skip_ws()
-        start = self.pos
-        while self.pos < len(self.text) and (
-            self.text[self.pos].isalnum() or self.text[self.pos] == "_"
-        ):
-            self.pos += 1
-        return self.text[start : self.pos]
+def _read_items(p: syntax._Parser, close: str, read_item) -> tuple:
+    p.advance()  # the opening brace or bracket
+    items = []
+    while not p.at_punct(close):
+        items.append(read_item(p))
+        if p.at_punct(","):
+            p.advance()
+    p.advance()
+    return tuple(items)

@@ -78,6 +78,27 @@ def test_encode_rejects_bad_value():
     assert "must equal 3" in err
 
 
+def test_encode_rejects_unknown_field():
+    code, _, err = run_cli(
+        "encode", MYP, "Done", "--value",
+        "{ h = { flag = 3, reserved = b'000000' }, bogus = 1 }",
+    )
+    assert code == 1
+    assert "no field 'bogus'" in err
+
+
+def test_encode_malformed_value_literal():
+    code, _, err = run_cli("encode", MYP, "Done", "--value", "{ h = ")
+    assert code == 1
+    assert err.startswith("error: 1:7:")
+
+
+def test_decode_bad_hex():
+    code, _, err = run_cli("decode", MYP, "zz")
+    assert code == 1
+    assert err.startswith("error:")
+
+
 def test_decode_classifies():
     code, out, _ = run_cli("decode", MYP, "c0")
     assert code == 0

@@ -333,3 +333,25 @@ def test_peer_zero_divisor_is_invalid_format():
     out = decode_message(b"\x00", ["X"], spec)
     assert isinstance(out, InvalidFormat)
     assert "division by zero" in out.diagnostics["X"]
+
+
+def test_field_pin_reads_the_outer_record():
+    spec = resolve(
+        parse_spec(
+            "message module M "
+            "record H with flag is Integer(min=0, max=3) as BigEndian(length=8) end "
+            "message X with n is Integer(min=0, max=3) as BigEndian(length=8) "
+            "h is H(flag=n) end end"
+        )
+    )
+    gen = Generator(spec, GenConfig(seed=0))
+    for _ in range(10):
+        value = gen.message("X")
+        n = value.get("n")
+        assert value.get("h").get("flag") == n
+        assert encode_message("X", value, spec) == bytes([n.value, n.value])
+    out = decode_message(b"\x01\x01", ["X"], spec)
+    assert isinstance(out, Classified)
+    assert out.value.get("h") == RecordVal("H", (("flag", IntVal(1)),))
+    out = decode_message(b"\x01\x02", ["X"], spec)
+    assert out.diagnostics["X"] == "must equal 1, got 2"

@@ -143,6 +143,11 @@ def test_field_size_must_be_known():
         rs("message X with b is Binary end")
 
 
+def test_charset_must_be_known():
+    with pytest.raises(ResolutionError, match=r"X\.t: unknown charset 'klingon'"):
+        rs("message X with t is Text(charset='klingon') as TerminatedText(terminator=' ') end")
+
+
 def test_names_must_not_shadow_constants():
     with pytest.raises(DuplicateName):
         rs(

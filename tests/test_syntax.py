@@ -9,8 +9,8 @@ from wirespec.syntax import (
     InstExpr,
     IntLit,
     MessageDecl,
+    format_expr,
     parse_spec,
-    pretty,
 )
 
 
@@ -105,7 +105,7 @@ def test_actor_clause_shapes():
     assert t.clauses[0].alternatives == [Alternative(["M2"], ("quit",))]
 
 
-def test_roundtrip_is_fixpoint():
+def test_format_expr_roundtrip():
     source = """
     message module P
       message Ping with n is Integer(min=0, max=7) as BigEndian(signed=false, length=8) end
@@ -114,17 +114,26 @@ def test_roundtrip_is_fixpoint():
         b is Binary(length=8*(a % 2 + 1), char8_pattern=/\\0*/)
         c is Optional(is_empty=!flagged, subject=Text(charset='ascii')) as TerminatedText(terminator='\\n')
         flagged is Bool as BoolBits(truth_string=b'1', falsehood_string=b'0')
+        d is Binary(length=(8 - -a) * 2 - (1 + 1))
+        e is Text(pattern=/a\\/b|c/) as TerminatedText(terminator=' ')
       end
-      enum E of Text with x as 'X'  y as 'Y' end
-      type T is Text(pattern=/ab|c/)
-      codec C is TerminatedText(encoding='ascii', terminator=' ')
-    end
-    interactions module P
-      actor A with init state S where anytime do send Ping continue end end
     end
     """
-    ast = parse_spec(source)
-    printed = pretty(ast)
-    ast2 = parse_spec(printed)
-    assert ast == ast2
-    assert pretty(ast2) == printed
+    decls = parse_spec(source).message_modules[0].decls
+    exprs = [
+        expr
+        for decl in decls
+        for fld in decl.fields
+        for inst in (fld.type_expr, fld.codec_expr)
+        if inst is not None
+        for expr in (inst, *(value for _, value in inst.args))
+    ]
+    assert len(exprs) == 28
+    for expr in exprs:
+        text = format_expr(expr)
+        if isinstance(expr, InstExpr):  # a bare `Bool` reads as an instantiation only here
+            again = parse_spec(f"message module M type T is {text} end")
+            assert again.message_modules[0].decls[0].expr == expr, text
+        else:
+            again = parse_spec(f"message module M type T is X(v={text}) end")
+            assert again.message_modules[0].decls[0].expr.args[0][1] == expr, text

@@ -1,8 +1,10 @@
 import pytest
 
 from wirespec.bits import BitString
+from wirespec.cli import _retype
 from wirespec.codec import compile_node
-from wirespec.errors import DivisionByZero, TypeMismatch, UnboundName
+from wirespec.errors import DivisionByZero, SpecSyntaxError, TypeMismatch, UnboundName
+from wirespec.generate import GenConfig, Generator
 from wirespec.resolve import resolve
 from wirespec.syntax import parse_spec
 from wirespec.values import (
@@ -172,3 +174,37 @@ def test_value_literals_roundtrip():
         ),
     )
     assert parse_value_text(format_value(v)) == v
+
+
+def test_value_literals_use_the_spec_lexer():
+    v = parse_value_text("{ n = -3 t = 'a\\'b\\n' b = X'f0', xs = [1, 2,], }  # comment")
+    assert v == RecordVal(
+        "",
+        (
+            ("n", IntVal(-3)),
+            ("t", TextVal("a'b\n")),
+            ("b", BitsVal(BitString.from_hex("f0"))),
+            ("xs", ListVal((IntVal(1), IntVal(2)))),
+        ),
+    )
+
+
+@pytest.mark.parametrize(
+    "text",
+    ["{ h = ", "[1, 2", "{ = 1 }", "'\\q'", "'a\nb'", "b'012'", "- x", "1 2", "(1)"],
+)
+def test_malformed_value_literals(text):
+    with pytest.raises(SpecSyntaxError):
+        parse_value_text(text)
+
+
+def test_notation_roundtrips_every_message(myp_spec, imap_spec):
+    count = 0
+    for spec in (myp_spec, imap_spec):
+        for seed in range(30):
+            gen = Generator(spec, GenConfig(seed=seed))
+            for m in spec.message_types:
+                v = gen.message(m)
+                assert _retype(parse_value_text(format_value(v)), m, spec) == v
+                count += 1
+    assert count == 690
