@@ -1,9 +1,11 @@
 """Bit-granular binary buffers.
 
-Everything the codec layer reads or writes is a :class:`BitString`: an
-immutable sequence of bits of arbitrary length, packed MSB-first when
-converted to bytes (the first bit of the string becomes the high bit of
-the first byte).
+Everything the codec layer writes, and every ``Binary`` value, is a
+:class:`BitString`: an immutable sequence of bits of arbitrary length,
+packed MSB-first when converted to bytes (the first bit of the string
+becomes the high bit of the first byte).  The codec reads through a
+:class:`Cursor`: a bit position over immutable bytes, where each read
+copies only the bytes it returns.
 """
 
 from __future__ import annotations
@@ -65,17 +67,6 @@ class BitString:
             self._length + other._length,
         )
 
-    def take(self, n: int) -> tuple["BitString", "BitString"]:
-        """Split off the first n bits; raises Underrun if fewer are stored."""
-        if n < 0:
-            raise ValueError("negative take")
-        if n > self._length:
-            raise Underrun(f"need {n} bits, have {self._length}")
-        rest_len = self._length - n
-        head = BitString(self._value >> rest_len, n)
-        rest = BitString(self._value & ((1 << rest_len) - 1), rest_len)
-        return head, rest
-
     def to_bytes(self) -> bytes:
         if self._length % 8:
             raise NotByteAligned(f"{self._length} bits is not a whole number of bytes")
@@ -103,3 +94,35 @@ class BitString:
 
 
 EMPTY = BitString()
+
+
+class Cursor:
+    """A read position over immutable bytes, counted in bits from the high
+    bit of the first byte.  Reads advance ``pos``; one that needs more bits
+    than remain raises Underrun and leaves ``pos`` where it was."""
+
+    __slots__ = ("data", "pos", "end")
+
+    def __init__(self, data: bytes, pos: int = 0):
+        self.data = data
+        self.pos = pos
+        self.end = 8 * len(data)
+
+    @property
+    def remaining(self) -> int:
+        return self.end - self.pos
+
+    def uint(self, n: int) -> int:
+        """The next n bits read as an unsigned big-endian integer."""
+        if n < 0:
+            raise ValueError("negative read")
+        pos = self.pos
+        end = pos + n
+        if end > self.end:
+            raise Underrun(f"need {n} bits, have {self.end - pos}")
+        self.pos = end
+        chunk = int.from_bytes(self.data[pos >> 3 : (end + 7) >> 3], "big")
+        return (chunk >> (-end & 7)) & ((1 << n) - 1)
+
+    def bits(self, n: int) -> BitString:
+        return BitString(self.uint(n), n)

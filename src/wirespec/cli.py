@@ -66,6 +66,8 @@ def cmd_graph(args) -> int:
     spec = _load(args.spec)
     names = [args.actor] if args.actor else list(spec.actors)
     for name in names:
+        if name not in spec.actors:
+            raise WirespecError(f"no actor named {name!r}")
         print(spec.actors[name].dump())
     return 0
 
@@ -156,13 +158,16 @@ def _engine_config(args) -> EngineConfig:
 
 def cmd_test(args) -> int:
     spec = _load(args.spec)
+    if args.connect is not None:
+        host, _, port = args.connect.rpartition(":")
+        if not (port.isascii() and port.isdigit()):
+            raise WirespecError(f"--connect needs host:port, got {args.connect!r}")
     try:
         if args.listen is not None:
             with chan.Listener(args.host, args.listen) as listener:
                 print(f"listening on port {listener.port}", file=sys.stderr)
                 channel = listener.accept(timeout_ms=args.timeout_ms * 100)
         else:
-            host, _, port = args.connect.rpartition(":")
             channel = chan.connect_tcp(host or "127.0.0.1", int(port))
         with channel:
             report = run_test(spec, args.actor, channel, _engine_config(args))

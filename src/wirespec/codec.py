@@ -4,10 +4,13 @@ Each field pairs a (dependent) type with a codec.  :func:`compile_node`
 turns the pair into a node that checks, encodes, decodes and generates
 values of that field; records encode as the concatenation of their fields
 in declaration order.  A message type's node, its plan, is compiled on
-first use and cached on the spec.  Decoding is incremental: running out
-of input raises an :class:`IncompleteInput` subclass so that callers
-feeding a growing stream buffer can distinguish "wait for more bytes"
-from a malformed message.
+first use and cached on the spec.  Decoding reads through a
+:class:`~wirespec.bits.Cursor` over the receive buffer, so a field costs
+time in its own size, not the buffer's.  Decoding is incremental:
+running out of input raises an :class:`IncompleteInput` subclass so that
+callers feeding a growing stream buffer can distinguish "wait for more
+bytes" from a malformed message, and a terminated text that has already
+run past its ``max_count`` is rejected without waiting for its terminator.
 """
 
 from __future__ import annotations
@@ -15,7 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property
 
-from .bits import EMPTY, BitString
+from .bits import EMPTY, BitString, Cursor
 from .errors import (
     ConstraintViolation,
     EvalError,
@@ -61,18 +64,19 @@ def _encode_text_bytes(text: str, encoding: str) -> bytes:
         raise Unrepresentable(f"text {text!r} not encodable as {encoding}") from e
 
 
-def _scan_terminated(bs: BitString, terminator: str, encoding: str) -> tuple[str, BitString]:
-    text = ""
-    rest = bs
-    while not text.endswith(terminator):
-        if rest.length < 8:
-            raise MissingTerminator(f"terminator {terminator!r} not found")
-        head, rest = rest.take(8)
-        code = head.value
-        if encoding == "ascii" and code > 127:
-            raise ConstraintViolation(f"byte {code:#x} is not ASCII")
-        text += chr(code)
-    return text[: len(text) - len(terminator)], rest
+def _scan_terminated(cur: Cursor, terminator: bytes) -> bytes:
+    """The bytes from the cursor through the first terminator, or every whole
+    byte left when there is none; advances the cursor past what it returns."""
+    if cur.pos % 8 == 0:
+        data, start = cur.data, cur.pos >> 3
+        end = data.find(terminator, start)
+        end = len(data) if end < 0 else end + len(terminator)
+        cur.pos = 8 * end
+        return data[start:end]
+    scanned = bytearray()
+    while not scanned.endswith(terminator) and cur.remaining >= 8:
+        scanned.append(cur.uint(8))
+    return bytes(scanned)
 
 
 def _literal_pattern(text: str) -> Pattern:
@@ -108,11 +112,13 @@ class Node:
     """One field's type and codec, compiled.
 
     ``check(value, env)`` returns None, or the reason the value breaks the
-    type.  ``encode(value, env)`` returns the value's bits.  ``decode(bs,
-    env)`` returns ``(value, rest)``; it raises IncompleteInput subclasses
-    when the buffer may simply be short and ConstraintViolation when the
-    input contradicts the type.  ``generate(gen, env, path)`` draws a
-    well-formed value with the :class:`~wirespec.generate.Generator` ``gen``.
+    type.  ``encode(value, env)`` returns the value's bits.  ``decode(cur,
+    env)`` returns the value read at the :class:`~wirespec.bits.Cursor`
+    ``cur`` and advances ``cur`` past it; it raises IncompleteInput
+    subclasses when the buffer may simply be short and ConstraintViolation
+    when the input contradicts the type.  ``generate(gen, env, path)``
+    draws a well-formed value with the
+    :class:`~wirespec.generate.Generator` ``gen``.
     ``env`` binds the enclosing record's parameters and earlier fields.
     Each subclass is named after the type or codec it codes.
     """
@@ -122,12 +128,12 @@ class Node:
     def __init_subclass__(cls):
         Node.classes[cls.__name__.removesuffix("Node")] = cls
 
-    def decode(self, bs: BitString, env: Env):
-        value, rest = self.read(bs, env)
+    def decode(self, cur: Cursor, env: Env):
+        value = self.read(cur, env)
         reason = self.check(value, env)
         if reason:
             raise ConstraintViolation(reason)
-        return value, rest
+        return value
 
 
 class IntegerNode(Node):
@@ -184,15 +190,14 @@ class BigEndianNode(IntegerNode):
             )
         return BitString(value.value & ((1 << width) - 1), width)
 
-    def read(self, bs, env):
+    def read(self, cur, env):
         width, signed = self.width(env), self.signed(env)
         if width < 0 or (signed and width == 0):
             raise ConstraintViolation(f"no {width}-bit integer exists")
-        head, rest = bs.take(width)
-        raw = head.value
+        raw = cur.uint(width)
         if signed and raw >> (width - 1):
             raw -= 1 << width
-        return IntVal(raw), rest
+        return IntVal(raw)
 
 
 class TextIntegerNode(IntegerNode):
@@ -203,13 +208,12 @@ class TextIntegerNode(IntegerNode):
     def encode(self, value, env):
         return self.text.encode(TextVal(str(value.value)), env)
 
-    def read(self, bs, env):
-        raw, rest = self.text.decode(bs, env)
-        text = raw.text
+    def read(self, cur, env):
+        text = self.text.decode(cur, env).text
         body = text[1:] if text.startswith("-") else text
         if not body or not body.isdigit():
             raise ConstraintViolation(f"{text!r} is not a decimal integer")
-        return IntVal(int(text)), rest
+        return IntVal(int(text))
 
 
 class TextNode(Node):
@@ -264,6 +268,8 @@ class TerminatedTextNode(TextNode):
         super().__init__(rtype, rcodec, spec)
         self.encoding = rcodec.args.get("encoding", "ascii")
         self.terminator = rcodec.args["terminator"]
+        # the resolver guarantees the terminator is encodable in the encoding
+        self.terminator_bytes = _encode_text_bytes(self.terminator, self.encoding)
         self.excludes += (_literal_pattern(self.terminator),)
 
     def encode(self, value, env):
@@ -274,9 +280,22 @@ class TerminatedTextNode(TextNode):
         data = _encode_text_bytes(value.text + self.terminator, self.encoding)
         return BitString.from_bytes(data)
 
-    def read(self, bs, env):
-        text, rest = _scan_terminated(bs, self.terminator, self.encoding)
-        return TextVal(text, self.charset), rest
+    def read(self, cur, env):
+        terminator = self.terminator_bytes
+        scanned = _scan_terminated(cur, terminator)
+        if self.encoding == "ascii" and not scanned.isascii():
+            code = next(b for b in scanned if b > 127)
+            raise ConstraintViolation(f"byte {code:#x} is not ASCII")
+        if not scanned.endswith(terminator):
+            # a valid text and a partial terminator span fewer bytes than this
+            if self.max_count is not None and len(scanned) - len(terminator) >= self.max_count(env):
+                raise ConstraintViolation(
+                    f"{len(scanned)} characters without terminator {self.terminator!r} "
+                    "exceeds max_count"
+                )
+            raise MissingTerminator(f"terminator {self.terminator!r} not found")
+        text = scanned[: len(scanned) - len(terminator)].decode("latin-1")
+        return TextVal(text, self.charset)
 
 
 class FixedCountTextNode(TextNode):
@@ -295,9 +314,9 @@ class FixedCountTextNode(TextNode):
             )
         return BitString.from_bytes(_encode_text_bytes(value.text, self.encoding))
 
-    def read(self, bs, env):
-        head, rest = bs.take(8 * max(self.exact(env), 0))
-        return TextVal(head.to_bytes().decode("latin-1"), self.charset), rest
+    def read(self, cur, env):
+        head = cur.bits(8 * max(self.exact(env), 0))
+        return TextVal(head.to_bytes().decode("latin-1"), self.charset)
 
 
 class BoolNode(Node):
@@ -326,12 +345,12 @@ class BoolBitsNode(BoolNode):
     def encode(self, value, env):
         return self.truth if value.value else self.falsehood
 
-    def read(self, bs, env):
-        head, rest = bs.take(self.truth.length)
+    def read(self, cur, env):
+        head = cur.bits(self.truth.length)
         if head == self.truth:
-            return BoolVal(True), rest
+            return BoolVal(True)
         if head == self.falsehood:
-            return BoolVal(False), rest
+            return BoolVal(False)
         raise ConstraintViolation(f"bits {head!r} are neither truth nor falsehood pattern")
 
 
@@ -362,12 +381,11 @@ class BinaryNode(Node):
     def encode(self, value, env):
         return value.bits
 
-    def read(self, bs, env):
+    def read(self, cur, env):
         length = self.size(env)
         if length < 0:
             raise ConstraintViolation(f"negative bit length {length}")
-        head, rest = bs.take(length)
-        return BitsVal(head), rest
+        return BitsVal(cur.bits(length))
 
     def generate(self, gen, env, path):
         if self.pin is not None:
@@ -421,18 +439,13 @@ class CountPrefixListNode(ListNode):
         parts.extend(self.elem.encode(item, env) for item in value.items)
         return BitString.concat(parts)
 
-    def decode(self, bs, env):
-        count_val, rest = self.count.decode(bs, env)
-        count = count_val.value
+    def decode(self, cur, env):
+        count = self.count.decode(cur, env).value
         if count < 0:
             raise ConstraintViolation(f"negative list count {count}")
         if self.max_length is not None and count > self.max_length(env):
             raise ConstraintViolation(f"list count {count} exceeds max_length")
-        items = []
-        for _ in range(count):
-            item, rest = self.elem.decode(rest, env)
-            items.append(item)
-        return ListVal(tuple(items)), rest
+        return ListVal(tuple(self.elem.decode(cur, env) for _ in range(count)))
 
 
 class EnumNode(Node):
@@ -462,12 +475,12 @@ class EnumNode(Node):
     def encode(self, value, env):
         return self.base.encode(self.constants[value.constant], env)
 
-    def read(self, bs, env):
-        raw, rest = self.base.decode(bs, env)
+    def read(self, cur, env):
+        raw = self.base.decode(cur, env)
         constant = self.by_value.get(raw)
         if constant is None:
             raise ConstraintViolation(f"{raw!r} is not a {self.name} constant")
-        return EnumVal(self.name, constant), rest
+        return EnumVal(self.name, constant)
 
     def generate(self, gen, env, path):
         if self.pin is not None:
@@ -492,8 +505,8 @@ class OptionalNode(Node):
     def encode(self, value, env):
         return EMPTY if self.is_empty(env) else self.subject.encode(value, env)
 
-    def decode(self, bs, env):
-        return (ABSENT, bs) if self.is_empty(env) else self.subject.decode(bs, env)
+    def decode(self, cur, env):
+        return ABSENT if self.is_empty(env) else self.subject.decode(cur, env)
 
     def generate(self, gen, env, path):
         return ABSENT if self.is_empty(env) else self.subject.generate(gen, env, path)
@@ -555,15 +568,14 @@ class RecordNode(Node):
             inner.bind(name, v)
         return BitString.concat(parts)
 
-    def decode(self, bs, env):
+    def decode(self, cur, env):
         inner = self.bind(env)
         entries = []
-        rest = bs
         for name, node in self.fields:
-            value, rest = node.decode(rest, inner)
+            value = node.decode(cur, inner)
             entries.append((name, value))
             inner.bind(name, value)
-        return RecordVal(self.name, tuple(entries)), rest
+        return RecordVal(self.name, tuple(entries))
 
     def generate(self, gen, env, path):
         inner = self.bind(env)
@@ -627,7 +639,6 @@ def decode_message(
     ordered = [m for m in spec.message_types if m in wanted]
     if not ordered:
         raise ValueError("no candidate message types")
-    bits = BitString.from_bytes(buf)
     diagnostics = {}
     incomplete = False
     winner = None
@@ -635,11 +646,12 @@ def decode_message(
         if winner is not None and not report_ambiguity:
             break
         try:
-            value, rest = message_plan(spec, name).decode(bits, Env(spec.constants))
-            if rest.length % 8:
+            cur = Cursor(buf)
+            value = message_plan(spec, name).decode(cur, Env(spec.constants))
+            if cur.pos % 8:
                 raise ConstraintViolation("message does not end on a byte boundary")
             if winner is None:
-                winner = Classified(name, value, (bits.length - rest.length) // 8)
+                winner = Classified(name, value, cur.pos // 8)
                 if report_ambiguity:
                     winner.also_matched = []
             else:

@@ -432,6 +432,12 @@ class _Resolver:
                 raise ResolutionError(
                     f"{where}: BoolBits strings must be distinct and equal-length"
                 )
+        if rcodec.base == "TerminatedText":
+            terminator = rcodec.args["terminator"]
+            # text codes as ASCII, or as Latin-1 under any other encoding name
+            limit = 0x80 if rcodec.args.get("encoding", "ascii") == "ascii" else 0x100
+            if not terminator or max(map(ord, terminator)) >= limit:
+                raise ResolutionError(f"{where}: terminator {terminator!r} cannot be coded")
         if rcodec.base == "FixedCountText" and not {"max_count", "value"} & set(rtype.args):
             raise ResolutionError(f"{where}: FixedCountText needs the type's max_count or value")
         if rcodec.base == "CountPrefixList":

@@ -2,7 +2,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from wirespec.bits import EMPTY, BitString
+from wirespec.bits import EMPTY, BitString, Cursor
 from wirespec.errors import NotByteAligned, Underrun
 
 
@@ -16,16 +16,20 @@ def test_append_concatenates():
     assert bs("1").append(bs("1")) == bs("11")
 
 
-def test_take_splits():
-    head, rest = bs("01000000").take(2)
-    assert (head, rest) == (bs("01"), bs("000000"))
-    head, rest = bs("101").take(0)
-    assert (head, rest) == (EMPTY, bs("101"))
+def test_cursor_bits_split():
+    cur = Cursor(bytes([0x40]))
+    assert cur.bits(2) == bs("01") and cur.pos == 2
+    assert cur.bits(6) == bs("000000") and cur.pos == 8
+    cur = Cursor(bytes([0xA0]))  # 101 00000
+    assert cur.bits(0) == EMPTY and cur.pos == 0
+    assert cur.bits(3) == bs("101") and cur.pos == 3
 
 
-def test_take_underrun():
-    with pytest.raises(Underrun):
-        bs("1").take(2)
+def test_cursor_underrun():
+    cur = Cursor(bytes([0x80]), 7)
+    with pytest.raises(Underrun, match="need 2 bits, have 1"):
+        cur.bits(2)
+    assert cur.pos == 7
 
 
 def test_to_bytes_msb_first():
@@ -66,9 +70,28 @@ def test_bytes_roundtrip(data):
     assert BitString.from_bytes(data).to_bytes() == data
 
 
-@given(bitstrings, st.data())
-def test_take_then_append_restores(a, data):
-    n = data.draw(st.integers(min_value=0, max_value=a.length))
-    head, rest = a.take(n)
-    assert head.append(rest) == a
-    assert head.length == n
+@given(st.binary(max_size=16), st.data())
+def test_cursor_bits_then_append_restores(raw, data):
+    whole = BitString.from_bytes(raw)
+    n = data.draw(st.integers(min_value=0, max_value=whole.length))
+    cur = Cursor(raw)
+    head = cur.bits(n)
+    rest = cur.bits(cur.remaining)
+    assert head.append(rest) == whole
+    assert head.length == n and cur.pos == whole.length
+
+
+@given(st.binary(max_size=12), st.data())
+def test_cursor_uint_matches_bit_string(raw, data):
+    # oracle: the '0'/'1' rendering of the same bytes
+    bits = BitString.from_bytes(raw).to_bits()
+    pos = data.draw(st.integers(min_value=0, max_value=len(bits)))
+    n = data.draw(st.integers(min_value=0, max_value=len(bits) - pos + 9))
+    cur = Cursor(raw, pos)
+    if n > len(bits) - pos:
+        with pytest.raises(Underrun):
+            cur.uint(n)
+        assert cur.pos == pos
+    else:
+        assert cur.uint(n) == int(bits[pos : pos + n] or "0", 2)
+        assert cur.pos == pos + n

@@ -56,6 +56,12 @@ def test_graph_dumps_edges():
     assert "u1 -!Data-> Serving" in out
 
 
+def test_graph_unknown_actor():
+    code, _, err = run_cli("graph", MYP, "--actor", "Nope")
+    assert code == 1
+    assert err == "error: no actor named 'Nope'\n"
+
+
 def test_encode_ask_defaults():
     code, out, _ = run_cli("encode", MYP, "Ask")
     assert code == 0
@@ -194,6 +200,12 @@ def test_channel_error_exit_code():
     )
     assert code == 4
     assert "channel error" in err
+
+
+def test_connect_needs_a_numeric_port():
+    code, _, err = run_cli("test", MYP, "Server", "--connect", "127.0.0.1:abc")
+    assert code == 1
+    assert err == "error: --connect needs host:port, got '127.0.0.1:abc'\n"
 
 
 def test_console_script_entry_point():

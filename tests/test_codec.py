@@ -2,7 +2,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from wirespec.bits import BitString
+from wirespec.bits import BitString, Cursor
 from wirespec.codec import (
     Classified,
     InvalidFormat,
@@ -70,8 +70,9 @@ def test_bigendian_signed_two_complement():
     node = compile_node(INT, codec, SPEC)
     assert node.encode(IntVal(-1), Env()).to_bytes() == b"\xff"
     assert node.encode(IntVal(-128), Env()).to_bytes() == b"\x80"
-    v, rest = node.decode(BitString.from_bytes(b"\x80"), Env())
-    assert v == IntVal(-128) and rest.length == 0
+    cur = Cursor(b"\x80")
+    v = node.decode(cur, Env())
+    assert v == IntVal(-128) and cur.pos == 8
 
 
 def test_bigendian_width_enforced():
@@ -89,8 +90,9 @@ def test_bigendian_roundtrip_signed_32(n):
     node = compile_node(INT, codec, SPEC)
     bits = node.encode(IntVal(n), Env())
     assert bits.to_bytes() == n.to_bytes(4, "big", signed=True)  # stdlib oracle
-    v, rest = node.decode(bits, Env())
-    assert v == IntVal(n) and rest.length == 0
+    cur = Cursor(bits.to_bytes())
+    v = node.decode(cur, Env())
+    assert v == IntVal(n) and cur.pos == 32
 
 
 BOOL = RType("Bool", {})
@@ -105,10 +107,10 @@ def test_boolbits():
     node = compile_node(BOOL, BOOLBITS, SPEC)
     assert node.encode(BoolVal(True), Env()).to_bytes() == b"\xff"
     assert node.encode(BoolVal(False), Env()).to_bytes() == b"\x00"
-    v, _ = node.decode(BitString.from_hex("ff"), Env())
+    v = node.decode(Cursor(b"\xff"), Env())
     assert v == BoolVal(True)
     with pytest.raises(ConstraintViolation):
-        node.decode(BitString.from_hex("01"), Env())
+        node.decode(Cursor(b"\x01"), Env())
 
 
 TEXT = RType("Text", {})
@@ -122,9 +124,10 @@ def test_terminated_text_appends_terminator():
 
 def test_terminated_text_first_terminator_wins():
     codec = r_codec("TerminatedText", encoding="ascii", terminator=" ")
-    v, rest = compile_node(TEXT, codec, SPEC).decode(BitString.from_bytes(b"A B"), Env())
+    cur = Cursor(b"A B")
+    v = compile_node(TEXT, codec, SPEC).decode(cur, Env())
     assert v == TextVal("A")
-    assert rest.to_bytes() == b"B"
+    assert cur.pos == 16
 
 
 def test_terminator_in_payload_rejected():
@@ -136,7 +139,7 @@ def test_terminator_in_payload_rejected():
 def test_missing_terminator_is_incomplete():
     codec = r_codec("TerminatedText", encoding="ascii", terminator="\r\n")
     with pytest.raises(MissingTerminator):
-        compile_node(TEXT, codec, SPEC).decode(BitString.from_bytes(b"no line end"), Env())
+        compile_node(TEXT, codec, SPEC).decode(Cursor(b"no line end"), Env())
 
 
 def test_multichar_terminator_roundtrip():
@@ -144,8 +147,9 @@ def test_multichar_terminator_roundtrip():
     node = compile_node(TEXT, codec, SPEC)
     bits = node.encode(TextVal("a1 OK done"), Env())
     assert bits.to_bytes() == b"a1 OK done\r\n"
-    v, rest = node.decode(bits, Env())
-    assert v == TextVal("a1 OK done") and rest.length == 0
+    cur = Cursor(bits.to_bytes())
+    v = node.decode(cur, Env())
+    assert v == TextVal("a1 OK done") and cur.pos == bits.length
 
 
 def test_fixed_count_text():
@@ -155,8 +159,9 @@ def test_fixed_count_text():
     assert node.encode(TextVal("ABCD"), Env()).to_bytes() == b"ABCD"
     with pytest.raises(Unrepresentable):
         node.encode(TextVal("ABC"), Env())
-    v, rest = node.decode(BitString.from_bytes(b"ABCDE"), Env())
-    assert v == TextVal("ABCD") and rest.to_bytes() == b"E"
+    cur = Cursor(b"ABCDE")
+    v = node.decode(cur, Env())
+    assert v == TextVal("ABCD") and cur.pos == 32
 
 
 def test_text_integer_decimal():
@@ -164,12 +169,12 @@ def test_text_integer_decimal():
     node = compile_node(INT, codec, SPEC)
     bits = node.encode(IntVal(42), Env())
     assert bits.to_bytes() == b"42 "
-    v, _ = node.decode(bits, Env())
+    v = node.decode(Cursor(bits.to_bytes()), Env())
     assert v == IntVal(42)
-    v, _ = node.decode(BitString.from_bytes(b"007 "), Env())
+    v = node.decode(Cursor(b"007 "), Env())
     assert v == IntVal(7)  # leading zeros accepted on decode
     with pytest.raises(ConstraintViolation):
-        node.decode(BitString.from_bytes(b"4x2 "), Env())
+        node.decode(Cursor(b"4x2 "), Env())
 
 
 # --- whole messages over the bundled MyP spec --------------------------------------
@@ -183,12 +188,13 @@ def test_count_prefix_empty_list(myp_spec):
 def test_header_decode_golden(myp_spec):
     # 0x40 = bits 01 000000: flag 1, reserved zeros
     rtype = RType("Record", {}, record="Header")
-    value, rest = compile_node(rtype, None, myp_spec).decode(BitString.from_hex("40"), Env())
+    cur = Cursor(b"\x40")
+    value = compile_node(rtype, None, myp_spec).decode(cur, Env())
     assert value == RecordVal(
         "Header",
         (("flag", IntVal(1)), ("reserved", BitsVal(BitString.from_bits("000000")))),
     )
-    assert rest.length == 0
+    assert cur.pos == 8
 
 
 def ask_value():
@@ -355,3 +361,61 @@ def test_field_pin_reads_the_outer_record():
     assert out.value.get("h") == RecordVal("H", (("flag", IntVal(1)),))
     out = decode_message(b"\x01\x02", ["X"], spec)
     assert out.diagnostics["X"] == "must equal 1, got 2"
+
+
+def test_terminated_text_at_unaligned_position():
+    # the nibble before the text puts every text byte across a byte boundary
+    spec = resolve(
+        parse_spec(
+            "message module M message X with a is Integer as BigEndian(length=4) "
+            "t is Text(max_count=4) as TerminatedText(terminator='\\r\\n') "
+            "b is Integer as BigEndian(length=4) end end"
+        )
+    )
+
+    def shifted(text):
+        parts = [BitString(0x5, 4), BitString.from_bytes(text), BitString(0xA, 4)]
+        return BitString.concat(parts).to_bytes()
+
+    out = decode_message(shifted(b"ab\r\n") + b"\x40", ["X"], spec)
+    assert isinstance(out, Classified) and out.consumed == 5
+    assert out.value.get("t") == TextVal("ab")
+    assert decode_message(shifted(b"ab\r"), ["X"], spec) is NEED_MORE
+    out = decode_message(shifted(b"a\xe9\r\n"), ["X"], spec)
+    assert out.diagnostics["X"] == "byte 0xe9 is not ASCII"
+    out = decode_message(shifted(b"abcde\r"), ["X"], spec)
+    assert out.diagnostics["X"].endswith("exceeds max_count")
+
+
+def test_unterminated_line_past_max_count_is_invalid_format(imap_spec):
+    # InfoText has max_count=48: no continuation of this line can be valid
+    line = b"* OK " + b"x" * (16 * 1024 - 5)
+    out = decode_message(line, imap_spec.message_types, imap_spec)
+    assert isinstance(out, InvalidFormat)
+    assert out.diagnostics["UntaggedOk"].endswith("exceeds max_count")
+
+
+def test_max_count_window_is_exact(imap_spec):
+    # 48 characters and the first terminator byte may still end validly
+    short = b"* OK " + b"x" * 48 + b"\r"
+    assert decode_message(short, ["UntaggedOk"], imap_spec) is NEED_MORE
+    assert decode_message(short, imap_spec.message_types, imap_spec) is NEED_MORE
+    assert isinstance(decode_message(short + b"\n", ["UntaggedOk"], imap_spec), Classified)
+    long = b"* OK " + b"x" * 49 + b"\r"
+    out = decode_message(long, ["UntaggedOk"], imap_spec)
+    reason = "50 characters without terminator '\\r\\n' exceeds max_count"
+    assert out.diagnostics["UntaggedOk"] == reason
+
+
+def test_strict_prefixes_need_more(myp_spec, imap_spec):
+    # the soundness condition for early rejection: no prefix of a valid
+    # encoding is rejected
+    for spec in (myp_spec, imap_spec):
+        for seed in range(10):
+            gen = Generator(spec, GenConfig(seed=seed))
+            for msg_type in spec.message_types:
+                wire = encode_message(msg_type, gen.message(msg_type), spec)
+                cuts = list(range(min(len(wire), 64))) + list(range(64, len(wire), 37))
+                for cut in cuts:
+                    out = decode_message(wire[:cut], [msg_type], spec)
+                    assert out is NEED_MORE, (msg_type, seed, cut, out)

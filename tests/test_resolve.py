@@ -148,6 +148,16 @@ def test_charset_must_be_known():
         rs("message X with t is Text(charset='klingon') as TerminatedText(terminator=' ') end")
 
 
+def test_terminator_must_be_codable():
+    for terminator, encoding in (("", "ascii"), ("\u00e9", "ascii"), ("\u20ac", "latin1")):
+        with pytest.raises(ResolutionError, match=r"X\.t: terminator .* cannot be coded"):
+            rs(
+                f"message X with t is Text as "
+                f"TerminatedText(encoding='{encoding}', terminator='{terminator}') end"
+            )
+    rs("message X with t is Text as TerminatedText(encoding='latin1', terminator='\u00e9') end")
+
+
 def test_names_must_not_shadow_constants():
     with pytest.raises(DuplicateName):
         rs(
