@@ -36,7 +36,6 @@ from .values import (
     ABSENT,
     BitsVal,
     BoolVal,
-    Env,
     EnumVal,
     IntVal,
     ListVal,
@@ -52,6 +51,9 @@ PRINTABLE = "".join(chr(c) for c in range(0x20, 0x7F))
 
 
 def signed_range(width: int, signed: bool) -> tuple[int, int]:
+    """The least and greatest integers that ``width`` bits code."""
+    if width < 0 or (signed and width == 0):
+        raise Unrepresentable(f"no {width}-bit integer exists")
     if signed:
         return -(1 << (width - 1)), (1 << (width - 1)) - 1
     return 0, (1 << width) - 1
@@ -119,7 +121,8 @@ class Node:
     when the input contradicts the type.  ``generate(gen, env, path)``
     draws a well-formed value with the
     :class:`~wirespec.generate.Generator` ``gen``.
-    ``env`` binds the enclosing record's parameters and earlier fields.
+    ``env`` maps the enclosing record's parameters and earlier fields to
+    their values.
     Each subclass is named after the type or codec it codes.
     """
 
@@ -128,7 +131,7 @@ class Node:
     def __init_subclass__(cls):
         Node.classes[cls.__name__.removesuffix("Node")] = cls
 
-    def decode(self, cur: Cursor, env: Env):
+    def decode(self, cur: Cursor, env: dict):
         value = self.read(cur, env)
         reason = self.check(value, env)
         if reason:
@@ -160,7 +163,10 @@ class IntegerNode(Node):
             return IntVal(self.pin(env))
         lo = None if self.min is None else self.min(env)
         hi = None if self.max is None else self.max(env)
-        clo, chi = self.codec_range(env)
+        try:
+            clo, chi = self.codec_range(env)
+        except Unrepresentable as e:
+            raise UnsatisfiableConstraint(f"{path}: {e}") from None
         if clo is not None:
             lo = clo if lo is None else max(lo, clo)
             hi = chi if hi is None else min(hi, chi)
@@ -177,9 +183,7 @@ class BigEndianNode(IntegerNode):
         self.width = compile_arg(rcodec.args, "length", spec.constants, as_int)
         signed = compile_arg(rcodec.args, "signed", spec.constants, as_bool)
         self.signed = signed or (lambda env: False)
-        self.codec_range = fold(
-            lambda env: signed_range(self.width(env), self.signed(env)), spec.constants
-        )
+        self.codec_range = fold(lambda env: signed_range(self.width(env), self.signed(env)))
 
     def encode(self, value, env):
         width, signed = self.width(env), self.signed(env)
@@ -191,13 +195,14 @@ class BigEndianNode(IntegerNode):
         return BitString(value.value & ((1 << width) - 1), width)
 
     def read(self, cur, env):
-        width, signed = self.width(env), self.signed(env)
-        if width < 0 or (signed and width == 0):
-            raise ConstraintViolation(f"no {width}-bit integer exists")
+        try:
+            _, hi = self.codec_range(env)
+        except Unrepresentable as e:
+            raise ConstraintViolation(str(e)) from None
+        width = self.width(env)
         raw = cur.uint(width)
-        if signed and raw >> (width - 1):
-            raw -= 1 << width
-        return IntVal(raw)
+        # two's complement: above the range, the sign bit is set
+        return IntVal(raw - (1 << width) if raw > hi else raw)
 
 
 class TextIntegerNode(IntegerNode):
@@ -537,15 +542,12 @@ class RecordNode(Node):
             out.append((fld.name, compile_node(ftype, fld.codec, self.spec)))
         return out
 
-    def bind(self, outer: Env) -> Env:
+    def bind(self, outer: dict) -> dict:
         """The record's own environment, with its parameters and pins evaluated
         in the outer one.  A pinned field's name holds the pin until the field
         itself is bound; earlier fields cannot see it, as the resolver rejects
         references to later fields."""
-        env = outer.child()
-        for name, arg in self.args:
-            env.bind(name, arg(outer))
-        return env
+        return {name: arg(outer) for name, arg in self.args}
 
     def check(self, value, env):
         if not isinstance(value, RecordVal) or value.type_name != self.name:
@@ -557,7 +559,7 @@ class RecordNode(Node):
             reason = node.check(v, inner)
             if reason:
                 return f"{self.name}.{name}: {reason}"
-            inner.bind(name, v)
+            inner[name] = v
         return None
 
     def encode(self, value, env):
@@ -565,7 +567,7 @@ class RecordNode(Node):
         parts = []
         for (name, node), (_, v) in zip(self.fields, value.entries):
             parts.append(node.encode(v, inner))
-            inner.bind(name, v)
+            inner[name] = v
         return BitString.concat(parts)
 
     def decode(self, cur, env):
@@ -574,7 +576,7 @@ class RecordNode(Node):
         for name, node in self.fields:
             value = node.decode(cur, inner)
             entries.append((name, value))
-            inner.bind(name, value)
+            inner[name] = value
         return RecordVal(self.name, tuple(entries))
 
     def generate(self, gen, env, path):
@@ -583,7 +585,7 @@ class RecordNode(Node):
         for name, node in self.fields:
             value = node.generate(gen, inner, f"{path}.{name}")
             entries.append((name, value))
-            inner.bind(name, value)
+            inner[name] = value
         return RecordVal(self.name, tuple(entries))
 
 
@@ -591,7 +593,7 @@ class RecordNode(Node):
 
 def encode_message(msg_type: str, value: RecordVal, spec: ResolvedSpec) -> bytes:
     plan = message_plan(spec, msg_type)
-    env = Env(spec.constants)
+    env = {}
     reason = plan.check(value, env)
     if reason:
         raise ConstraintViolation(f"{msg_type}: {reason}")
@@ -647,7 +649,7 @@ def decode_message(
             break
         try:
             cur = Cursor(buf)
-            value = message_plan(spec, name).decode(cur, Env(spec.constants))
+            value = message_plan(spec, name).decode(cur, {})
             if cur.pos % 8:
                 raise ConstraintViolation("message does not end on a byte boundary")
             if winner is None:

@@ -17,7 +17,7 @@ from random import Random
 from .codec import message_plan
 from .patterns import LanguageSampler, Pattern
 from .resolve import ResolvedSpec
-from .values import Env, RecordVal
+from .values import RecordVal
 
 
 @dataclass
@@ -44,7 +44,7 @@ class Generator:
 
     def message(self, msg_type: str) -> RecordVal:
         plan = message_plan(self.spec, msg_type)
-        return plan.generate(self, Env(self.spec.constants), msg_type)
+        return plan.generate(self, {}, msg_type)
 
     def sampler(
         self, pattern: Pattern | None, alphabet: str, excludes: tuple, max_len: int

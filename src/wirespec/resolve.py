@@ -19,7 +19,7 @@ from .errors import (
 )
 from .lts import IOLTS, QUIT, QUIT_STATE, TAU, Edge, recv, send
 from .patterns import ALPHABETS, compile_pattern
-from .values import BitsVal, EnumVal, IntVal, TextVal
+from .values import EnumVal, literal_value
 
 BASE_TYPES = {
     "Integer": {"min", "max", "value"},
@@ -99,7 +99,6 @@ class RField:
     name: str
     type: RType
     codec: RCodec | None
-    deps: tuple  # names of earlier fields / parameters referenced
 
 
 @dataclass
@@ -221,7 +220,10 @@ class _Resolver:
                 raise DuplicateName(
                     f"enum constant {cname!r} appears in more than one enum"
                 )
-            constants[cname] = _literal_value(literal, decl.name)
+            value = literal_value(literal)
+            if value is None:
+                raise ResolutionError(f"enum {decl.name}: constants must map to literals")
+            constants[cname] = value
             self.constants[cname] = EnumVal(decl.name, cname)
         return EnumDef(decl.name, base, constants)
 
@@ -343,15 +345,14 @@ class _Resolver:
                 )
             rtype = self._expand_type(f.type_expr, stack=())
             rcodec = self._expand_codec(f.codec_expr, stack=()) if f.codec_expr else None
-            deps = self._check_references(decl, f.name, seen, params, rtype, rcodec)
-            fields.append(RField(f.name, rtype, rcodec, tuple(deps)))
+            self._check_references(decl, f.name, seen, params, rtype, rcodec)
+            fields.append(RField(f.name, rtype, rcodec))
             seen.append(f.name)
         for f in fields:
             self._check_coding(f"{decl.name}.{f.name}", f.type, f.codec)
         return RecordDef(decl.name, params, fields, decl.name in self.message_order)
 
-    def _check_references(self, decl, fname, earlier, params, rtype, rcodec) -> list:
-        deps = []
+    def _check_references(self, decl, fname, earlier, params, rtype, rcodec) -> None:
         later = {f.name for f in decl.fields} - set(earlier)
 
         def walk_expr(expr):
@@ -371,8 +372,6 @@ class _Resolver:
                     raise UnknownName(
                         f"{decl.name}.{fname} references unknown name {name!r}"
                     )
-                if name not in deps:
-                    deps.append(name)
             elif isinstance(expr, syntax.Unary):
                 walk_expr(expr.operand)
             elif isinstance(expr, syntax.Binary):
@@ -396,7 +395,6 @@ class _Resolver:
         walk_args(rtype.args)
         if rcodec is not None:
             walk_args(rcodec.args)
-        return deps
 
     def _check_coding(self, where: str, rtype: RType, rcodec: RCodec | None) -> None:
         """Reject a type and codec that cannot code every value of the type."""
@@ -449,16 +447,6 @@ class _Resolver:
         missing = _REQUIRED_TYPE_ARGS.get(rtype.base, set()) - set(rtype.args)
         if missing:
             raise ResolutionError(f"{where}: {rtype.base} is missing {sorted(missing)}")
-
-
-def _literal_value(expr, enum_name: str):
-    if isinstance(expr, syntax.TextLit):
-        return TextVal(expr.value)
-    if isinstance(expr, syntax.IntLit):
-        return IntVal(expr.value)
-    if isinstance(expr, syntax.BitsLit):
-        return BitsVal(expr.bits)
-    raise ResolutionError(f"enum {enum_name}: constants must map to literals")
 
 
 # --- actor compilation ----------------------------------------------------------------

@@ -1,18 +1,19 @@
-"""Semantic values and the evaluator for value-level expressions.
+"""Semantic values and the compiler for value-level expressions.
 
 Values are what the generator produces, the codec serializes, and the
 checker validates.  Field types are dependent: their arguments are
-expressions over earlier fields of the same record, evaluated against an
-:class:`Env` of already-known field values, or compiled once into
-callables that do so.
-"""
+expressions over earlier fields of the same record.  :func:`compile_expr`
+turns each expression once into a closure over a plain dict of the
+field and parameter values known so far; :func:`compile_arg` also
+computes an argument that needs none of them once, up front."""
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 
 from .bits import BitString
-from .errors import DivisionByZero, EvalError, TypeMismatch, UnboundName
+from .errors import DivisionByZero, EvalError, TypeMismatch, UnboundName, Unrepresentable
 from . import syntax
 
 
@@ -80,69 +81,77 @@ class _Absent:
 ABSENT = _Absent()
 
 
-# --- environments ----------------------------------------------------------------
+# --- compiled expressions ----------------------------------------------------------
 
-class Env:
-    """Field/parameter bindings for the record instance under evaluation.
-
-    Enum constants are globally visible; `true` and `false` are built in.
-    """
-
-    def __init__(self, constants: dict | None = None, bindings: dict | None = None):
-        self.constants = constants or {}
-        self.bindings = dict(bindings or {})
-
-    def child(self) -> "Env":
-        return Env(self.constants, {})
-
-    def bind(self, name: str, value) -> None:
-        self.bindings[name] = value
-
-    def lookup(self, name: str):
-        if name in self.bindings:
-            return self.bindings[name]
-        if name == "true":
-            return BoolVal(True)
-        if name == "false":
-            return BoolVal(False)
-        if name in self.constants:
-            return self.constants[name]
-        raise UnboundName(f"unbound name {name!r}")
-
-
-def eval_expr(expr, env: Env):
+def literal_value(expr):
+    """The value of an integer, text or bit literal; None for any other expression."""
     if isinstance(expr, syntax.IntLit):
         return IntVal(expr.value)
     if isinstance(expr, syntax.TextLit):
         return TextVal(expr.value)
     if isinstance(expr, syntax.BitsLit):
         return BitsVal(expr.bits)
+    return None
+
+
+_BUILTINS = {"true": BoolVal(True), "false": BoolVal(False)}
+_UNARY = {"!": (BoolVal, operator.not_, "!"), "-": (IntVal, operator.neg, "unary -")}
+_ARITHMETIC = {"+": operator.add, "-": operator.sub, "*": operator.mul, "%": operator.mod}
+
+
+def compile_expr(expr, constants: dict):
+    """``expr`` as an ``env -> value`` closure, where ``env`` is a dict of
+    field and parameter values.  Enum ``constants``, ``true`` and ``false``
+    are looked up once, here; the resolver keeps field and parameter names
+    apart from them.  Errors surface when the closure runs."""
     if isinstance(expr, syntax.NameRef):
-        return env.lookup(expr.name)
+        value = _BUILTINS.get(expr.name, constants.get(expr.name))
+        if value is None:
+            return _lookup(expr.name)
+    else:
+        value = literal_value(expr)
+    if value is not None:
+        return lambda env: value
     if isinstance(expr, syntax.Unary):
-        operand = eval_expr(expr.operand, env)
-        if expr.op == "!":
-            if not isinstance(operand, BoolVal):
-                raise TypeMismatch(f"! applied to {operand!r}")
-            return BoolVal(not operand.value)
-        if not isinstance(operand, IntVal):
-            raise TypeMismatch(f"unary - applied to {operand!r}")
-        return IntVal(-operand.value)
+        operand = compile_expr(expr.operand, constants)
+        kind, op, label = _UNARY[expr.op]
+
+        def unary(env):
+            v = operand(env)
+            if not isinstance(v, kind):
+                raise TypeMismatch(f"{label} applied to {v!r}")
+            return kind(op(v.value))
+
+        return unary
     if isinstance(expr, syntax.Binary):
-        left = eval_expr(expr.left, env)
-        right = eval_expr(expr.right, env)
-        if not isinstance(left, IntVal) or not isinstance(right, IntVal):
-            raise TypeMismatch(f"{expr.op} applied to {left!r} and {right!r}")
-        if expr.op == "+":
-            return IntVal(left.value + right.value)
-        if expr.op == "-":
-            return IntVal(left.value - right.value)
-        if expr.op == "*":
-            return IntVal(left.value * right.value)
-        if right.value == 0:
-            raise DivisionByZero(f"division by zero in {syntax.format_expr(expr)}")
-        return IntVal(left.value % right.value)
-    raise TypeMismatch(f"not a value expression: {syntax.format_expr(expr)}")
+        left = compile_expr(expr.left, constants)
+        right = compile_expr(expr.right, constants)
+        op, modulo = _ARITHMETIC[expr.op], expr.op == "%"
+
+        def arithmetic(env):
+            a, b = left(env), right(env)
+            if not isinstance(a, IntVal) or not isinstance(b, IntVal):
+                raise TypeMismatch(f"{expr.op} applied to {a!r} and {b!r}")
+            if modulo and b.value == 0:
+                raise DivisionByZero(f"division by zero in {syntax.format_expr(expr)}")
+            return IntVal(op(a.value, b.value))
+
+        return arithmetic
+
+    def not_a_value(env):
+        raise TypeMismatch(f"not a value expression: {syntax.format_expr(expr)}")
+
+    return not_a_value
+
+
+def _lookup(name: str):
+    def lookup(env):
+        try:
+            return env[name]
+        except KeyError:
+            raise UnboundName(f"unbound name {name!r}") from None
+
+    return lookup
 
 
 def as_int(value) -> int:
@@ -157,16 +166,13 @@ def as_bool(value) -> bool:
     return value.value
 
 
-# --- compiled expressions ----------------------------------------------------------
-
-def fold(fn, constants: dict):
+def fold(fn):
     """``fn`` (``env -> value``) computed once when it needs no field or
     parameter, else ``fn`` itself: an error then surfaces at run time, where
-    it always did.  The resolver keeps field and parameter names apart from
-    constants, so a value computed without them cannot be shadowed."""
+    it always did."""
     try:
-        value = fn(Env(constants))
-    except (EvalError, ValueError):  # ValueError: a negative bit width in a shift
+        value = fn({})
+    except (EvalError, Unrepresentable):  # Unrepresentable: a constant width no integer has
         return fn
     return lambda env: value
 
@@ -177,8 +183,8 @@ def compile_arg(args: dict, name: str, constants: dict, convert=lambda value: va
     argument is not given."""
     if name not in args:
         return None
-    expr = args[name]
-    return fold(lambda env: convert(eval_expr(expr, env)), constants)
+    fn = compile_expr(args[name], constants)
+    return fold(lambda env: convert(fn(env)))
 
 
 # --- value literals (CLI surface) -------------------------------------------------

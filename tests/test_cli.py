@@ -105,6 +105,19 @@ def test_decode_bad_hex():
     assert err.startswith("error:")
 
 
+def test_codec_width_no_integer_has(tmp_path):
+    spec = tmp_path / "width.wspec"
+    spec.write_text(
+        "message module N message W with "
+        "n is Integer(min=0, max=1) as BigEndian(length=8) "
+        "a is Integer as BigEndian(length=8*n - 8) end end"
+    )
+    code, _, err = run_cli("gen", str(spec), "W", "--seed", "1")
+    assert (code, err) == (1, "error: W.a: no -8-bit integer exists\n")
+    code, _, err = run_cli("encode", str(spec), "W", "--value", "{ n = 0, a = 0 }")
+    assert (code, err) == (1, "error: no -8-bit integer exists\n")
+
+
 def test_decode_classifies():
     code, out, _ = run_cli("decode", MYP, "c0")
     assert code == 0

@@ -13,10 +13,12 @@ from wirespec.codec import (
 )
 from wirespec.errors import (
     ConstraintViolation,
+    DivisionByZero,
     MissingTerminator,
     NotByteAligned,
     TerminatorInPayload,
     Underrun,
+    UnsatisfiableConstraint,
     Unrepresentable,
 )
 from wirespec.generate import GenConfig, Generator
@@ -26,7 +28,6 @@ from wirespec.values import (
     ABSENT,
     BitsVal,
     BoolVal,
-    Env,
     IntVal,
     ListVal,
     RecordVal,
@@ -48,7 +49,7 @@ SPEC = empty_spec()
 
 
 def test_bigendian_unsigned():
-    bits = compile_node(INT, r_codec("BigEndian", length=_lit(32)), SPEC).encode(IntVal(5), Env())
+    bits = compile_node(INT, r_codec("BigEndian", length=_lit(32)), SPEC).encode(IntVal(5), {})
     assert bits.to_bytes() == bytes.fromhex("00000005")
 
 
@@ -68,19 +69,19 @@ def test_bigendian_signed_two_complement():
     # struct-style oracle: -1 in 8-bit two's complement is 0xFF
     codec = r_codec("BigEndian", signed=_true(), length=_lit(8))
     node = compile_node(INT, codec, SPEC)
-    assert node.encode(IntVal(-1), Env()).to_bytes() == b"\xff"
-    assert node.encode(IntVal(-128), Env()).to_bytes() == b"\x80"
+    assert node.encode(IntVal(-1), {}).to_bytes() == b"\xff"
+    assert node.encode(IntVal(-128), {}).to_bytes() == b"\x80"
     cur = Cursor(b"\x80")
-    v = node.decode(cur, Env())
+    v = node.decode(cur, {})
     assert v == IntVal(-128) and cur.pos == 8
 
 
 def test_bigendian_width_enforced():
     with pytest.raises(Unrepresentable):
-        compile_node(INT, r_codec("BigEndian", length=_lit(2)), SPEC).encode(IntVal(4), Env())
+        compile_node(INT, r_codec("BigEndian", length=_lit(2)), SPEC).encode(IntVal(4), {})
     with pytest.raises(Unrepresentable):
         signed8 = r_codec("BigEndian", signed=_true(), length=_lit(8))
-        compile_node(INT, signed8, SPEC).encode(IntVal(128), Env())
+        compile_node(INT, signed8, SPEC).encode(IntVal(128), {})
 
 
 @given(st.integers(min_value=-(2**31), max_value=2**31 - 1))
@@ -88,10 +89,10 @@ def test_bigendian_width_enforced():
 def test_bigendian_roundtrip_signed_32(n):
     codec = r_codec("BigEndian", signed=_true(), length=_lit(32))
     node = compile_node(INT, codec, SPEC)
-    bits = node.encode(IntVal(n), Env())
+    bits = node.encode(IntVal(n), {})
     assert bits.to_bytes() == n.to_bytes(4, "big", signed=True)  # stdlib oracle
     cur = Cursor(bits.to_bytes())
-    v = node.decode(cur, Env())
+    v = node.decode(cur, {})
     assert v == IntVal(n) and cur.pos == 32
 
 
@@ -105,12 +106,12 @@ BOOLBITS = r_codec(
 
 def test_boolbits():
     node = compile_node(BOOL, BOOLBITS, SPEC)
-    assert node.encode(BoolVal(True), Env()).to_bytes() == b"\xff"
-    assert node.encode(BoolVal(False), Env()).to_bytes() == b"\x00"
-    v = node.decode(Cursor(b"\xff"), Env())
+    assert node.encode(BoolVal(True), {}).to_bytes() == b"\xff"
+    assert node.encode(BoolVal(False), {}).to_bytes() == b"\x00"
+    v = node.decode(Cursor(b"\xff"), {})
     assert v == BoolVal(True)
     with pytest.raises(ConstraintViolation):
-        node.decode(Cursor(b"\x01"), Env())
+        node.decode(Cursor(b"\x01"), {})
 
 
 TEXT = RType("Text", {})
@@ -118,14 +119,14 @@ TEXT = RType("Text", {})
 
 def test_terminated_text_appends_terminator():
     codec = r_codec("TerminatedText", encoding="ascii", terminator=" ")
-    bits = compile_node(TEXT, codec, SPEC).encode(TextVal("DELETE"), Env())
+    bits = compile_node(TEXT, codec, SPEC).encode(TextVal("DELETE"), {})
     assert bits.to_bytes() == b"DELETE "
 
 
 def test_terminated_text_first_terminator_wins():
     codec = r_codec("TerminatedText", encoding="ascii", terminator=" ")
     cur = Cursor(b"A B")
-    v = compile_node(TEXT, codec, SPEC).decode(cur, Env())
+    v = compile_node(TEXT, codec, SPEC).decode(cur, {})
     assert v == TextVal("A")
     assert cur.pos == 16
 
@@ -133,22 +134,22 @@ def test_terminated_text_first_terminator_wins():
 def test_terminator_in_payload_rejected():
     codec = r_codec("TerminatedText", encoding="ascii", terminator=" ")
     with pytest.raises(TerminatorInPayload):
-        compile_node(TEXT, codec, SPEC).encode(TextVal("A B"), Env())
+        compile_node(TEXT, codec, SPEC).encode(TextVal("A B"), {})
 
 
 def test_missing_terminator_is_incomplete():
     codec = r_codec("TerminatedText", encoding="ascii", terminator="\r\n")
     with pytest.raises(MissingTerminator):
-        compile_node(TEXT, codec, SPEC).decode(Cursor(b"no line end"), Env())
+        compile_node(TEXT, codec, SPEC).decode(Cursor(b"no line end"), {})
 
 
 def test_multichar_terminator_roundtrip():
     codec = r_codec("TerminatedText", encoding="ascii", terminator="\r\n")
     node = compile_node(TEXT, codec, SPEC)
-    bits = node.encode(TextVal("a1 OK done"), Env())
+    bits = node.encode(TextVal("a1 OK done"), {})
     assert bits.to_bytes() == b"a1 OK done\r\n"
     cur = Cursor(bits.to_bytes())
-    v = node.decode(cur, Env())
+    v = node.decode(cur, {})
     assert v == TextVal("a1 OK done") and cur.pos == bits.length
 
 
@@ -156,32 +157,32 @@ def test_fixed_count_text():
     rtype = RType("Text", {"max_count": _lit(4)})
     codec = r_codec("FixedCountText", encoding="ascii")
     node = compile_node(rtype, codec, SPEC)
-    assert node.encode(TextVal("ABCD"), Env()).to_bytes() == b"ABCD"
+    assert node.encode(TextVal("ABCD"), {}).to_bytes() == b"ABCD"
     with pytest.raises(Unrepresentable):
-        node.encode(TextVal("ABC"), Env())
+        node.encode(TextVal("ABC"), {})
     cur = Cursor(b"ABCDE")
-    v = node.decode(cur, Env())
+    v = node.decode(cur, {})
     assert v == TextVal("ABCD") and cur.pos == 32
 
 
 def test_text_integer_decimal():
     codec = r_codec("TextInteger", text_codec=r_codec("TerminatedText", terminator=" "))
     node = compile_node(INT, codec, SPEC)
-    bits = node.encode(IntVal(42), Env())
+    bits = node.encode(IntVal(42), {})
     assert bits.to_bytes() == b"42 "
-    v = node.decode(Cursor(bits.to_bytes()), Env())
+    v = node.decode(Cursor(bits.to_bytes()), {})
     assert v == IntVal(42)
-    v = node.decode(Cursor(b"007 "), Env())
+    v = node.decode(Cursor(b"007 "), {})
     assert v == IntVal(7)  # leading zeros accepted on decode
     with pytest.raises(ConstraintViolation):
-        node.decode(Cursor(b"4x2 "), Env())
+        node.decode(Cursor(b"4x2 "), {})
 
 
 # --- whole messages over the bundled MyP spec --------------------------------------
 
 def test_count_prefix_empty_list(myp_spec):
     data = next(f for f in myp_spec.records["Data"].fields if f.name == "payload")
-    bits = compile_node(data.type, data.codec, myp_spec).encode(ListVal(()), Env())
+    bits = compile_node(data.type, data.codec, myp_spec).encode(ListVal(()), {})
     assert bits.to_bytes() == bytes.fromhex("00000000")
 
 
@@ -189,7 +190,7 @@ def test_header_decode_golden(myp_spec):
     # 0x40 = bits 01 000000: flag 1, reserved zeros
     rtype = RType("Record", {}, record="Header")
     cur = Cursor(b"\x40")
-    value = compile_node(rtype, None, myp_spec).decode(cur, Env())
+    value = compile_node(rtype, None, myp_spec).decode(cur, {})
     assert value == RecordVal(
         "Header",
         (("flag", IntVal(1)), ("reserved", BitsVal(BitString.from_bits("000000")))),
@@ -339,6 +340,47 @@ def test_peer_zero_divisor_is_invalid_format():
     out = decode_message(b"\x00", ["X"], spec)
     assert isinstance(out, InvalidFormat)
     assert "division by zero" in out.diagnostics["X"]
+
+
+@pytest.mark.parametrize(
+    "width, signed", [("8*n - 8", "false"), ("-8", "false"), ("0", "true")]
+)
+def test_codec_width_no_integer_has(width, signed):
+    spec = resolve(
+        parse_spec(
+            "message module M message W with "
+            "n is Integer(min=0, max=1) as BigEndian(length=8) "
+            f"a is Integer as BigEndian(signed={signed}, length={width}) end end"
+        )
+    )
+    bits = -8 if width != "0" else 0
+    with pytest.raises(UnsatisfiableConstraint) as exc:
+        Generator(spec, GenConfig(seed=1)).message("W")
+    assert str(exc.value) == f"W.a: no {bits}-bit integer exists"
+    value = RecordVal("W", (("n", IntVal(0)), ("a", IntVal(0))))
+    with pytest.raises(Unrepresentable) as exc:
+        encode_message("W", value, spec)
+    assert str(exc.value) == f"no {bits}-bit integer exists"
+    out = decode_message(b"\x00", ["W"], spec)
+    assert out.diagnostics["W"] == f"no {bits}-bit integer exists"
+
+
+@pytest.mark.parametrize(
+    "field, value",
+    [
+        ("b is Binary(length=8 * (4 % 0))", BitsVal(BitString.from_bytes(b"\x00"))),
+        ("i is Integer(max=4 % 0) as BigEndian(length=8)", IntVal(0)),
+    ],
+)
+def test_failing_constant_argument_fails_at_run_time(field, value):
+    spec = resolve(parse_spec(f"message module M message X with {field} end end"))
+    out = decode_message(b"\x00", ["X"], spec)
+    assert isinstance(out, InvalidFormat)
+    assert out.diagnostics["X"] == "division by zero in 4 % 0"
+    with pytest.raises(DivisionByZero, match="division by zero in 4 % 0"):
+        Generator(spec, GenConfig(seed=0)).message("X")
+    with pytest.raises(DivisionByZero, match="division by zero in 4 % 0"):
+        encode_message("X", RecordVal("X", ((field.split()[0], value),)), spec)
 
 
 def test_field_pin_reads_the_outer_record():

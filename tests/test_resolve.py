@@ -58,8 +58,6 @@ def test_dependency_edges_and_order():
     )
     record = spec.records["DataItem"]
     assert [f.name for f in record.fields] == ["n", "data", "padding"]
-    assert record.fields[1].deps == ("n",)
-    assert record.fields[0].deps == ()
 
 
 def test_declaration_order_preserved_for_independent_fields():

@@ -1,9 +1,20 @@
+import operator
+import re
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from wirespec.bits import BitString
 from wirespec.cli import _retype
 from wirespec.codec import compile_node
-from wirespec.errors import DivisionByZero, SpecSyntaxError, TypeMismatch, UnboundName
+from wirespec.errors import (
+    DivisionByZero,
+    EvalError,
+    SpecSyntaxError,
+    TypeMismatch,
+    UnboundName,
+)
 from wirespec.generate import GenConfig, Generator
 from wirespec.resolve import resolve
 from wirespec.syntax import parse_spec
@@ -11,13 +22,13 @@ from wirespec.values import (
     ABSENT,
     BitsVal,
     BoolVal,
-    Env,
     EnumVal,
     IntVal,
     ListVal,
     RecordVal,
     TextVal,
-    eval_expr,
+    compile_arg,
+    compile_expr,
     format_value,
     parse_value_text,
 )
@@ -29,43 +40,120 @@ def expr(text):
     return ast.message_modules[0].decls[0].fields[0].type_expr.args[0][1]
 
 
-def env(**bindings):
-    e = Env()
-    for k, v in bindings.items():
-        e.bind(k, v)
-    return e
-
-
 def test_modulo_expression():
     # 5 % 4 = 1; 4 - 1 = 3; 8 * 3 = 24, checked by hand
-    assert eval_expr(expr("8*(4 - n%4)"), env(n=IntVal(5))) == IntVal(24)
+    assert compile_expr(expr("8*(4 - n%4)"), {})({"n": IntVal(5)}) == IntVal(24)
 
 
 def test_boolean_negation():
-    assert eval_expr(expr("!hasfoot"), env(hasfoot=BoolVal(False))) == BoolVal(True)
+    assert compile_expr(expr("!hasfoot"), {})({"hasfoot": BoolVal(False)}) == BoolVal(True)
 
 
 def test_zero_case():
-    assert eval_expr(expr("8*n"), env(n=IntVal(0))) == IntVal(0)
+    assert compile_expr(expr("8*n"), {})({"n": IntVal(0)}) == IntVal(0)
 
 
 def test_eval_matches_python_arithmetic():
     cases = [("2+3*4", 14), ("(2+3)*4", 20), ("7%3", 1), ("10-4-3", 3), ("-n", -6)]
     for text, expected in cases:
-        assert eval_expr(expr(text), env(n=IntVal(6))) == IntVal(expected)
+        assert compile_expr(expr(text), {})({"n": IntVal(6)}) == IntVal(expected)
 
 
 def test_eval_errors():
     with pytest.raises(UnboundName):
-        eval_expr(expr("missing"), env())
+        compile_expr(expr("missing"), {})({})
     with pytest.raises(TypeMismatch):
-        eval_expr(expr("!n"), env(n=IntVal(1)))
+        compile_expr(expr("!n"), {})({"n": IntVal(1)})
     with pytest.raises(DivisionByZero):
-        eval_expr(expr("5 % z"), env(z=IntVal(0)))
+        compile_expr(expr("5 % z"), {})({"z": IntVal(0)})
 
 
 def test_true_false_builtins():
-    assert eval_expr(expr("!true"), env()) == BoolVal(False)
+    assert compile_expr(expr("!true"), {})({}) == BoolVal(False)
+
+
+# Random expression trees as (source text, expected outcome), where the outcome
+# is a value or the EvalError class evaluation must raise; operands evaluate
+# left to right, so the left operand's error wins.
+N = IntVal(7)
+OK = EnumVal("Status", "ok")
+_PYTHON_OPS = {"+": operator.add, "-": operator.sub, "*": operator.mul, "%": operator.mod}
+
+
+def _failed(outcome):
+    return isinstance(outcome, type)
+
+
+def _unary(parts):
+    op, (text, operand) = parts
+    kind = BoolVal if op == "!" else IntVal
+    if _failed(operand):
+        outcome = operand
+    elif not isinstance(operand, kind):
+        outcome = TypeMismatch
+    else:
+        outcome = kind(not operand.value if op == "!" else -operand.value)
+    return f"{op}({text})", outcome
+
+
+def _binary(parts):
+    op, (ltext, left), (rtext, right) = parts
+    text = f"({ltext} {op} {rtext})"
+    if _failed(left) or _failed(right):
+        return text, left if _failed(left) else right
+    if not isinstance(left, IntVal) or not isinstance(right, IntVal):
+        return text, TypeMismatch
+    try:
+        return text, IntVal(_PYTHON_OPS[op](left.value, right.value))
+    except ZeroDivisionError:
+        return text, DivisionByZero
+
+
+def _trees(leaves, unary_ops, binary_ops):
+    def extend(sub):
+        unary = st.tuples(st.sampled_from(unary_ops), sub).map(_unary)
+        if not binary_ops:
+            return unary
+        return st.one_of(unary, st.tuples(st.sampled_from(binary_ops), sub, sub).map(_binary))
+
+    return st.recursive(leaves, extend, max_leaves=10)
+
+
+# small literals, so that % often meets a zero divisor
+_INTS = st.one_of(st.integers(0, 4).map(lambda i: (str(i), IntVal(i))), st.just(("n", N)))
+_WORDS = st.sampled_from([("true", BoolVal(True)), ("false", BoolVal(False)), ("ok", OK)])
+_ARITHMETIC = _trees(_INTS, "-", "+-*%")
+_ZERO = st.tuples(st.just("*"), _ARITHMETIC, st.just(("0", IntVal(0)))).map(_binary)
+# well-typed arithmetic, where only % can fail, also by a divisor that
+# evaluates to 0, and logic; then mixtures
+_TREES = st.one_of(
+    _ARITHMETIC,
+    st.tuples(st.just("%"), _ARITHMETIC, _ZERO).map(_binary),
+    _trees(_WORDS, "!", ""),
+    _trees(st.one_of(_INTS, _WORDS), "-!", "+-*%"),
+)
+
+
+def _outcome(fn, env):
+    try:
+        return fn(env)
+    except EvalError as e:
+        return type(e)
+
+
+@settings(max_examples=150, deadline=None)
+@given(_TREES)
+def test_compiled_expression_matches_python(tree):
+    text, expected = tree
+    constants = {"ok": OK}
+    env = {"n": N}
+    assert _outcome(compile_expr(expr(text), constants), env) == expected
+    # a folded argument gives the same outcome; one that names no field
+    # needs no environment at all
+    folded = compile_arg({"x": expr(text)}, "x", constants)
+    assert _outcome(folded, env) == expected
+    if not re.search(r"\bn\b", text):
+        assert _outcome(folded, {}) == expected
 
 
 # --- checking ---------------------------------------------------------------------
@@ -100,9 +188,9 @@ def field_type(spec, name):
 def test_integer_bounds(spec):
     t = field_type(spec, "n")
     node = compile_node(t, None, spec)
-    assert node.check(IntVal(500), Env()) is None
-    assert "above maximum" in node.check(IntVal(501), Env())
-    assert node.check(IntVal(-1), Env()) is not None
+    assert node.check(IntVal(500), {}) is None
+    assert "above maximum" in node.check(IntVal(501), {})
+    assert node.check(IntVal(-1), {}) is not None
 
 
 def test_text_pattern_and_count():
@@ -115,16 +203,16 @@ def test_text_pattern_and_count():
     wspec = resolve(parse_spec(src))
     tag_rtype = wspec.records["W"].fields[0].type
     node = compile_node(tag_rtype, None, wspec)
-    assert node.check(TextVal("ABC12"), Env()) is None
-    assert node.check(TextVal(""), Env()) is not None
-    assert node.check(TextVal("a" * 21), Env()) is not None
-    assert node.check(TextVal("no spaces"), Env()) is not None
+    assert node.check(TextVal("ABC12"), {}) is None
+    assert node.check(TextVal(""), {}) is not None
+    assert node.check(TextVal("a" * 21), {}) is not None
+    assert node.check(TextVal("no spaces"), {}) is not None
 
 
 def test_optional_exclusivity(spec):
     t = field_type(spec, "foot")
-    present_env = env(hasfoot=BoolVal(True))
-    absent_env = env(hasfoot=BoolVal(False))
+    present_env = {"hasfoot": BoolVal(True)}
+    absent_env = {"hasfoot": BoolVal(False)}
     node = compile_node(t, None, spec)
     # guard true: the footer is required
     assert node.check(ABSENT, present_env) is not None
@@ -137,9 +225,9 @@ def test_optional_exclusivity(spec):
 def test_binary_bit_pattern(spec):
     t = field_type(spec, "pad")
     node = compile_node(t, None, spec)
-    assert node.check(BitsVal(BitString.from_bits("00000001")), Env()) is None
-    assert node.check(BitsVal(BitString.from_bits("00000000")), Env()) is not None
-    assert node.check(BitsVal(BitString.from_bits("001")), Env()) is not None
+    assert node.check(BitsVal(BitString.from_bits("00000001")), {}) is None
+    assert node.check(BitsVal(BitString.from_bits("00000000")), {}) is not None
+    assert node.check(BitsVal(BitString.from_bits("001")), {}) is not None
 
 
 def test_list_elements_checked(spec):
@@ -148,16 +236,16 @@ def test_list_elements_checked(spec):
     bad = ListVal((RecordVal("Item", (("v", IntVal(10)),)),))
     over = ListVal(tuple(RecordVal("Item", (("v", IntVal(1)),)) for _ in range(3)))
     node = compile_node(t, None, spec)
-    assert node.check(good, Env()) is None
-    assert "element 0" in node.check(bad, Env())
-    assert "max_length" in node.check(over, Env())
+    assert node.check(good, {}) is None
+    assert "element 0" in node.check(bad, {})
+    assert "max_length" in node.check(over, {})
 
 
 def test_enum_constants(spec):
     t = field_type(spec, "status")
     node = compile_node(t, None, spec)
-    assert node.check(EnumVal("Status", "ok"), Env(spec.constants)) is None
-    assert node.check(EnumVal("Status", "maybe"), Env(spec.constants)) is not None
+    assert node.check(EnumVal("Status", "ok"), {}) is None
+    assert node.check(EnumVal("Status", "maybe"), {}) is not None
 
 
 def test_value_literals_roundtrip():
