@@ -29,7 +29,7 @@ from .errors import (
     UnsatisfiableConstraint,
     Unrepresentable,
 )
-from .patterns import Pattern, alphabet_for_charset, compile_pattern
+from .patterns import Pattern, alphabet_for_charset, compile_pattern, language
 from .resolve import CODED_TYPES, RCodec, RType, ResolvedSpec
 from .syntax import NameRef
 from .values import (
@@ -260,7 +260,9 @@ class TextNode(Node):
             return TextVal(self.pin(env).text, self.charset)
         exact = self.exact(env)
         cap = getattr(gen.cfg, self.default_cap) if self.cap is None else self.cap(env)
-        sampler = gen.sampler(self.pattern, self.draw_alphabet, self.excludes, cap)
+        if cap < 0:
+            raise UnsatisfiableConstraint(f"{path}: negative max_count {cap}")
+        sampler = language(self.pattern, self.draw_alphabet, self.excludes, cap)
         try:
             text = sampler.sample(gen.rng, exact)
         except UnsatisfiableConstraint as e:
@@ -400,7 +402,7 @@ class BinaryNode(Node):
             raise UnsatisfiableConstraint(f"{path}: negative bit length {length}")
         if self.pattern is None:
             return BitsVal(BitString(gen.rng.getrandbits(length), length))
-        sampler = gen.sampler(self.pattern, "01", (), length)
+        sampler = language(self.pattern, "01", (), length)
         try:
             bits = sampler.sample(gen.rng, length)
         except UnsatisfiableConstraint:
@@ -428,6 +430,8 @@ class ListNode(Node):
 
     def generate(self, gen, env, path):
         cap = gen.cfg.max_list_len if self.max_length is None else self.max_length(env)
+        if cap < 0:
+            raise UnsatisfiableConstraint(f"{path}: negative max_length {cap}")
         count = gen.rng.randint(0, cap)
         return ListVal(
             tuple(self.elem.generate(gen, env, f"{path}[{i}]") for i in range(count))

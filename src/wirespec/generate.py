@@ -5,8 +5,9 @@ in dependency order, so that every dependent constraint (lengths, optional
 presence, fixed values) sees the values it needs, and within what the codec
 can represent: fixed-count text is drawn at its exact length, terminated
 text never contains its terminator, and integers stay inside their codec's
-width.  A :class:`Generator` holds what the draws share: the rng, the caps
-and the sampler cache.
+width.  A :class:`Generator` holds what the draws share: the rng and the
+caps.  Pattern samplers are built once per process, not per generator (see
+:func:`wirespec.patterns.language`).
 """
 
 from __future__ import annotations
@@ -15,7 +16,6 @@ from dataclasses import dataclass
 from random import Random
 
 from .codec import message_plan
-from .patterns import LanguageSampler, Pattern
 from .resolve import ResolvedSpec
 from .values import RecordVal
 
@@ -40,23 +40,7 @@ class Generator:
         self.spec = spec
         self.cfg = cfg or GenConfig()
         self.rng = rng if rng is not None else Random(self.cfg.seed)
-        self._samplers = {}
 
     def message(self, msg_type: str) -> RecordVal:
         plan = message_plan(self.spec, msg_type)
         return plan.generate(self, {}, msg_type)
-
-    def sampler(
-        self, pattern: Pattern | None, alphabet: str, excludes: tuple, max_len: int
-    ) -> LanguageSampler:
-        key = (
-            pattern.source if pattern else None,
-            alphabet,
-            tuple(e.source for e in excludes),
-            max_len,
-        )
-        sampler = self._samplers.get(key)
-        if sampler is None:
-            sampler = LanguageSampler(pattern, alphabet, excludes, max_len=max_len)
-            self._samplers[key] = sampler
-        return sampler

@@ -8,9 +8,9 @@ with ranges, ``.``, escapes, and the quantifiers ``* + ? {m,n}``.
 fields (char8_pattern) are written.
 
 Two backends share one parser: checking goes through a translation to
-Python's ``re`` module, while generation compiles the pattern to an NFA,
-determinizes it against the field's alphabet, and samples accepted
-strings by counting them per length.
+Python's ``re`` module, while generation determinizes the NFAs of a pattern
+and its exclusions in one subset construction over the field's alphabet,
+and samples accepted strings by counting them per length.
 """
 
 from __future__ import annotations
@@ -298,6 +298,11 @@ class _Nfa:
                     stack.append(t)
         return frozenset(out)
 
+    def move(self, states: frozenset, ch: str) -> frozenset:
+        """The closure of the states that ``ch`` leads to from ``states``."""
+        moved = frozenset(t for s in states for chars, t in self.edges[s] if ch in chars)
+        return self.closure(moved)
+
 
 def _build_nfa(node, nfa: _Nfa, alphabet: frozenset) -> tuple[int, int]:
     """Thompson construction; returns (entry, exit) states."""
@@ -348,55 +353,51 @@ def _nfa_for(pattern: Pattern | None, alphabet: frozenset, substring: bool) -> t
     return nfa, i, o
 
 
-class _Dfa:
-    """Total DFA whose edges carry character sets (sorted tuples)."""
+def _determinize(machines: list, alphabet: str) -> tuple[list, list]:
+    """One subset construction (Rabin & Scott, 1959) over ``(nfa, entry,
+    exit)`` machines: the pattern's, then one substring machine per
+    exclusion.  A state is a tuple of closures, one per machine; it accepts
+    when the pattern's exit is in the first and no exclusion's exit is in
+    the others.  Returns ``(rows, accepting)`` with state 0 the start; a row
+    holds one ``(chars, successor)`` pair per successor, its chars in
+    alphabet order, and the pairs come in order of their first character."""
+    # Successors are computed once per class: characters that every
+    # machine's edge sets treat alike.
+    sets = list({chars for nfa, _, _ in machines for edges in nfa.edges for chars, _ in edges})
+    classes = {}  # which sets hold a character -> its class number
+    class_of = [classes.setdefault(tuple(ch in s for s in sets), len(classes)) for ch in alphabet]
+    probes = {c: ch for ch, c in zip(alphabet, class_of)}  # one member of each class
 
-    def __init__(self, transitions, accepting, start):
-        self.transitions = transitions  # state -> list of (chars tuple, target)
-        self.accepting = accepting  # list[bool]
-        self.start = start
-
-
-def _determinize(nfa: _Nfa, start: int, accept: int, alphabet: str) -> _Dfa:
-    # Partition the alphabet into classes with identical behavior everywhere.
-    sets = sorted({chars for edges in nfa.edges for chars, _ in edges}, key=sorted)
-    sig = {}
-    for ch in alphabet:
-        sig.setdefault(tuple(ch in s for s in sets), []).append(ch)
-    classes = [tuple(chs) for chs in sig.values()]
-
-    start_set = nfa.closure(frozenset([start]))
-    index = {start_set: 0}
-    worklist = [start_set]
-    transitions = []
-    accepting = []
-    while worklist:
-        cur = worklist.pop()
-        while len(transitions) <= index[cur]:
-            transitions.append(None)
-            accepting.append(False)
-        accepting[index[cur]] = accept in cur
-        row = []
-        for cls in classes:
-            probe = cls[0]
-            moved = frozenset(
-                t for s in cur for chars, t in nfa.edges[s] if probe in chars
-            )
-            nxt = nfa.closure(moved)
+    start = tuple(nfa.closure(frozenset([entry])) for nfa, entry, _ in machines)
+    index = {start: 0}
+    states = [start]
+    rows = []
+    for cur in states:  # grows as states are found
+        successors = []
+        for probe in probes.values():
+            nxt = tuple(nfa.move(closure, probe) for (nfa, _, _), closure in zip(machines, cur))
             if nxt not in index:
-                index[nxt] = len(index)
-                worklist.append(nxt)
-            row.append((cls, index[nxt]))
-        transitions[index[cur]] = row
-    return _Dfa(transitions, accepting, 0)
+                index[nxt] = len(states)
+                states.append(nxt)
+            successors.append(index[nxt])
+        row = {}
+        for ch, c in zip(alphabet, class_of):
+            row.setdefault(successors[c], []).append(ch)
+        rows.append([(tuple(chars), t) for t, chars in row.items()])
+    accepting = [
+        machines[0][2] in cur[0] and not any(m[2] in c for m, c in zip(machines[1:], cur[1:]))
+        for cur in states
+    ]
+    return rows, accepting
 
 
 class LanguageSampler:
     """Uniform-ish sampling from (pattern ∩ no-excluded-substrings ∩ length bound).
 
-    Counts accepted strings per length over the product DFA, then draws a
-    length uniformly among feasible ones and walks the DFA weighting each
-    step by the number of accepted completions.
+    Counts accepted strings per length over the automaton, then draws a
+    length uniformly among feasible ones and walks the automaton weighting
+    each step by the number of accepted completions.  Read-only once built,
+    so threads may share it (see :func:`language`).
     """
 
     def __init__(
@@ -405,27 +406,21 @@ class LanguageSampler:
         alphabet: str,
         excludes: tuple[Pattern, ...] = (),
         max_len: int = 0,
-        min_len: int = 0,
     ):
         alpha = frozenset(alphabet)
-        machines = [_determinize(*_nfa_for(pattern, alpha, False), alphabet)]
-        for ex in excludes:
-            machines.append(_determinize(*_nfa_for(ex, alpha, True), alphabet))
-        self._dfa = _product(machines, alphabet)
+        machines = [_nfa_for(pattern, alpha, False)]
+        machines.extend(_nfa_for(ex, alpha, True) for ex in excludes)
+        self._rows, accepting = _determinize(machines, alphabet)
         self.max_len = max_len
-        self.min_len = min_len
-        self._counts = self._count(max_len)
+        self._counts = self._count(accepting, max_len)
 
-    def _count(self, max_len: int):
-        dfa = self._dfa
-        n_states = len(dfa.transitions)
-        counts = [[0] * (max_len + 1) for _ in range(n_states)]
-        for s in range(n_states):
-            counts[s][0] = 1 if dfa.accepting[s] else 0
+    def _count(self, accepting: list, max_len: int):
+        rows = self._rows
+        counts = [[1 if acc else 0] + [0] * max_len for acc in accepting]
         for ln in range(1, max_len + 1):
-            for s in range(n_states):
+            for s, row in enumerate(rows):
                 total = 0
-                for chars, t in dfa.transitions[s]:
+                for chars, t in row:
                     c = counts[t][ln - 1]
                     if c:
                         total += len(chars) * c
@@ -433,8 +428,8 @@ class LanguageSampler:
         return counts
 
     def feasible_lengths(self) -> list[int]:
-        start = self._counts[self._dfa.start]
-        return [ln for ln in range(self.min_len, self.max_len + 1) if start[ln] > 0]
+        start = self._counts[0]
+        return [ln for ln in range(self.max_len + 1) if start[ln] > 0]
 
     def is_empty(self) -> bool:
         return not self.feasible_lengths()
@@ -443,18 +438,18 @@ class LanguageSampler:
         lengths = self.feasible_lengths()
         if not lengths:
             raise UnsatisfiableConstraint(
-                f"no string of length {self.min_len}..{self.max_len} satisfies the constraints"
+                f"no string of length 0..{self.max_len} satisfies the constraints"
             )
         if length is None:
             length = rng.choice(lengths)
-        elif self._counts[self._dfa.start][length] == 0:
+        elif self._counts[0][length] == 0:
             raise UnsatisfiableConstraint(f"no accepted string of length {length}")
         out = []
-        state = self._dfa.start
+        state = 0
         for remaining in range(length, 0, -1):
             weighted = [
                 (chars, t, len(chars) * self._counts[t][remaining - 1])
-                for chars, t in self._dfa.transitions[state]
+                for chars, t in self._rows[state]
                 if self._counts[t][remaining - 1] > 0
             ]
             total = sum(w for _, _, w in weighted)
@@ -468,39 +463,8 @@ class LanguageSampler:
         return "".join(out)
 
 
-def _product(machines: list[_Dfa], alphabet: str) -> _Dfa:
-    """Intersect machine 0 with the complements of machines 1.."""
-    if len(machines) == 1:
-        return machines[0]
-    start = tuple(m.start for m in machines)
-    index = {start: 0}
-    worklist = [start]
-    transitions = []
-    accepting = []
-    while worklist:
-        cur = worklist.pop()
-        while len(transitions) <= index[cur]:
-            transitions.append(None)
-            accepting.append(False)
-        accepting[index[cur]] = machines[0].accepting[cur[0]] and not any(
-            m.accepting[s] for m, s in zip(machines[1:], cur[1:])
-        )
-        row = {}
-        for ch in alphabet:
-            nxt = tuple(_step(m, s, ch) for m, s in zip(machines, cur))
-            row.setdefault(nxt, []).append(ch)
-        out_row = []
-        for nxt, chars in row.items():
-            if nxt not in index:
-                index[nxt] = len(index)
-                worklist.append(nxt)
-            out_row.append((tuple(chars), index[nxt]))
-        transitions[index[cur]] = out_row
-    return _Dfa(transitions, accepting, 0)
-
-
-def _step(dfa: _Dfa, state: int, ch: str) -> int:
-    for chars, t in dfa.transitions[state]:
-        if ch in chars:
-            return t
-    raise AssertionError("DFA is not total")
+@lru_cache(maxsize=64)
+def language(pattern: Pattern | None, alphabet: str, excludes: tuple, max_len: int):
+    """The :class:`LanguageSampler` of one field's language, built once per
+    process and shared by every generator and thread."""
+    return LanguageSampler(pattern, alphabet, excludes, max_len)

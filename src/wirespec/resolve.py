@@ -61,6 +61,38 @@ _CODEC_ARG_KINDS = {
     "falsehood_string": "bits",
 }
 
+# Expression arguments that must be integers or booleans; a literal of
+# another kind is rejected when the spec resolves, not at every decode.
+_INTEGER_ARGS = frozenset({"min", "max", "max_count", "length", "max_length"})
+_BOOLEAN_ARGS = frozenset({"is_empty", "signed"})
+
+
+def _leaf_arg(aname: str, kind: str, expr):
+    """A regex, text, bit or expression argument, checked as far as a
+    literal allows; expressions that are not literals are checked when
+    they run."""
+    if kind == "regex":
+        if not isinstance(expr, syntax.RegexLit):
+            raise ResolutionError(f"argument {aname!r} must be a /regex/")
+        return compile_pattern(expr.source)
+    if kind == "text":
+        if not isinstance(expr, syntax.TextLit):
+            raise ResolutionError(f"argument {aname!r} must be a text literal")
+        return expr.value
+    if kind == "bits":
+        if not isinstance(expr, syntax.BitsLit):
+            raise ResolutionError(f"argument {aname!r} must be a bit or hex literal")
+        return expr.bits
+    if isinstance(expr, syntax.RegexLit):
+        raise ResolutionError(f"argument {aname!r} must be an expression, not a /regex/")
+    truth = isinstance(expr, syntax.NameRef) and expr.name in ("true", "false")
+    if aname in _INTEGER_ARGS and (truth or isinstance(expr, (syntax.TextLit, syntax.BitsLit))):
+        raise ResolutionError(f"argument {aname!r} must be an integer")
+    if aname in _BOOLEAN_ARGS and isinstance(expr, (syntax.IntLit, syntax.TextLit, syntax.BitsLit)):
+        raise ResolutionError(f"argument {aname!r} must be a boolean")
+    return expr
+
+
 _REQUIRED_TYPE_ARGS = {
     "List": {"elem"},
     "Optional": {"is_empty", "subject"},
@@ -276,16 +308,8 @@ class _Resolver:
                     else:
                         raise ResolutionError(f"argument {aname!r} must name a type")
                 out[aname] = self._expand_type(expr, stack)
-            elif kind == "regex":
-                if not isinstance(expr, syntax.RegexLit):
-                    raise ResolutionError(f"argument {aname!r} must be a /regex/")
-                out[aname] = compile_pattern(expr.source)
-            elif kind == "text":
-                if not isinstance(expr, syntax.TextLit):
-                    raise ResolutionError(f"argument {aname!r} must be a text literal")
-                out[aname] = expr.value
             else:
-                out[aname] = expr
+                out[aname] = _leaf_arg(aname, kind, expr)
         return out
 
     def _expand_codec(self, inst: syntax.InstExpr, stack: tuple) -> RCodec:
@@ -315,16 +339,8 @@ class _Resolver:
                 if not isinstance(expr, syntax.InstExpr):
                     raise ResolutionError(f"argument {aname!r} must name a codec")
                 out[aname] = self._expand_codec(expr, stack)
-            elif kind == "text":
-                if not isinstance(expr, syntax.TextLit):
-                    raise ResolutionError(f"argument {aname!r} must be a text literal")
-                out[aname] = expr.value
-            elif kind == "bits":
-                if not isinstance(expr, syntax.BitsLit):
-                    raise ResolutionError(f"argument {aname!r} must be a bit or hex literal")
-                out[aname] = expr.bits
             else:
-                out[aname] = expr
+                out[aname] = _leaf_arg(aname, kind, expr)
         return out
 
     # --- records --------------------------------------------------------------------

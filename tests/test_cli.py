@@ -118,6 +118,26 @@ def test_codec_width_no_integer_has(tmp_path):
     assert (code, err) == (1, "error: no -8-bit integer exists\n")
 
 
+@pytest.mark.parametrize(
+    "field,err",
+    [
+        ("t is Text(max_count=n - 5) as TerminatedText(terminator='\\n')", "L.t: negative max_count -4"),
+        (
+            "xs is List(elem=Binary(length=8), max_length=n - 5) "
+            "as CountPrefixList(count_codec=BigEndian(length=8))",
+            "L.xs: negative max_length -4",
+        ),
+    ],
+)
+def test_gen_negative_cap(tmp_path, field, err):
+    spec = tmp_path / "cap.wspec"
+    spec.write_text(
+        "message module N message L with "
+        f"n is Integer(min=0, max=3) as BigEndian(length=8) {field} end end"
+    )
+    assert run_cli("gen", str(spec), "L", "--seed", "1") == (1, "", f"error: {err}\n")
+
+
 def test_decode_classifies():
     code, out, _ = run_cli("decode", MYP, "c0")
     assert code == 0

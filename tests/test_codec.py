@@ -330,6 +330,29 @@ def test_negative_peer_length_is_invalid_format():
     assert "negative bit length -8" in out.diagnostics["X"]
 
 
+NEGATIVE_CAP_SPEC = (
+    "message module M message L with n is Integer(min=0, max=3) as BigEndian(length=8) {} end end"
+)
+
+
+@pytest.mark.parametrize(
+    "field,reason",
+    [
+        ("t is Text(max_count=n - 5) as TerminatedText(terminator='\\n')", "max_count"),
+        (
+            "xs is List(elem=Binary(length=8), max_length=n - 5) "
+            "as CountPrefixList(count_codec=BigEndian(length=8))",
+            "max_length",
+        ),
+    ],
+)
+def test_negative_field_dependent_cap_is_unsatisfiable(field, reason):
+    spec = resolve(parse_spec(NEGATIVE_CAP_SPEC.format(field)))
+    name = field.split()[0]
+    with pytest.raises(UnsatisfiableConstraint, match=rf"^L\.{name}: negative {reason} -[2-5]$"):
+        Generator(spec, GenConfig(seed=1)).message("L")
+
+
 def test_peer_zero_divisor_is_invalid_format():
     spec = resolve(
         parse_spec(

@@ -1,11 +1,15 @@
 """The sampler's independent oracle is Python's re module: everything the
 automaton path produces must fullmatch the translated pattern and avoid
-the excluded substrings."""
+the excluded substrings, and over a two-letter alphabet its counts must
+equal a brute-force enumeration filtered through ``re``."""
 
 import re
+from itertools import product
 from random import Random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from wirespec.errors import UnsatisfiableConstraint
 from wirespec.patterns import (
@@ -127,6 +131,40 @@ def test_sampler_agrees_with_re_on_dialect_corpus():
             text = sampler.sample(rng)
             assert pyre.fullmatch(text), (source, text)
             assert len(text) <= cap
+
+
+# random dialect patterns over the alphabet "ab"
+DIALECT = st.recursive(
+    st.sampled_from(["a", "b", ".", "[ab]", "[^a]"]),
+    lambda inner: st.one_of(
+        st.tuples(inner, inner).map("".join),
+        st.tuples(inner, inner).map(lambda p: f"({p[0]}|{p[1]})"),
+        st.tuples(inner, st.sampled_from(["*", "+", "?", "{1,2}"])).map(lambda p: f"({p[0]}){p[1]}"),
+    ),
+    max_leaves=6,
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(DIALECT, st.lists(DIALECT, max_size=2), st.integers(0, 5))
+def test_sampler_counts_agree_with_brute_force(source, exclusions, cap):
+    pat = compile_pattern(source)
+    excludes = tuple(compile_pattern(e) for e in exclusions)
+    accepted = {
+        text
+        for ln in range(cap + 1)
+        for text in map("".join, product("ab", repeat=ln))
+        if pat.fullmatch(text) and not any(ex.search(text) for ex in excludes)
+    }
+    counts = [sum(len(text) == ln for text in accepted) for ln in range(cap + 1)]
+    sampler = LanguageSampler(pat, "ab", excludes, max_len=cap)
+    assert sampler._counts[0] == counts
+    assert sampler.feasible_lengths() == [ln for ln, c in enumerate(counts) if c]
+    if accepted:
+        assert set(sample_many(sampler, 20)) <= accepted
+    else:
+        with pytest.raises(UnsatisfiableConstraint):
+            sampler.sample(Random(0))
 
 
 def test_malformed_patterns_raise():

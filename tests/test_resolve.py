@@ -156,6 +156,34 @@ def test_terminator_must_be_codable():
     rs("message X with t is Text as TerminatedText(encoding='latin1', terminator='\u00e9') end")
 
 
+@pytest.mark.parametrize(
+    "field,reason",
+    [
+        ("i is Integer(max='a') as BigEndian(length=8)", "'max' must be an integer"),
+        ("i is Integer(max=/x/) as BigEndian(length=8)", "'max' must be an expression, not"),
+        (
+            "o is Optional(is_empty=3, subject=Integer) as BigEndian(length=8)",
+            "'is_empty' must be a boolean",
+        ),
+        ("i is Integer as BigEndian(length=true)", "'length' must be an integer"),
+        ("i is Integer as BigEndian(length=8, signed=X'01')", "'signed' must be a boolean"),
+        ("t is Text(max_count=b'1') as TerminatedText(terminator=' ')", "'max_count' must be"),
+        ("b is Binary(length=8, value=/x/)", "'value' must be an expression, not"),
+    ],
+)
+def test_literal_argument_of_the_wrong_kind_rejected(field, reason):
+    with pytest.raises(ResolutionError, match=reason):
+        rs(f"message X with {field} end")
+
+
+def test_expression_arguments_keep_run_time_checks():
+    # not literals: their kinds are checked when they run
+    rs(
+        "message X with n is Integer(max=-1 + 'a') as BigEndian(length=8, signed=true) "
+        "o is Optional(is_empty=!n, subject=Integer) as BigEndian(length=8) end"
+    )
+
+
 def test_names_must_not_shadow_constants():
     with pytest.raises(DuplicateName):
         rs(
