@@ -26,6 +26,7 @@ from .errors import (
     MissingTerminator,
     NotByteAligned,
     TerminatorInPayload,
+    TypeMismatch,
     UnsatisfiableConstraint,
     Unrepresentable,
 )
@@ -41,13 +42,21 @@ from .values import (
     ListVal,
     RecordVal,
     TextVal,
+    as_bits,
     as_bool,
     as_int,
+    as_text,
     compile_arg,
     fold,
 )
 
 PRINTABLE = "".join(chr(c) for c in range(0x20, 0x7F))
+
+# Length caps for draws the type leaves unbounded: pattern-constrained text
+# (so unbounded quantifiers stay finite), other text, and lists.
+REGEX_EXPANSION_CAP = 8
+MAX_TEXT_LEN = 12
+MAX_LIST_LEN = 4
 
 
 def signed_range(width: int, signed: bool) -> tuple[int, int]:
@@ -227,14 +236,14 @@ class TextNode(Node):
         self.exact = lambda env: None  # the length a fixed-count codec forces on every draw
         self.charset = args.get("charset", "ascii")
         self.alphabet = frozenset(alphabet_for_charset(self.charset))
-        self.pin = compile_arg(args, "value", spec.constants)
+        self.pin = compile_arg(args, "value", spec.constants, as_text)
         self.max_count = compile_arg(args, "max_count", spec.constants, as_int)
         self.pattern = args.get("pattern")
         self.exclude = args.get("exclude_pattern")
         self.excludes = () if self.exclude is None else (self.exclude,)
         self.draw_alphabet = alphabet_for_charset(self.charset) if self.pattern else PRINTABLE
-        self.cap = self.max_count  # when None, the GenConfig cap named by default_cap
-        self.default_cap = "regex_expansion_cap" if self.pattern else "max_text_len"
+        fallback = REGEX_EXPANSION_CAP if self.pattern else MAX_TEXT_LEN
+        self.cap = self.max_count or (lambda env: fallback)
 
     def check(self, value, env):
         if not isinstance(value, TextVal):
@@ -245,7 +254,7 @@ class TextNode(Node):
             return f"character {ch!r} outside charset {self.charset!r}"
         if self.pin is not None:
             expected = self.pin(env)
-            if not isinstance(expected, TextVal) or text != expected.text:
+            if text != expected.text:
                 return f"must equal {expected!r}, got {text!r}"
         if self.max_count is not None and len(text) > self.max_count(env):
             return f"{len(text)} characters exceeds max_count"
@@ -259,7 +268,7 @@ class TextNode(Node):
         if self.pin is not None:
             return TextVal(self.pin(env).text, self.charset)
         exact = self.exact(env)
-        cap = getattr(gen.cfg, self.default_cap) if self.cap is None else self.cap(env)
+        cap = self.cap(env)
         if cap < 0:
             raise UnsatisfiableConstraint(f"{path}: negative max_count {cap}")
         sampler = language(self.pattern, self.draw_alphabet, self.excludes, cap)
@@ -365,18 +374,18 @@ class BinaryNode(Node):
     """Binary values are their own bits; a codec on the field is not used."""
 
     def __init__(self, rtype, rcodec, spec):
-        self.pin = compile_arg(rtype.args, "value", spec.constants)
+        self.pin = compile_arg(rtype.args, "value", spec.constants, as_bits)
         self.length = compile_arg(rtype.args, "length", spec.constants, as_int)
         self.pattern = rtype.args.get("char8_pattern")
         # the resolver guarantees the type gives length or value
-        self.size = self.length if self.pin is None else lambda env: self.pin(env).bits.length
+        self.size = self.length if self.pin is None else lambda env: self.pin(env).length
 
     def check(self, value, env):
         if not isinstance(value, BitsVal):
             return f"expected bits, got {value!r}"
         bits = value.bits
         if self.pin is not None:
-            expected = self.pin(env).bits
+            expected = self.pin(env)
             if bits != expected:
                 return f"must equal {expected!r}, got {bits!r}"
         if self.length is not None and bits.length != self.length(env):
@@ -396,7 +405,7 @@ class BinaryNode(Node):
 
     def generate(self, gen, env, path):
         if self.pin is not None:
-            return BitsVal(self.pin(env).bits)
+            return BitsVal(self.pin(env))
         length = self.length(env)
         if length < 0:
             raise UnsatisfiableConstraint(f"{path}: negative bit length {length}")
@@ -429,7 +438,7 @@ class ListNode(Node):
         return None
 
     def generate(self, gen, env, path):
-        cap = gen.cfg.max_list_len if self.max_length is None else self.max_length(env)
+        cap = MAX_LIST_LEN if self.max_length is None else self.max_length(env)
         if cap < 0:
             raise UnsatisfiableConstraint(f"{path}: negative max_length {cap}")
         count = gen.rng.randint(0, cap)
@@ -468,7 +477,13 @@ class EnumNode(Node):
         # reversed, so that the first of two constants with one value wins
         self.by_value = {cval: cname for cname, cval in reversed(enum.constants.items())}
         self.base = compile_node(enum.base, rcodec, spec)
-        self.pin = compile_arg(rtype.args, "value", spec.constants)
+        self.pin = compile_arg(rtype.args, "value", spec.constants, self.as_constant)
+
+    def as_constant(self, value) -> EnumVal:
+        """The value itself, once it is one of this enum's own constants."""
+        if not isinstance(value, EnumVal) or value.enum != self.name:
+            raise TypeMismatch(f"expected a {self.name} constant, got {value!r}")
+        return value
 
     def check(self, value, env):
         if not isinstance(value, EnumVal) or value.enum != self.name:
@@ -477,7 +492,7 @@ class EnumNode(Node):
             return f"{value.constant!r} is not a constant of {self.name}"
         if self.pin is not None:
             expected = self.pin(env)
-            if not isinstance(expected, EnumVal) or expected.constant != value.constant:
+            if expected != value:
                 return f"must be {expected!r}, got {value.constant}"
         return None
 
@@ -493,7 +508,7 @@ class EnumNode(Node):
 
     def generate(self, gen, env, path):
         if self.pin is not None:
-            return EnumVal(self.name, self.pin(env).constant)
+            return self.pin(env)
         return EnumVal(self.name, gen.rng.choice(self.choices))
 
 

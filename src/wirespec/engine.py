@@ -16,7 +16,7 @@ is how selfplay checks that two actor models fit each other.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from random import Random
 
 from . import channel as chan
@@ -71,10 +71,15 @@ class TestReport:
     role: Role
     seed: int
     steps: int
-    trace: list  # (direction, message type) pairs; direction '!' '?' or 'quit'
+    step_log: list  # (direction, message type, state set) per step; see trace
     coverage: Coverage
     offending: bytes | None = None
-    step_log: list = field(default_factory=list)  # (direction, msg, state set) per step
+
+    @property
+    def trace(self) -> list:
+        """The (direction, message type) pairs of the steps; direction is '!', '?'
+        or 'quit'.  A step that no transition allows has the empty state set."""
+        return [(direction, msg) for direction, msg, _ in self.step_log]
 
 
 def default_strategy(states, choices, coverage, rng: Random) -> str:
@@ -100,27 +105,23 @@ def run_test(
     S, tau_used = lts.tau_closure_edges({lts.initial})
     cov.hit_edges(tau_used)
     buf = b""
-    trace = []
     step_log = []
     steps = 0
     quiet = 0
-    last_diagnostics: dict = {}
 
     def report(verdict: Verdict, detail: str = "", offending: bytes | None = None):
-        return TestReport(
-            verdict, detail, actor, role, cfg.seed, steps, trace, cov, offending, step_log
-        )
+        return TestReport(verdict, detail, actor, role, cfg.seed, steps, step_log, cov, offending)
 
     def advance(direction: str, msg: str | None, value) -> TestReport | None:
-        """Extend trace and state set; returns an InvalidTrace report or None."""
+        """Extend the step log and state set; returns an InvalidTrace report or None."""
         nonlocal S, steps
-        trace.append((direction, msg))
         if value is not None:
             cov.record_message(value)
         label = QUIT if direction == "quit" else (direction, msg)
         moved, used = lts.successors_edges(S, label)
         cov.hit_edges(used)
         if not moved:
+            step_log.append((direction, msg, moved))
             shown = "quit" if direction == "quit" else f"{direction}{msg}"
             return report(
                 Verdict.INVALID_TRACE,
@@ -134,7 +135,6 @@ def run_test(
 
     def classify(final: bool):
         """('msg', Classified) | ('wait', None) | ('invalid', diagnostics)."""
-        nonlocal last_diagnostics
         enabled = lts.enabled(S, recv_dir)
         diagnostics = {}
         if enabled:
@@ -158,7 +158,6 @@ def run_test(
                 return "wait", None
             if isinstance(outcome, InvalidFormat):
                 diagnostics.update(outcome.diagnostics)
-        last_diagnostics = diagnostics
         return "invalid", diagnostics
 
     def format_diag(diagnostics) -> str:
@@ -193,11 +192,7 @@ def run_test(
                 # a partial message is pending; never send into the middle of it
                 quiet += 1
                 if quiet > cfg.max_consecutive_timeouts:
-                    return report(
-                        Verdict.INVALID_FORMAT,
-                        "stalled mid-message: " + format_diag(last_diagnostics),
-                        offending=buf,
-                    )
+                    return report(Verdict.INVALID_FORMAT, "stalled mid-message", offending=buf)
                 continue
             choices = list(
                 lts.enabled_inputs(S) if role is Role.TESTER else lts.enabled_outputs(S)
@@ -248,7 +243,7 @@ def run_test(
             if bad:
                 return bad
             return report(Verdict.PASS, "IUT closed the connection per the model")
-        trace.append(("quit", None))
+        step_log.append(("quit", None, frozenset()))
         return report(
             Verdict.INVALID_TRACE,
             f"IUT closed the connection but no quit is allowed in {{{', '.join(sorted(S))}}}",

@@ -5,9 +5,10 @@ in dependency order, so that every dependent constraint (lengths, optional
 presence, fixed values) sees the values it needs, and within what the codec
 can represent: fixed-count text is drawn at its exact length, terminated
 text never contains its terminator, and integers stay inside their codec's
-width.  A :class:`Generator` holds what the draws share: the rng and the
-caps.  Pattern samplers are built once per process, not per generator (see
-:func:`wirespec.patterns.language`).
+width.  Text and lists whose type sets no bound stay within the caps
+that :mod:`wirespec.codec` fixes.  A :class:`Generator` holds what the
+draws share: the rng.  Pattern samplers are built once per process, not per
+generator (see :func:`wirespec.patterns.language`).
 """
 
 from __future__ import annotations
@@ -22,24 +23,13 @@ from .values import RecordVal
 
 @dataclass
 class GenConfig:
-    """Caps for otherwise unbounded draws.
-
-    regex_expansion_cap bounds the length of pattern-constrained text when
-    the type gives no max_count (so unbounded quantifiers stay finite);
-    max_text_len plays the same role for pattern-free text.
-    """
-
     seed: int = 0
-    max_text_len: int = 12
-    max_list_len: int = 4
-    regex_expansion_cap: int = 8
 
 
 class Generator:
     def __init__(self, spec: ResolvedSpec, cfg: GenConfig | None = None, rng: Random | None = None):
         self.spec = spec
-        self.cfg = cfg or GenConfig()
-        self.rng = rng if rng is not None else Random(self.cfg.seed)
+        self.rng = rng if rng is not None else Random((cfg or GenConfig()).seed)
 
     def message(self, msg_type: str) -> RecordVal:
         plan = message_plan(self.spec, msg_type)

@@ -407,10 +407,7 @@ class LanguageSampler:
         excludes: tuple[Pattern, ...] = (),
         max_len: int = 0,
     ):
-        alpha = frozenset(alphabet)
-        machines = [_nfa_for(pattern, alpha, False)]
-        machines.extend(_nfa_for(ex, alpha, True) for ex in excludes)
-        self._rows, accepting = _determinize(machines, alphabet)
+        self._rows, accepting = _automaton(pattern, alphabet, excludes)
         self.max_len = max_len
         self._counts = self._count(accepting, max_len)
 
@@ -464,7 +461,17 @@ class LanguageSampler:
 
 
 @lru_cache(maxsize=64)
+def _automaton(pattern: Pattern | None, alphabet: str, excludes: tuple) -> tuple[list, list]:
+    """The determinized ``(rows, accepting)`` of one language, built once per
+    process whatever length caps its samplers have."""
+    alpha = frozenset(alphabet)
+    machines = [_nfa_for(pattern, alpha, False)]
+    machines.extend(_nfa_for(ex, alpha, True) for ex in excludes)
+    return _determinize(machines, alphabet)
+
+
+@lru_cache(maxsize=64)
 def language(pattern: Pattern | None, alphabet: str, excludes: tuple, max_len: int):
-    """The :class:`LanguageSampler` of one field's language, built once per
-    process and shared by every generator and thread."""
+    """The :class:`LanguageSampler` of one field's language and length cap, built
+    once per process and shared by every generator and thread."""
     return LanguageSampler(pattern, alphabet, excludes, max_len)

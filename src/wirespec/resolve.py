@@ -21,97 +21,53 @@ from .lts import IOLTS, QUIT, QUIT_STATE, TAU, Edge, recv, send
 from .patterns import ALPHABETS, compile_pattern
 from .values import EnumVal, literal_value
 
-BASE_TYPES = {
-    "Integer": {"min", "max", "value"},
-    "Text": {"charset", "pattern", "exclude_pattern", "max_count", "value"},
-    "Binary": {"value", "length", "char8_pattern"},
-    "Bool": {"value"},
-    "List": {"elem", "max_length"},
-    "Optional": {"is_empty", "subject"},
+# Argument kinds: "type" and "codec" take an instance of one; "regex", "text
+# literal" and "bits literal" take only that literal; "int", "bool", "text"
+# and "bits" take an expression of that kind, as an enum E's "value" takes
+# one of its own constants (kind "constant of E").  A literal, true, false or
+# constant is checked when the spec resolves, any other expression when it runs.
+TYPE_SIGNATURES = {  # type -> {argument: (kind, required)}
+    "Integer": {"min": ("int", False), "max": ("int", False), "value": ("int", False)},
+    "Text": {"charset": ("text literal", False), "pattern": ("regex", False),
+             "exclude_pattern": ("regex", False), "max_count": ("int", False),
+             "value": ("text", False)},
+    "Binary": {"value": ("bits", False), "length": ("int", False),
+               "char8_pattern": ("regex", False)},
+    "Bool": {"value": ("bool", False)},
+    "List": {"elem": ("type", True), "max_length": ("int", False)},
+    "Optional": {"is_empty": ("bool", True), "subject": ("type", True)},
 }
 
-BASE_CODECS = {  # codec -> (the value type it codes, its arguments)
-    "BigEndian": ("Integer", {"signed", "length"}),
-    "BoolBits": ("Bool", {"truth_string", "falsehood_string"}),
-    "TerminatedText": ("Text", {"encoding", "terminator"}),
-    "FixedCountText": ("Text", {"encoding"}),
-    "CountPrefixList": ("List", {"count_codec"}),
-    "TextInteger": ("Integer", {"text_codec"}),
+CODEC_SIGNATURES = {  # codec -> (the value type it codes, {argument: (kind, required)})
+    "BigEndian": ("Integer", {"signed": ("bool", False), "length": ("int", True)}),
+    "BoolBits": ("Bool", {"truth_string": ("bits literal", True),
+                          "falsehood_string": ("bits literal", True)}),
+    "TerminatedText": ("Text", {"encoding": ("text literal", False),
+                                "terminator": ("text literal", True)}),
+    "FixedCountText": ("Text", {"encoding": ("text literal", False)}),
+    "CountPrefixList": ("List", {"count_codec": ("codec", True)}),
+    "TextInteger": ("Integer", {"text_codec": ("codec", True)}),
 }
 
 # Fields of these types need a codec that codes their type; so do enums, for
 # their base type.
-CODED_TYPES = frozenset(t for t, _ in BASE_CODECS.values())
+CODED_TYPES = frozenset(t for t, _ in CODEC_SIGNATURES.values())
 
-_TYPE_ARG_KINDS = {
-    "elem": "type",
-    "subject": "type",
-    "pattern": "regex",
-    "exclude_pattern": "regex",
-    "char8_pattern": "regex",
-    "charset": "text",
+_REQUIRED = {  # base type or codec -> its required arguments, derived once
+    name: tuple(a for a, (_, required) in signature.items() if required)
+    for signatures in (TYPE_SIGNATURES, {c: s for c, (_, s) in CODEC_SIGNATURES.items()})
+    for name, signature in signatures.items()
 }
 
-_CODEC_ARG_KINDS = {
-    "count_codec": "codec",
-    "text_codec": "codec",
-    "encoding": "text",
-    "terminator": "text",
-    "truth_string": "bits",
-    "falsehood_string": "bits",
-}
-
-# Expression arguments that must be integers or booleans; a literal of
-# another kind is rejected when the spec resolves, not at every decode.
-_INTEGER_ARGS = frozenset({"min", "max", "max_count", "length", "max_length"})
-_BOOLEAN_ARGS = frozenset({"is_empty", "signed"})
-
-
-def _leaf_arg(aname: str, kind: str, expr):
-    """A regex, text, bit or expression argument, checked as far as a
-    literal allows; expressions that are not literals are checked when
-    they run."""
-    if kind == "regex":
-        if not isinstance(expr, syntax.RegexLit):
-            raise ResolutionError(f"argument {aname!r} must be a /regex/")
-        return compile_pattern(expr.source)
-    if kind == "text":
-        if not isinstance(expr, syntax.TextLit):
-            raise ResolutionError(f"argument {aname!r} must be a text literal")
-        return expr.value
-    if kind == "bits":
-        if not isinstance(expr, syntax.BitsLit):
-            raise ResolutionError(f"argument {aname!r} must be a bit or hex literal")
-        return expr.bits
-    if isinstance(expr, syntax.RegexLit):
-        raise ResolutionError(f"argument {aname!r} must be an expression, not a /regex/")
-    truth = isinstance(expr, syntax.NameRef) and expr.name in ("true", "false")
-    if aname in _INTEGER_ARGS and (truth or isinstance(expr, (syntax.TextLit, syntax.BitsLit))):
-        raise ResolutionError(f"argument {aname!r} must be an integer")
-    if aname in _BOOLEAN_ARGS and isinstance(expr, (syntax.IntLit, syntax.TextLit, syntax.BitsLit)):
-        raise ResolutionError(f"argument {aname!r} must be a boolean")
-    return expr
-
-
-_REQUIRED_TYPE_ARGS = {
-    "List": {"elem"},
-    "Optional": {"is_empty", "subject"},
-}
-
-_REQUIRED_CODEC_ARGS = {
-    "BigEndian": {"length"},
-    "BoolBits": {"truth_string", "falsehood_string"},
-    "TerminatedText": {"terminator"},
-    "CountPrefixList": {"count_codec"},
-    "TextInteger": {"text_codec"},
-}
+_LITERAL_KINDS = {syntax.IntLit: "int", syntax.TextLit: "text", syntax.BitsLit: "bits"}
+_KIND_NAMES = {"int": "an integer", "bool": "a boolean", "text": "text", "bits": "bits"}
 
 
 @dataclass
 class RType:
     """A fully-expanded type instance."""
 
-    base: str  # a BASE_TYPES key, or 'Record' / 'Enum'
+    base: str  # a TYPE_SIGNATURES key, or 'Record' / 'Enum'
     args: dict
     record: str | None = None
     enum: str | None = None
@@ -244,6 +200,7 @@ class _Resolver:
 
     def _resolve_enum(self, decl: syntax.EnumDecl) -> EnumDef:
         base = self._expand_type(decl.base, stack=())
+        kind = TYPE_SIGNATURES.get(base.base, {}).get("value", (None, False))[0]
         constants = {}
         for cname, literal in decl.constants:
             if cname in constants:
@@ -252,10 +209,9 @@ class _Resolver:
                 raise DuplicateName(
                     f"enum constant {cname!r} appears in more than one enum"
                 )
-            value = literal_value(literal)
-            if value is None:
-                raise ResolutionError(f"enum {decl.name}: constants must map to literals")
-            constants[cname] = value
+            if _LITERAL_KINDS.get(type(literal)) != kind:
+                raise ResolutionError(f"enum {decl.name}: constants must be {base.base} literals")
+            constants[cname] = literal_value(literal)
             self.constants[cname] = EnumVal(decl.name, cname)
         return EnumDef(decl.name, base, constants)
 
@@ -266,82 +222,93 @@ class _Resolver:
             raise CyclicDependency(
                 "type alias cycle: " + " -> ".join(stack + (inst.name,))
             )
-        if inst.name in BASE_TYPES:
-            return RType(inst.name, self._type_args(inst.name, inst.args, stack))
-        if inst.name in self.record_decls:
-            decl = self.record_decls[inst.name]
-            allowed = set(decl.params) | {f.name for f in decl.fields}
-            args = {}
-            for aname, expr in inst.args:
-                if aname not in allowed:
-                    raise UnknownName(
-                        f"{inst.name} has no parameter or field named {aname!r}"
-                    )
-                args[aname] = expr
-            return RType("Record", args, record=inst.name)
-        if inst.name in self.enum_decls:
-            for aname, _ in inst.args:
-                if aname != "value":
-                    raise UnknownName(f"enum {inst.name} has no argument named {aname!r}")
-            return RType("Enum", {k: v for k, v in inst.args}, enum=inst.name)
-        if inst.name in self.type_aliases:
-            alias = self.type_aliases[inst.name]
-            inner = self._expand_type(alias.expr, stack + (inst.name,))
-            merged = dict(inner.args)
-            if inner.base in BASE_TYPES:
-                merged.update(self._type_args(inner.base, inst.args, stack))
-            else:
-                merged.update({k: v for k, v in inst.args})
-            return inner.replace_args(merged)
-        raise UnknownName(f"unknown type {inst.name!r}")
-
-    def _type_args(self, base: str, args: list, stack: tuple) -> dict:
-        out = {}
-        for aname, expr in args:
-            if aname not in BASE_TYPES[base]:
-                raise UnknownName(f"{base} has no argument named {aname!r}")
-            kind = _TYPE_ARG_KINDS.get(aname, "expr")
-            if kind == "type":
-                if not isinstance(expr, syntax.InstExpr):
-                    if isinstance(expr, syntax.NameRef):
-                        expr = syntax.InstExpr(expr.name, [])
-                    else:
-                        raise ResolutionError(f"argument {aname!r} must name a type")
-                out[aname] = self._expand_type(expr, stack)
-            else:
-                out[aname] = _leaf_arg(aname, kind, expr)
-        return out
+        if inst.name in TYPE_SIGNATURES:
+            inner = RType(inst.name, {})
+        elif inst.name in self.record_decls:
+            inner = RType("Record", {}, record=inst.name)
+        elif inst.name in self.enum_decls:
+            inner = RType("Enum", {}, enum=inst.name)
+        elif inst.name in self.type_aliases:
+            inner = self._expand_type(self.type_aliases[inst.name].expr, stack + (inst.name,))
+        else:
+            raise UnknownName(f"unknown type {inst.name!r}")
+        if not inst.args:
+            return inner
+        if inner.base == "Record":
+            decl = self.record_decls[inner.record]
+            # parameters and field pins: a pin is checked by its field's node
+            names = (*decl.params, *(f.name for f in decl.fields))
+            what, signature = inner.record, dict.fromkeys(names, (None, False))
+        elif inner.base == "Enum":
+            what, signature = inner.enum, {"value": (f"constant of {inner.enum}", False)}
+        else:
+            what, signature = inner.base, TYPE_SIGNATURES[inner.base]
+        self._args(what, signature, inst.args, stack, inner.args)
+        return inner
 
     def _expand_codec(self, inst: syntax.InstExpr, stack: tuple) -> RCodec:
         if inst.name in stack:
             raise CyclicDependency(
                 "codec alias cycle: " + " -> ".join(stack + (inst.name,))
             )
-        if inst.name in BASE_CODECS:
-            return RCodec(inst.name, self._codec_args(inst.name, inst.args, stack))
-        if inst.name in self.codec_aliases:
-            alias = self.codec_aliases[inst.name]
-            inner = self._expand_codec(alias.expr, stack + (inst.name,))
-            merged = dict(inner.args)
-            merged.update(self._codec_args(inner.base, inst.args, stack))
-            return RCodec(inner.base, merged)
-        raise UnknownName(f"unknown codec {inst.name!r}")
+        if inst.name in CODEC_SIGNATURES:
+            inner = RCodec(inst.name, {})
+        elif inst.name in self.codec_aliases:
+            inner = self._expand_codec(self.codec_aliases[inst.name].expr, stack + (inst.name,))
+        else:
+            raise UnknownName(f"unknown codec {inst.name!r}")
+        if not inst.args:
+            return inner
+        self._args(inner.base, CODEC_SIGNATURES[inner.base][1], inst.args, stack, inner.args)
+        return inner
 
-    def _codec_args(self, base: str, args: list, stack: tuple) -> dict:
-        out = {}
+    def _args(self, what: str, signature: dict, args: list, stack: tuple, out: dict) -> None:
+        """Check each argument of the type or codec ``what`` against its
+        ``signature`` and store it in ``out``, expanded: a type or codec to
+        its RType or RCodec, a regex to its Pattern, a text or bit literal to
+        its value; an expression stays an AST.  ``out`` is a fresh instance's
+        own dict, so what an alias sets is overridden in place."""
         for aname, expr in args:
-            if aname not in BASE_CODECS[base][1]:
-                raise UnknownName(f"codec {base} has no argument named {aname!r}")
-            kind = _CODEC_ARG_KINDS.get(aname, "expr")
-            if kind == "codec":
+            if aname not in signature:
+                raise UnknownName(f"{what} has no argument named {aname!r}")
+            kind = signature[aname][0]
+            if kind in ("type", "codec"):
                 if isinstance(expr, syntax.NameRef):
                     expr = syntax.InstExpr(expr.name, [])
                 if not isinstance(expr, syntax.InstExpr):
-                    raise ResolutionError(f"argument {aname!r} must name a codec")
-                out[aname] = self._expand_codec(expr, stack)
+                    raise ResolutionError(f"argument {aname!r} must name a {kind}")
+                expand = self._expand_type if kind == "type" else self._expand_codec
+                out[aname] = expand(expr, stack)
+            elif kind == "regex":
+                if not isinstance(expr, syntax.RegexLit):
+                    raise ResolutionError(f"argument {aname!r} must be a /regex/")
+                out[aname] = compile_pattern(expr.source)
+            elif kind == "text literal":
+                if not isinstance(expr, syntax.TextLit):
+                    raise ResolutionError(f"argument {aname!r} must be a text literal")
+                out[aname] = expr.value
+            elif kind == "bits literal":
+                if not isinstance(expr, syntax.BitsLit):
+                    raise ResolutionError(f"argument {aname!r} must be a bit or hex literal")
+                out[aname] = expr.bits
             else:
-                out[aname] = _leaf_arg(aname, kind, expr)
-        return out
+                self._check_kind(aname, kind, expr)
+                out[aname] = expr
+
+    def _check_kind(self, aname: str, kind: str | None, expr) -> None:
+        """Reject an expression that is a literal, truth value or constant not of ``kind``."""
+        if isinstance(expr, syntax.RegexLit):
+            raise ResolutionError(f"argument {aname!r} must be an expression, not a /regex/")
+        if isinstance(expr, syntax.NameRef) and expr.name in ("true", "false"):
+            found = "bool"
+        elif isinstance(expr, syntax.NameRef) and expr.name in self.constants:
+            found = f"constant of {self.constants[expr.name].enum}"
+        else:
+            found = _LITERAL_KINDS.get(type(expr))
+        if kind is not None and found not in (None, kind):
+            raise ResolutionError(
+                f"argument {aname!r} must be {_KIND_NAMES.get(kind, f'a {kind}')}"
+            )
 
     # --- records --------------------------------------------------------------------
 
@@ -399,14 +366,11 @@ class _Resolver:
 
         def walk_args(args: dict):
             for value in args.values():
-                if isinstance(value, RType) or isinstance(value, RCodec):
+                if isinstance(value, (RType, RCodec)):
                     walk_args(value.args)
-                elif isinstance(
-                    value,
-                    (syntax.IntLit, syntax.TextLit, syntax.BitsLit, syntax.NameRef,
-                     syntax.Unary, syntax.Binary, syntax.InstExpr),
-                ):
-                    walk_expr(value)
+                elif isinstance(value, (syntax.NameRef, syntax.Unary, syntax.Binary,
+                                        syntax.InstExpr)):
+                    walk_expr(value)  # literals name nothing
 
         walk_args(rtype.args)
         if rcodec is not None:
@@ -415,9 +379,9 @@ class _Resolver:
     def _check_coding(self, where: str, rtype: RType, rcodec: RCodec | None) -> None:
         """Reject a type and codec that cannot code every value of the type."""
         while rtype.base == "Optional":
-            self._require_args(rtype, where)
+            self._require_args(where, rtype.base, rtype.args)
             rtype = rtype.args["subject"]
-        self._require_args(rtype, where)
+        self._require_args(where, rtype.base, rtype.args)
         if rtype.base == "List":
             # elements are coded without a codec of their own
             self._check_coding(f"{where} element", rtype.args["elem"], None)
@@ -432,12 +396,8 @@ class _Resolver:
             if base == "Enum" or rtype.base in CODED_TYPES:
                 raise ResolutionError(f"{where}: a {base} field needs a codec")
             return
-        missing = _REQUIRED_CODEC_ARGS.get(rcodec.base, set()) - set(rcodec.args)
-        if missing:
-            raise ResolutionError(
-                f"{where}: codec {rcodec.base} is missing {sorted(missing)}"
-            )
-        if rtype.base in CODED_TYPES and BASE_CODECS[rcodec.base][0] != rtype.base:
+        self._require_args(where, rcodec.base, rcodec.args)
+        if rtype.base in CODED_TYPES and CODEC_SIGNATURES[rcodec.base][0] != rtype.base:
             raise ResolutionError(f"{where}: codec {rcodec.base} cannot code a {rtype.base}")
         if rcodec.base == "BoolBits":
             t = rcodec.args["truth_string"]
@@ -459,10 +419,10 @@ class _Resolver:
         if rcodec.base == "TextInteger":
             self._check_coding(where, RType("Text", {}), rcodec.args["text_codec"])
 
-    def _require_args(self, rtype: RType, where: str) -> None:
-        missing = _REQUIRED_TYPE_ARGS.get(rtype.base, set()) - set(rtype.args)
+    def _require_args(self, where: str, base: str, args: dict) -> None:
+        missing = [a for a in _REQUIRED.get(base, ()) if a not in args]
         if missing:
-            raise ResolutionError(f"{where}: {rtype.base} is missing {sorted(missing)}")
+            raise ResolutionError(f"{where}: {base} is missing {sorted(missing)}")
 
 
 # --- actor compilation ----------------------------------------------------------------

@@ -166,6 +166,19 @@ def as_bool(value) -> bool:
     return value.value
 
 
+def as_text(value) -> TextVal:
+    """The value itself, once it is text: diagnostics show the whole pinned value."""
+    if not isinstance(value, TextVal):
+        raise TypeMismatch(f"expected text, got {value!r}")
+    return value
+
+
+def as_bits(value) -> BitString:
+    if not isinstance(value, BitsVal):
+        raise TypeMismatch(f"expected bits, got {value!r}")
+    return value.bits
+
+
 def fold(fn):
     """``fn`` (``env -> value``) computed once when it needs no field or
     parameter, else ``fn`` itself: an error then surfaces at run time, where
@@ -179,8 +192,8 @@ def fold(fn):
 
 def compile_arg(args: dict, name: str, constants: dict, convert=lambda value: value):
     """The type or codec argument ``name`` as a folded ``env -> value``,
-    passed through ``convert`` (``as_int``, ``as_bool``); None when the
-    argument is not given."""
+    passed through ``convert``, the converter of its kind (such as ``as_int``);
+    None when the argument is not given."""
     if name not in args:
         return None
     fn = compile_expr(args[name], constants)

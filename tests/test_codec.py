@@ -7,6 +7,7 @@ from wirespec.codec import (
     Classified,
     InvalidFormat,
     NEED_MORE,
+    Node,
     decode_message,
     compile_node,
     encode_message,
@@ -17,12 +18,13 @@ from wirespec.errors import (
     MissingTerminator,
     NotByteAligned,
     TerminatorInPayload,
+    TypeMismatch,
     Underrun,
     UnsatisfiableConstraint,
     Unrepresentable,
 )
 from wirespec.generate import GenConfig, Generator
-from wirespec.resolve import RCodec, RType, resolve
+from wirespec.resolve import CODEC_SIGNATURES, TYPE_SIGNATURES, RCodec, RType, resolve
 from wirespec.syntax import parse_spec
 from wirespec.values import (
     ABSENT,
@@ -404,6 +406,26 @@ def test_failing_constant_argument_fails_at_run_time(field, value):
         Generator(spec, GenConfig(seed=0)).message("X")
     with pytest.raises(DivisionByZero, match="division by zero in 4 % 0"):
         encode_message("X", RecordVal("X", ((field.split()[0], value),)), spec)
+
+
+@pytest.mark.parametrize("field", ["b is Binary(value=p)", "t is Text(value=p) as FixedCountText()"])
+def test_parameter_bound_pin_of_the_wrong_kind(field):
+    # the resolver cannot see the kind of p; the pin's node checks it when it runs
+    spec = resolve(
+        parse_spec(
+            f"message module M record H(p) with {field} end "
+            "message X with h is H(p=3) end end"
+        )
+    )
+    out = decode_message(b"\x01", ["X"], spec)
+    assert isinstance(out, InvalidFormat)
+    assert out.diagnostics["X"].startswith("expected ")
+    with pytest.raises(TypeMismatch):
+        Generator(spec, GenConfig(seed=0)).message("X")
+
+
+def test_every_signature_has_a_node_class():
+    assert set(Node.classes) == {*TYPE_SIGNATURES, *CODEC_SIGNATURES, "Record", "Enum"}
 
 
 def test_field_pin_reads_the_outer_record():

@@ -116,6 +116,7 @@ def test_close_without_quit_edge_is_trace_error(myp_spec):
     rep = run_in_process(myp_spec, "Server", hangup, fast_config(max_steps=50, seed=6))
     assert rep.verdict is Verdict.INVALID_TRACE
     assert rep.trace[-1] == ("quit", None)
+    assert rep.step_log[-1] == ("quit", None, frozenset())  # no transition allows it
 
 
 def test_stalled_partial_message_is_format_error(myp_spec):
@@ -130,7 +131,7 @@ def test_stalled_partial_message_is_format_error(myp_spec):
         fast_config(max_steps=50, seed=7, max_consecutive_timeouts=3),
     )
     assert rep.verdict is Verdict.INVALID_FORMAT
-    assert "stalled" in rep.detail
+    assert rep.detail == "stalled mid-message"
 
 
 def test_close_mid_message_is_format_error(myp_spec):

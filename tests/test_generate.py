@@ -6,6 +6,7 @@ import pytest
 from wirespec.codec import Classified, decode_message, encode_message, message_plan
 from wirespec.errors import UnsatisfiableConstraint
 from wirespec.generate import GenConfig, Generator
+from wirespec import patterns
 from wirespec.patterns import language
 from wirespec.resolve import resolve
 from wirespec.syntax import parse_spec
@@ -181,3 +182,24 @@ def test_fresh_generator_builds_no_sampler(imap_spec):
     built = language.cache_info().misses
     assert draw_all() == first
     assert language.cache_info().misses == built
+
+
+def test_field_bound_cap_determinizes_once(monkeypatch):
+    # one automaton serves every cap that n gives max_count
+    spec = resolve(
+        parse_spec(
+            "message module M message X with "
+            "n is Integer(min=1, max=300) as BigEndian(length=16) "
+            "t is Text(pattern=/[!-~]+/, exclude_pattern=/ |\\r\\n|\\*/, max_count=n) "
+            "as TerminatedText(terminator=' ') end end"
+        )
+    )
+    determinize = patterns._determinize
+    calls = []
+    monkeypatch.setattr(patterns, "_determinize", lambda *a: calls.append(a) or determinize(*a))
+    patterns._automaton.cache_clear()
+    language.cache_clear()
+    gen = Generator(spec, GenConfig(seed=1))
+    caps = {gen.message("X").get("n").value for _ in range(300)}
+    assert len(caps) > language.cache_info().maxsize  # more caps than samplers cached
+    assert len(calls) == 1

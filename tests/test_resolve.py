@@ -169,11 +169,33 @@ def test_terminator_must_be_codable():
         ("i is Integer as BigEndian(length=8, signed=X'01')", "'signed' must be a boolean"),
         ("t is Text(max_count=b'1') as TerminatedText(terminator=' ')", "'max_count' must be"),
         ("b is Binary(length=8, value=/x/)", "'value' must be an expression, not"),
+        ("i is Integer(value='a') as BigEndian(length=8)", "'value' must be an integer"),
+        ("i is Integer(value=ok) as BigEndian(length=8)", "'value' must be an integer"),
+        ("i is Integer(max=ok) as BigEndian(length=8)", "'max' must be an integer"),
+        ("i is Integer as BigEndian(length=8, signed=ok)", "'signed' must be a boolean"),
+        (
+            "b is Bool(value=3) as BoolBits(truth_string=b'1', falsehood_string=b'0')",
+            "'value' must be a boolean",
+        ),
+        ("t is Text(value=3) as FixedCountText()", "'value' must be text"),
+        ("b is Binary(value=3)", "'value' must be bits"),
+        ("b is Binary(value='ab')", "'value' must be bits"),
+        ("t is Text(value=b'1') as TerminatedText(terminator=' ')", "'value' must be text"),
+        ("e is E(value=3) as BigEndian(length=8)", "'value' must be a constant of E"),
+        ("e is E(value=no) as BigEndian(length=8)", "'value' must be a constant of E"),
     ],
 )
 def test_literal_argument_of_the_wrong_kind_rejected(field, reason):
+    # ok and no are constants of two different enums
+    enums = "enum E of Integer with ok as 1 end enum F of Integer with no as 2 end"
     with pytest.raises(ResolutionError, match=reason):
-        rs(f"message X with {field} end")
+        rs(f"{enums} message X with {field} end")
+
+
+def test_enum_constants_must_be_literals_of_the_base():
+    # a text constant of an integer enum would escape encode as AttributeError
+    with pytest.raises(ResolutionError, match="constants must be Integer literals"):
+        rs("enum E of Integer with ok as 'a' end message X with e is E as BigEndian(length=8) end")
 
 
 def test_expression_arguments_keep_run_time_checks():
