@@ -3,6 +3,14 @@
 Both the TCP channel and the in-process pair wrap real sockets, so they
 are behaviorally identical by construction.  No framing is added at this
 layer: message boundaries are entirely the codec's self-delimiting job.
+
+A TCP channel (``AF_INET`` or ``AF_INET6``) disables Nagle's algorithm
+(``TCP_NODELAY``), so a reply written in several pieces never waits for
+the peer's ACK of the first, and acknowledges every read at once
+(``TCP_QUICKACK``, re-armed after each receive), so a peer that keeps
+Nagle on never waits for a delayed ACK.  ``TCP_QUICKACK`` is Linux-only;
+where ``socket`` lacks it, only Nagle is disabled.  A ``socketpair`` is
+``AF_UNIX`` and gets neither.
 """
 
 from __future__ import annotations
@@ -10,6 +18,9 @@ from __future__ import annotations
 import socket
 
 from .errors import ChannelError
+
+_TCP_FAMILIES = (socket.AF_INET, socket.AF_INET6)
+_QUICKACK = getattr(socket, "TCP_QUICKACK", None)
 
 
 class Bytes:
@@ -44,6 +55,10 @@ class Channel:
     def __init__(self, sock: socket.socket):
         self._sock = sock
         self.state = OPEN
+        self._quickack = None
+        if sock.family in _TCP_FAMILIES:
+            sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
+            self._quickack = _QUICKACK
 
     def send(self, data: bytes) -> None:
         if self.state != OPEN:
@@ -62,6 +77,9 @@ class Channel:
         try:
             self._sock.settimeout(timeout_ms / 1000.0)
             data = self._sock.recv(65536)
+            if data and self._quickack is not None:
+                # the kernel drops back to delayed ACKs after a while: re-arm
+                self._sock.setsockopt(socket.IPPROTO_TCP, self._quickack, 1)
         except socket.timeout:
             return TIMEOUT
         except OSError as e:

@@ -271,9 +271,9 @@ class TextNode(Node):
         cap = self.cap(env)
         if cap < 0:
             raise UnsatisfiableConstraint(f"{path}: negative max_count {cap}")
-        sampler = language(self.pattern, self.draw_alphabet, self.excludes, cap)
+        sampler = language(self.pattern, self.draw_alphabet, self.excludes)
         try:
-            text = sampler.sample(gen.rng, exact)
+            text = sampler.sample(gen.rng, cap, exact)
         except UnsatisfiableConstraint as e:
             raise UnsatisfiableConstraint(f"{path}: {e}") from None
         return TextVal(text, self.charset)
@@ -390,6 +390,9 @@ class BinaryNode(Node):
                 return f"must equal {expected!r}, got {bits!r}"
         if self.length is not None and bits.length != self.length(env):
             return f"length {bits.length} bits, expected {self.length(env)}"
+        return self.pattern_mismatch(bits)
+
+    def pattern_mismatch(self, bits):
         if self.pattern is not None and not self.pattern.fullmatch(bits.to_bits()):
             return f"bits {bits.to_bits()!r} do not match {self.pattern!r}"
         return None
@@ -403,6 +406,16 @@ class BinaryNode(Node):
             raise ConstraintViolation(f"negative bit length {length}")
         return BitsVal(cur.bits(length))
 
+    def decode(self, cur, env):
+        if self.pin is not None:
+            return super().decode(cur, env)
+        # read took exactly length bits: only the pattern is left to check
+        value = self.read(cur, env)
+        reason = self.pattern_mismatch(value.bits)
+        if reason:
+            raise ConstraintViolation(reason)
+        return value
+
     def generate(self, gen, env, path):
         if self.pin is not None:
             return BitsVal(self.pin(env))
@@ -411,9 +424,9 @@ class BinaryNode(Node):
             raise UnsatisfiableConstraint(f"{path}: negative bit length {length}")
         if self.pattern is None:
             return BitsVal(BitString(gen.rng.getrandbits(length), length))
-        sampler = language(self.pattern, "01", (), length)
+        sampler = language(self.pattern, "01", ())
         try:
-            bits = sampler.sample(gen.rng, length)
+            bits = sampler.sample(gen.rng, length, length)
         except UnsatisfiableConstraint:
             raise UnsatisfiableConstraint(
                 f"{path}: no {length}-bit string matches {self.pattern!r}"

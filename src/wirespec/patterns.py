@@ -19,6 +19,7 @@ import re
 from dataclasses import dataclass
 from functools import lru_cache
 from random import Random
+from threading import Lock
 
 from .errors import UnsatisfiableConstraint, WirespecError
 
@@ -396,58 +397,63 @@ class LanguageSampler:
 
     Counts accepted strings per length over the automaton, then draws a
     length uniformly among feasible ones and walks the automaton weighting
-    each step by the number of accepted completions.  Read-only once built,
-    so threads may share it (see :func:`language`).
+    each step by the number of accepted completions.  The count table is
+    one column per length, grown to the largest bound asked for, so every
+    smaller bound reads the same table.  Columns are only ever appended,
+    whole and under a lock, so threads may share a sampler (see
+    :func:`language`).
     """
 
-    def __init__(
-        self,
-        pattern: Pattern | None,
-        alphabet: str,
-        excludes: tuple[Pattern, ...] = (),
-        max_len: int = 0,
-    ):
-        self._rows, accepting = _automaton(pattern, alphabet, excludes)
-        self.max_len = max_len
-        self._counts = self._count(accepting, max_len)
+    def __init__(self, pattern: Pattern | None, alphabet: str, excludes: tuple[Pattern, ...] = ()):
+        alpha = frozenset(alphabet)
+        machines = [_nfa_for(pattern, alpha, False)]
+        machines.extend(_nfa_for(ex, alpha, True) for ex in excludes)
+        self._rows, accepting = _determinize(machines, alphabet)
+        # _columns[ln][s]: accepted strings of length ln from state s
+        self._columns = [[1 if acc else 0 for acc in accepting]]
+        self._lock = Lock()
 
-    def _count(self, accepting: list, max_len: int):
-        rows = self._rows
-        counts = [[1 if acc else 0] + [0] * max_len for acc in accepting]
-        for ln in range(1, max_len + 1):
-            for s, row in enumerate(rows):
-                total = 0
-                for chars, t in row:
-                    c = counts[t][ln - 1]
-                    if c:
-                        total += len(chars) * c
-                counts[s][ln] = total
-        return counts
+    def _table(self, max_len: int) -> list:
+        """The count columns, holding at least lengths 0..max_len."""
+        columns = self._columns
+        if len(columns) <= max_len:
+            with self._lock:
+                while len(columns) <= max_len:
+                    prev = columns[-1]
+                    columns.append(
+                        [sum(len(chars) * prev[t] for chars, t in row) for row in self._rows]
+                    )
+        return columns
 
-    def feasible_lengths(self) -> list[int]:
-        start = self._counts[0]
-        return [ln for ln in range(self.max_len + 1) if start[ln] > 0]
+    def counts(self, max_len: int) -> list[int]:
+        """How many accepted strings there are of each length 0..max_len."""
+        columns = self._table(max_len)
+        return [columns[ln][0] for ln in range(max_len + 1)]
 
-    def is_empty(self) -> bool:
-        return not self.feasible_lengths()
+    def feasible_lengths(self, max_len: int) -> list[int]:
+        return [ln for ln, c in enumerate(self.counts(max_len)) if c]
 
-    def sample(self, rng: Random, length: int | None = None) -> str:
-        lengths = self.feasible_lengths()
+    def sample(self, rng: Random, max_len: int, length: int | None = None) -> str:
+        """One accepted string of at most ``max_len`` characters, of exactly
+        ``length`` when that is given."""
+        lengths = self.feasible_lengths(max_len)
         if not lengths:
             raise UnsatisfiableConstraint(
-                f"no string of length 0..{self.max_len} satisfies the constraints"
+                f"no string of length 0..{max_len} satisfies the constraints"
             )
+        columns = self._columns
         if length is None:
             length = rng.choice(lengths)
-        elif self._counts[0][length] == 0:
+        elif not 0 <= length <= max_len or columns[length][0] == 0:
             raise UnsatisfiableConstraint(f"no accepted string of length {length}")
         out = []
         state = 0
         for remaining in range(length, 0, -1):
+            column = columns[remaining - 1]
             weighted = [
-                (chars, t, len(chars) * self._counts[t][remaining - 1])
+                (chars, t, len(chars) * column[t])
                 for chars, t in self._rows[state]
-                if self._counts[t][remaining - 1] > 0
+                if column[t] > 0
             ]
             total = sum(w for _, _, w in weighted)
             pick = rng.randrange(total)
@@ -461,17 +467,8 @@ class LanguageSampler:
 
 
 @lru_cache(maxsize=64)
-def _automaton(pattern: Pattern | None, alphabet: str, excludes: tuple) -> tuple[list, list]:
-    """The determinized ``(rows, accepting)`` of one language, built once per
-    process whatever length caps its samplers have."""
-    alpha = frozenset(alphabet)
-    machines = [_nfa_for(pattern, alpha, False)]
-    machines.extend(_nfa_for(ex, alpha, True) for ex in excludes)
-    return _determinize(machines, alphabet)
-
-
-@lru_cache(maxsize=64)
-def language(pattern: Pattern | None, alphabet: str, excludes: tuple, max_len: int):
-    """The :class:`LanguageSampler` of one field's language and length cap, built
-    once per process and shared by every generator and thread."""
-    return LanguageSampler(pattern, alphabet, excludes, max_len)
+def language(pattern: Pattern | None, alphabet: str, excludes: tuple) -> LanguageSampler:
+    """The :class:`LanguageSampler` of one language, built once per process
+    whatever length bounds it is asked for, and shared by every generator
+    and thread."""
+    return LanguageSampler(pattern, alphabet, excludes)

@@ -236,15 +236,27 @@ class _Resolver:
             return inner
         if inner.base == "Record":
             decl = self.record_decls[inner.record]
-            # parameters and field pins: a pin is checked by its field's node
-            names = (*decl.params, *(f.name for f in decl.fields))
-            what, signature = inner.record, dict.fromkeys(names, (None, False))
+            # a parameter takes any kind; a field pin, that of its type's value
+            signature = dict.fromkeys(decl.params, (None, False))
+            signature.update((f.name, (self._value_kind(f.type_expr), False)) for f in decl.fields)
+            what = inner.record
         elif inner.base == "Enum":
             what, signature = inner.enum, {"value": (f"constant of {inner.enum}", False)}
         else:
             what, signature = inner.base, TYPE_SIGNATURES[inner.base]
         self._args(what, signature, inst.args, stack, inner.args)
         return inner
+
+    def _value_kind(self, inst: syntax.InstExpr) -> str | None:
+        """The kind of the ``value`` argument of the type ``inst`` names, by
+        name alone: a record's fields may instantiate the record itself."""
+        name, seen = inst.name, set()
+        while name in self.type_aliases and name not in seen:  # a cycle fails elsewhere
+            seen.add(name)
+            name = self.type_aliases[name].expr.name
+        if name in self.enum_decls:
+            return f"constant of {name}"
+        return TYPE_SIGNATURES.get(name, {}).get("value", (None, False))[0]
 
     def _expand_codec(self, inst: syntax.InstExpr, stack: tuple) -> RCodec:
         if inst.name in stack:

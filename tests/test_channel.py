@@ -1,3 +1,4 @@
+import socket
 import threading
 import time
 
@@ -105,3 +106,107 @@ def test_tcp_and_in_process_same_contract():
         return observations
 
     assert script(*in_process_pair()) == script(*tcp_pair())
+
+
+# Two small writes per reply: with Nagle on at the writer and delayed ACKs
+# at the reader, the second write waits about 40 ms for the first's ACK.
+REQUESTS = 20
+STALL_FREE_S = 0.4  # well under REQUESTS * 40 ms, with room for a loaded host
+
+
+def read_line(sock, buf):
+    while b"\n" not in buf:
+        chunk = sock.recv(100)
+        if not chunk:
+            raise ConnectionError("peer closed")
+        buf += chunk
+    line, _, rest = buf.partition(b"\n")
+    return line, rest
+
+
+def recv_lines(ch, n):
+    out = b""
+    while out.count(b"\n") < n:
+        r = ch.recv(1000)
+        assert isinstance(r, Bytes), r
+        out += r.data
+    return out
+
+
+@pytest.mark.skipif(not hasattr(socket, "TCP_QUICKACK"), reason="TCP_QUICKACK is Linux-only")
+def test_tcp_reads_never_wait_on_a_nagle_peer():
+    server = socket.create_server(("127.0.0.1", 0))  # Nagle left on
+
+    def peer():
+        conn, _ = server.accept()
+        with conn:
+            buf = b""
+            for i in range(REQUESTS):
+                _, buf = read_line(conn, buf)
+                conn.sendall(b"* %d FETCH\n" % i)
+                conn.sendall(b"t%d OK\n" % i)
+
+    t = threading.Thread(target=peer, daemon=True)
+    t.start()
+    client = connect_tcp("127.0.0.1", server.getsockname()[1])
+    t0 = time.monotonic()
+    for i in range(REQUESTS):
+        client.send(b"t%d FETCH\n" % i)
+        assert recv_lines(client, 2) == b"* %d FETCH\nt%d OK\n" % (i, i)
+    elapsed = time.monotonic() - t0
+    t.join(timeout=5)
+    client.close()
+    server.close()
+    assert elapsed < STALL_FREE_S
+
+
+def test_tcp_writes_never_wait_on_a_delayed_ack():
+    listener = Listener("127.0.0.1", 0)
+    result = {}
+
+    def peer():
+        with socket.create_connection(("127.0.0.1", listener.port)) as sock:  # delayed ACKs
+            buf = b""
+            t0 = time.monotonic()
+            for i in range(REQUESTS):
+                sock.sendall(b"t%d FETCH\n" % i)
+                for expected in (b"* %d FETCH" % i, b"t%d OK" % i):
+                    line, buf = read_line(sock, buf)
+                    assert line == expected
+            result["elapsed"] = time.monotonic() - t0
+
+    t = threading.Thread(target=peer, daemon=True)
+    t.start()
+    server = listener.accept(timeout_ms=2000)
+    for i in range(REQUESTS):
+        assert recv_lines(server, 1) == b"t%d FETCH\n" % i
+        server.send(b"* %d FETCH\n" % i)
+        server.send(b"t%d OK\n" % i)
+    t.join(timeout=5)
+    server.close()
+    listener.close()
+    assert result["elapsed"] < STALL_FREE_S
+
+
+def test_tcp_ends_disable_nagle():
+    client, server = tcp_pair()
+    for ch in (client, server):
+        assert ch._sock.getsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY)
+    client.close()
+    server.close()
+
+
+def test_in_process_pair_gets_no_tcp_options(monkeypatch):
+    calls = []
+    setsockopt = socket.socket.setsockopt
+    monkeypatch.setattr(
+        socket.socket, "setsockopt", lambda self, *a: calls.append(a) or setsockopt(self, *a)
+    )
+    a, b = in_process_pair()
+    a.send(b"ping")
+    assert recv_all(b, 4) == b"ping"
+    b.send(b"pong")
+    assert recv_all(a, 4) == b"pong"
+    a.close()
+    b.close()
+    assert calls == []

@@ -185,7 +185,7 @@ def test_fresh_generator_builds_no_sampler(imap_spec):
 
 
 def test_field_bound_cap_determinizes_once(monkeypatch):
-    # one automaton serves every cap that n gives max_count
+    # one automaton and one count table serve every cap that n gives max_count
     spec = resolve(
         parse_spec(
             "message module M message X with "
@@ -197,9 +197,9 @@ def test_field_bound_cap_determinizes_once(monkeypatch):
     determinize = patterns._determinize
     calls = []
     monkeypatch.setattr(patterns, "_determinize", lambda *a: calls.append(a) or determinize(*a))
-    patterns._automaton.cache_clear()
     language.cache_clear()
     gen = Generator(spec, GenConfig(seed=1))
     caps = {gen.message("X").get("n").value for _ in range(300)}
-    assert len(caps) > language.cache_info().maxsize  # more caps than samplers cached
+    assert len(caps) > language.cache_info().maxsize  # more caps than the cache has entries
     assert len(calls) == 1
+    assert language.cache_info().misses == 1

@@ -4,6 +4,8 @@ the excluded substrings, and over a two-letter alphabet its counts must
 equal a brute-force enumeration filtered through ``re``."""
 
 import re
+import sys
+import threading
 from itertools import product
 from random import Random
 
@@ -22,20 +24,20 @@ from wirespec.patterns import (
 ASCII = alphabet_for_charset("ascii")
 
 
-def sample_many(sampler, n=100, seed=1):
+def sample_many(sampler, max_len, n=100, seed=1):
     rng = Random(seed)
-    return [sampler.sample(rng) for _ in range(n)]
+    return [sampler.sample(rng, max_len) for _ in range(n)]
 
 
 def test_alternation_is_exact():
-    s = LanguageSampler(compile_pattern("INBOX|NOBOX"), ASCII, max_len=20)
-    assert set(sample_many(s)) == {"INBOX", "NOBOX"}
+    s = LanguageSampler(compile_pattern("INBOX|NOBOX"), ASCII)
+    assert set(sample_many(s, 20)) == {"INBOX", "NOBOX"}
 
 
 def test_alphanumeric_plus():
     pat = compile_pattern("[0-9a-zA-Z]+")
-    s = LanguageSampler(pat, ASCII, max_len=20)
-    for text in sample_many(s):
+    s = LanguageSampler(pat, ASCII)
+    for text in sample_many(s, 20):
         assert 1 <= len(text) <= 20
         assert re.fullmatch(r"[0-9a-zA-Z]+", text)
 
@@ -43,43 +45,87 @@ def test_alphanumeric_plus():
 def test_identifier_with_exclusions():
     pat = compile_pattern("[!-~]+")
     excl = compile_pattern(" |\\r\\n|\\*")
-    s = LanguageSampler(pat, ASCII, excludes=(excl,), max_len=20)
-    for text in sample_many(s, 200):
+    s = LanguageSampler(pat, ASCII, excludes=(excl,))
+    for text in sample_many(s, 20, 200):
         assert re.fullmatch(r"[!-~]+", text)
         assert " " not in text and "*" not in text and "\r\n" not in text
 
 
 def test_contradiction_is_unsatisfiable():
-    s = LanguageSampler(compile_pattern("a"), "ab", excludes=(compile_pattern("a"),), max_len=5)
-    assert s.is_empty()
+    s = LanguageSampler(compile_pattern("a"), "ab", excludes=(compile_pattern("a"),))
+    assert s.feasible_lengths(5) == []
     with pytest.raises(UnsatisfiableConstraint):
-        s.sample(Random(0))
+        s.sample(Random(0), 5)
 
 
 def test_bit_pattern_unique_member():
     # at length 8, zero-or-more 0s closed by a 1 has exactly one member
-    s = LanguageSampler(compile_pattern("\\0*\\1"), "01", max_len=8)
-    assert s.sample(Random(3), 8) == "00000001"
-    assert s.feasible_lengths() == list(range(1, 9))
+    s = LanguageSampler(compile_pattern("\\0*\\1"), "01")
+    assert s.sample(Random(3), 8, 8) == "00000001"
+    assert s.feasible_lengths(8) == list(range(1, 9))
 
 
 def test_bit_pattern_optional_allows_empty():
-    s = LanguageSampler(compile_pattern("(\\0*\\1)?"), "01", max_len=24)
-    assert 0 in s.feasible_lengths()
-    assert s.sample(Random(0), 0) == ""
-    assert s.sample(Random(0), 16) == "0" * 15 + "1"
+    s = LanguageSampler(compile_pattern("(\\0*\\1)?"), "01")
+    assert 0 in s.feasible_lengths(24)
+    assert s.sample(Random(0), 24, 0) == ""
+    assert s.sample(Random(0), 24, 16) == "0" * 15 + "1"
 
 
 def test_exact_length_unavailable():
-    s = LanguageSampler(compile_pattern("\\0*\\1"), "01", max_len=4)
+    s = LanguageSampler(compile_pattern("\\0*\\1"), "01")
     with pytest.raises(UnsatisfiableConstraint):
-        s.sample(Random(0), 0)
+        s.sample(Random(0), 4, 0)
+    with pytest.raises(UnsatisfiableConstraint):
+        s.sample(Random(0), 4, 5)  # beyond the bound
+
+
+def test_grown_table_draws_like_a_fresh_one():
+    # a table grown for a larger bound gives a smaller one the same draws
+    pat, excl = compile_pattern("[!-~]+"), compile_pattern(" |\\r\\n|\\*")
+    grown = LanguageSampler(pat, ASCII, (excl,))
+    grown.sample(Random(0), 300)
+    for cap in (1, 7, 20, 299):
+        fresh = LanguageSampler(pat, ASCII, (excl,))
+        assert sample_many(grown, cap, 20, seed=cap) == sample_many(fresh, cap, 20, seed=cap)
+        assert grown.counts(cap) == fresh.counts(cap)
+
+
+def test_threads_share_a_growing_table():
+    # threads growing one table at once must not lose or duplicate a column
+    pat, excl = compile_pattern("[!-~]+"), compile_pattern(" |\\r\\n|\\*")
+    shared = LanguageSampler(pat, ASCII, (excl,))
+    start = threading.Barrier(6)
+    errors = []
+
+    def draw(seed):
+        rng = Random(seed)
+        try:
+            start.wait(timeout=10)
+            for cap in range(seed + 1, 200, 6):
+                assert len(shared.sample(rng, cap)) <= cap
+        except Exception as e:  # reported by the main thread
+            errors.append(e)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=draw, args=(seed,)) for seed in range(6)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=30)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert errors == []
+    assert shared.counts(200) == LanguageSampler(pat, ASCII, (excl,)).counts(200)
 
 
 def test_universal_language():
-    s = LanguageSampler(None, "ab", max_len=3)
-    assert s.feasible_lengths() == [0, 1, 2, 3]
-    assert all(set(x) <= {"a", "b"} for x in sample_many(s, 50))
+    s = LanguageSampler(None, "ab")
+    assert s.feasible_lengths(3) == [0, 1, 2, 3]
+    assert all(set(x) <= {"a", "b"} for x in sample_many(s, 3, 50))
 
 
 @pytest.mark.parametrize(
@@ -125,10 +171,10 @@ def test_sampler_agrees_with_re_on_dialect_corpus():
     rng = Random(9)
     for source, cap in corpus:
         pat = compile_pattern(source)
-        sampler = LanguageSampler(pat, ASCII, max_len=cap)
+        sampler = LanguageSampler(pat, ASCII)
         pyre = re.compile(pat._full.pattern)
         for _ in range(40):
-            text = sampler.sample(rng)
+            text = sampler.sample(rng, cap)
             assert pyre.fullmatch(text), (source, text)
             assert len(text) <= cap
 
@@ -157,14 +203,14 @@ def test_sampler_counts_agree_with_brute_force(source, exclusions, cap):
         if pat.fullmatch(text) and not any(ex.search(text) for ex in excludes)
     }
     counts = [sum(len(text) == ln for text in accepted) for ln in range(cap + 1)]
-    sampler = LanguageSampler(pat, "ab", excludes, max_len=cap)
-    assert sampler._counts[0] == counts
-    assert sampler.feasible_lengths() == [ln for ln, c in enumerate(counts) if c]
+    sampler = LanguageSampler(pat, "ab", excludes)
+    assert sampler.counts(cap) == counts
+    assert sampler.feasible_lengths(cap) == [ln for ln, c in enumerate(counts) if c]
     if accepted:
-        assert set(sample_many(sampler, 20)) <= accepted
+        assert set(sample_many(sampler, cap, 20)) <= accepted
     else:
         with pytest.raises(UnsatisfiableConstraint):
-            sampler.sample(Random(0))
+            sampler.sample(Random(0), cap)
 
 
 def test_malformed_patterns_raise():

@@ -229,6 +229,35 @@ def test_record_instantiation_arg_must_name_param_or_field():
         )
 
 
+@pytest.mark.parametrize(
+    "field,pin,reason",
+    [
+        ("flag is Integer as BigEndian(length=8)", "flag='a'", "'flag' must be an integer"),
+        ("flag is Byte as BigEndian(length=8)", "flag=true", "'flag' must be an integer"),
+        ("e is E as BigEndian(length=8)", "e=no", "'e' must be a constant of E"),
+        ("e is E as BigEndian(length=8)", "e=1", "'e' must be a constant of E"),
+        ("t is Text as TerminatedText(terminator=' ')", "t=b'1'", "'t' must be text"),
+    ],
+)
+def test_field_pin_of_the_wrong_kind_rejected(field, pin, reason):
+    # a pin has the kind of its field's value, through aliases and enums
+    decls = (
+        "enum E of Integer with ok as 1 end enum F of Integer with no as 2 end "
+        "type Byte is Integer(max=255) "
+    )
+    with pytest.raises(ResolutionError, match=reason):
+        rs(f"{decls} record H with {field} end message A with h is H({pin}) end")
+
+
+def test_field_pin_of_a_record_that_nests_itself():
+    spec = rs(
+        "record H with flag is Bool as BoolBits(truth_string=b'1', falsehood_string=b'0') "
+        "more is Optional(is_empty=!flag, subject=H(flag=false)) end "
+        "message A with h is H(flag=true) pad is Binary(length=6) end"
+    )
+    assert "flag" in spec.records["A"].fields[0].type.args
+
+
 def test_field_pin_merges_value_constraint():
     spec = rs(
         """
