@@ -25,7 +25,7 @@ from .iuts.myp import FAULT_FORMAT, FAULT_TRACE, IutBehavior, run_myp_client, ru
 from .report import render
 from .resolve import ResolvedSpec, load_spec, resolve
 from .syntax import parse_spec
-from .values import ABSENT, EnumVal, ListVal, RecordVal, format_value, parse_value_text
+from .values import format_value, parse_value_text
 
 
 def bundled_spec_path(name: str):
@@ -85,7 +85,7 @@ def cmd_gen(args) -> int:
 def cmd_encode(args) -> int:
     spec = _load(args.spec)
     if args.value is not None:
-        value = _retype(parse_value_text(args.value), args.message, spec)
+        value = message_plan(spec, args.message).retype(parse_value_text(args.value))
     else:
         value = Generator(spec, GenConfig(seed=args.seed)).message(args.message)
     print(encode_message(args.message, value, spec).hex())
@@ -116,36 +116,6 @@ def cmd_decode(args) -> int:
         return 1
     print("incomplete message", file=sys.stderr)
     return 1
-
-
-def _retype(value, msg_type: str, spec: ResolvedSpec):
-    """Fill in record type names omitted by the value-literal notation."""
-
-    def walk(v, rtype):
-        if isinstance(v, RecordVal) and rtype.base == "Record":
-            record = spec.records[rtype.record]
-            given = dict(v.entries)
-            names = {fld.name for fld in record.fields}
-            for name in given:
-                if name not in names:
-                    raise WirespecError(f"{record.name} has no field {name!r}")
-            entries = []
-            for fld in record.fields:
-                sub = given.get(fld.name)
-                if sub is None:
-                    raise WirespecError(f"missing field {fld.name!r}")
-                ftype = fld.type
-                while ftype.base == "Optional" and sub is not ABSENT:
-                    ftype = ftype.args["subject"]
-                entries.append((fld.name, walk(sub, ftype) if sub is not ABSENT else sub))
-            return RecordVal(record.name, tuple(entries))
-        if isinstance(v, ListVal) and rtype.base == "List":
-            return ListVal(tuple(walk(x, rtype.args["elem"]) for x in v.items))
-        if isinstance(v, EnumVal) and rtype.base == "Enum":
-            return EnumVal(rtype.enum, v.constant)
-        return v
-
-    return walk(value, message_plan(spec, msg_type).rtype)
 
 
 def _engine_config(args) -> EngineConfig:

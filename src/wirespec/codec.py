@@ -132,6 +132,10 @@ class Node:
     :class:`~wirespec.generate.Generator` ``gen``.
     ``env`` maps the enclosing record's parameters and earlier fields to
     their values.
+    ``add_goals(cov, key, seen)`` adds the goals of the field ``key``, a
+    (record, field) pair, to the :class:`~wirespec.coverage.Coverage` ``cov``;
+    ``seen`` holds the records added so far.  ``retype(value)`` fills in the
+    record and enum names value literals omit, and keeps a value of another kind.
     Each subclass is named after the type or codec it codes.
     """
 
@@ -139,6 +143,12 @@ class Node:
 
     def __init_subclass__(cls):
         Node.classes[cls.__name__.removesuffix("Node")] = cls
+
+    def add_goals(self, cov, key, seen):
+        pass
+
+    def retype(self, value):
+        return value
 
     def decode(self, cur: Cursor, env: dict):
         value = self.read(cur, env)
@@ -459,6 +469,14 @@ class ListNode(Node):
             tuple(self.elem.generate(gen, env, f"{path}[{i}]") for i in range(count))
         )
 
+    def add_goals(self, cov, key, seen):
+        self.elem.add_goals(cov, key, seen)
+
+    def retype(self, value):
+        if not isinstance(value, ListVal):
+            return value
+        return ListVal(tuple(self.elem.retype(item) for item in value.items))
+
 
 class CountPrefixListNode(ListNode):
     def __init__(self, rtype, rcodec, spec):
@@ -524,6 +542,13 @@ class EnumNode(Node):
             return self.pin(env)
         return EnumVal(self.name, gen.rng.choice(self.choices))
 
+    def add_goals(self, cov, key, seen):
+        for constant in self.constants:
+            cov.enums.setdefault((self.name, constant), 0)
+
+    def retype(self, value):
+        return EnumVal(self.name, value.constant) if isinstance(value, EnumVal) else value
+
 
 class OptionalNode(Node):
     """Present or absent by its guard; a present value codes as the subject."""
@@ -547,6 +572,13 @@ class OptionalNode(Node):
 
     def generate(self, gen, env, path):
         return ABSENT if self.is_empty(env) else self.subject.generate(gen, env, path)
+
+    def add_goals(self, cov, key, seen):
+        cov.optional.setdefault(key, [0, 0])
+        self.subject.add_goals(cov, key, seen)
+
+    def retype(self, value):
+        return value if value is ABSENT else self.subject.retype(value)
 
 
 class RecordNode(Node):
@@ -618,6 +650,28 @@ class RecordNode(Node):
             value = node.generate(gen, inner, f"{path}.{name}")
             entries.append((name, value))
             inner[name] = value
+        return RecordVal(self.name, tuple(entries))
+
+    def add_goals(self, cov, key, seen):
+        if self.name in seen:
+            return
+        seen.add(self.name)
+        for name, node in self.fields:
+            cov.fields.setdefault((self.name, name), 0)
+            node.add_goals(cov, (self.name, name), seen)
+
+    def retype(self, value):
+        if not isinstance(value, RecordVal):
+            return value
+        given = dict(value.entries)
+        for name in given:
+            if name not in self.names:
+                raise ConstraintViolation(f"{self.name} has no field {name!r}")
+        entries = []
+        for name, node in self.fields:
+            if name not in given:
+                raise ConstraintViolation(f"missing field {name!r}")
+            entries.append((name, node.retype(given[name])))
         return RecordVal(self.name, tuple(entries))
 
 

@@ -3,48 +3,30 @@
 Goals are: every transition of the tested actor's LTS, every field of
 every message/record type the actor can exchange, the presence AND the
 absence of every optional field, and every constant of every referenced
-enum.  A field counts as covered once it occurs in some exchanged
-message; an absent optional field feeds the separate absence goal.
+enum.  The compiled message plans (:func:`wirespec.codec.message_plan`)
+add the field, optional and enum goals, so no type walk lives here.  A
+field counts as covered once it occurs in some exchanged message; an
+absent optional field feeds the separate absence goal.  A message of a
+type the actor never exchanges, as the engine may classify for
+diagnosis, adds and counts no goals.
 """
 
 from __future__ import annotations
 
+from .codec import message_plan
 from .lts import IOLTS
-from .resolve import ResolvedSpec, RType
+from .resolve import ResolvedSpec
 from .values import ABSENT, EnumVal, ListVal, RecordVal
 
 
 class Coverage:
     def __init__(self, spec: ResolvedSpec, actor: IOLTS):
-        self.spec = spec
         self.transitions = {e: 0 for e in actor.edges}
         self.fields = {}
         self.optional = {}  # (type, field) -> [present, absent]
         self.enums = {}
         for msg in actor.message_types():
-            self._add_record_goals(msg, set())
-
-    def _add_record_goals(self, record_name: str, seen: set):
-        if record_name in seen:
-            return
-        seen.add(record_name)
-        record = self.spec.records[record_name]
-        for fld in record.fields:
-            self.fields.setdefault((record_name, fld.name), 0)
-            self._add_type_goals(record_name, fld.name, fld.type, seen)
-
-    def _add_type_goals(self, record_name: str, field_name: str, rtype: RType, seen: set):
-        if rtype.base == "Optional":
-            self.optional.setdefault((record_name, field_name), [0, 0])
-            self._add_type_goals(record_name, field_name, rtype.args["subject"], seen)
-        elif rtype.base == "Record":
-            self._add_record_goals(rtype.record, seen)
-        elif rtype.base == "List":
-            self._add_type_goals(record_name, field_name, rtype.args["elem"], seen)
-        elif rtype.base == "Enum":
-            enum = self.spec.enums[rtype.enum]
-            for constant in enum.constants:
-                self.enums.setdefault((rtype.enum, constant), 0)
+            message_plan(spec, msg).add_goals(self, None, set())
 
     # --- recording ------------------------------------------------------------
 
@@ -53,16 +35,16 @@ class Coverage:
             self.transitions[e] += 1
 
     def record_message(self, value: RecordVal) -> None:
-        record = self.spec.records[value.type_name]
-        for fld in record.fields:
-            v = value.get(fld.name)
-            key = (record.name, fld.name)
+        for name, v in value.entries:
+            key = (value.type_name, name)
+            if key not in self.fields:
+                return  # a record the actor never exchanges
             if v is ABSENT:
-                self.optional.setdefault(key, [0, 0])[1] += 1
+                self.optional[key][1] += 1
                 continue
-            if fld.type.base == "Optional":
-                self.optional.setdefault(key, [0, 0])[0] += 1
-            self.fields[key] = self.fields.get(key, 0) + 1
+            if key in self.optional:
+                self.optional[key][0] += 1
+            self.fields[key] += 1
             self._record_value(v)
 
     def _record_value(self, v) -> None:
@@ -72,8 +54,7 @@ class Coverage:
             for item in v.items:
                 self._record_value(item)
         elif isinstance(v, EnumVal):
-            key = (v.enum, v.constant)
-            self.enums[key] = self.enums.get(key, 0) + 1
+            self.enums[(v.enum, v.constant)] += 1
 
     # --- summaries ------------------------------------------------------------
 

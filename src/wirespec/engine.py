@@ -108,6 +108,7 @@ def run_test(
     step_log = []
     steps = 0
     quiet = 0
+    closed = False  # the peer has closed; what is in buf is all there is
 
     def report(verdict: Verdict, detail: str = "", offending: bytes | None = None):
         return TestReport(verdict, detail, actor, role, cfg.seed, steps, step_log, cov, offending)
@@ -168,7 +169,7 @@ def run_test(
             return report(Verdict.PASS, f"step budget of {cfg.max_steps} reached")
 
         if buf:
-            kind, outcome = classify(final=False)
+            kind, outcome = classify(final=closed)
             if kind == "msg":
                 buf = buf[outcome.consumed :]
                 bad = advance(recv_dir, outcome.msg_type, outcome.value)
@@ -176,9 +177,12 @@ def run_test(
                     return bad
                 continue
             if kind == "invalid":
-                return report(
-                    Verdict.INVALID_FORMAT, format_diag(outcome), offending=buf
-                )
+                detail = format_diag(outcome)
+                if closed:
+                    detail = "connection closed mid-message: " + detail
+                return report(Verdict.INVALID_FORMAT, detail, offending=buf)
+        if closed:
+            break
 
         result = channel.recv(cfg.receive_timeout_ms)
 
@@ -222,32 +226,20 @@ def run_test(
                 return bad
             continue
 
-        # peer closed
-        if buf:
-            kind, outcome = classify(final=True)
-            if kind == "msg":
-                buf = buf[outcome.consumed :]
-                bad = advance(recv_dir, outcome.msg_type, outcome.value)
-                if bad:
-                    return bad
-                continue
-            return report(
-                Verdict.INVALID_FORMAT,
-                "connection closed mid-message: " + format_diag(outcome),
-                offending=buf,
-            )
-        if role is Role.ACTOR:
-            return report(Verdict.PASS, "peer ended the session")
-        if lts.quit_enabled(S):
-            bad = advance("quit", None, None)
-            if bad:
-                return bad
-            return report(Verdict.PASS, "IUT closed the connection per the model")
-        step_log.append(("quit", None, frozenset()))
-        return report(
-            Verdict.INVALID_TRACE,
-            f"IUT closed the connection but no quit is allowed in {{{', '.join(sorted(S))}}}",
-        )
+        closed = True  # the top of the loop classifies what is left in buf
+
+    if role is Role.ACTOR:
+        return report(Verdict.PASS, "peer ended the session")
+    if lts.quit_enabled(S):
+        bad = advance("quit", None, None)
+        if bad:
+            return bad
+        return report(Verdict.PASS, "IUT closed the connection per the model")
+    step_log.append(("quit", None, frozenset()))
+    return report(
+        Verdict.INVALID_TRACE,
+        f"IUT closed the connection but no quit is allowed in {{{', '.join(sorted(S))}}}",
+    )
 
 
 def selfplay(

@@ -236,9 +236,10 @@ class _Resolver:
             return inner
         if inner.base == "Record":
             decl = self.record_decls[inner.record]
-            # a parameter takes any kind; a field pin, that of its type's value
+            # a parameter takes any kind; a field pin, its type's value kind if any
             signature = dict.fromkeys(decl.params, (None, False))
-            signature.update((f.name, (self._value_kind(f.type_expr), False)) for f in decl.fields)
+            kinds = ((f.name, self._value_kind(f.type_expr)) for f in decl.fields)
+            signature.update((name, (kind, False)) for name, kind in kinds if kind)
             what = inner.record
         elif inner.base == "Enum":
             what, signature = inner.enum, {"value": (f"constant of {inner.enum}", False)}

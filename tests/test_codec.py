@@ -297,6 +297,20 @@ def test_declaration_order_breaks_ties(imap_spec):
     assert not out.also_matched
 
 
+def test_report_ambiguity_lists_every_later_match():
+    spec = resolve(
+        parse_spec(
+            "message module M "
+            "message A with i is Integer as BigEndian(length=8) end "
+            "message B with i is Integer(max=9) as BigEndian(length=8) end end"
+        )
+    )
+    out = decode_message(b"\x05", ["B", "A"], spec, report_ambiguity=True)
+    assert isinstance(out, Classified)
+    assert out.msg_type == "A" and out.consumed == 1
+    assert out.also_matched == ["B"]
+
+
 def test_roundtrip_generated_messages(myp_spec, imap_spec):
     for spec, types in ((myp_spec, myp_spec.message_types), (imap_spec, imap_spec.message_types)):
         gen = Generator(spec, GenConfig(seed=11))
@@ -318,6 +332,18 @@ def test_unaligned_message_rejected():
     gen = Generator(spec, GenConfig(seed=0))
     with pytest.raises(NotByteAligned):
         encode_message("Odd", gen.message("Odd"), spec)
+
+
+def test_message_ending_mid_byte_is_invalid_format():
+    spec = resolve(
+        parse_spec(
+            "message module M message X with "
+            "b is Bool as BoolBits(truth_string=b'1', falsehood_string=b'0') end end"
+        )
+    )
+    out = decode_message(b"\x80", ["X"], spec)
+    assert isinstance(out, InvalidFormat)
+    assert out.diagnostics == {"X": "message does not end on a byte boundary"}
 
 
 def test_negative_peer_length_is_invalid_format():

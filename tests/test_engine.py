@@ -17,6 +17,8 @@ from wirespec.iuts.myp import (
     run_myp_client,
     run_myp_server,
 )
+from wirespec.resolve import resolve
+from wirespec.syntax import parse_spec
 
 
 def myp_server(fault=None, seed=42):
@@ -252,3 +254,55 @@ def test_actor_role_animates_server_model(myp_spec):
     probe_end.close()
     engine_end.close()
     thread.join(timeout=5)
+
+
+def spec_of(messages, actor):
+    return resolve(parse_spec(
+        f"message module M {messages} end interactions module M {actor} end"
+    ))
+
+
+def answer_one_message(reply, close=False):
+    """An IUT that reads one message, sends ``reply`` and, if asked, closes."""
+
+    def iut(ch):
+        StreamReader(ch).read_exact(1)
+        ch.send(reply)
+        if close:
+            ch.close()
+
+    return iut
+
+
+def test_coverage_counts_only_what_the_actor_exchanges():
+    spec = spec_of(
+        "message Ping with k is Integer(value=1) as BigEndian(length=8) end "
+        "message Pong with k is Integer(value=2) as BigEndian(length=8) end "
+        "message Oops with k is Integer(value=3) as BigEndian(length=8) "
+        "x is Integer as BigEndian(length=8) end",
+        "actor Server with init state S where on Ping do send Pong continue end end",
+    )
+    rep = run_in_process(spec, "Server", answer_one_message(b"\x03\x07"), fast_config(seed=0))
+    assert rep.verdict is Verdict.INVALID_TRACE
+    assert rep.trace == [("?", "Ping"), ("!", "Oops")]
+    # the fallback classified Oops for diagnosis; it adds no goals of its own
+    assert rep.coverage.summary()["fields"] == (1, 2)
+    assert set(rep.coverage.fields) == {("Ping", "k"), ("Pong", "k")}
+
+
+def test_message_classified_only_once_the_peer_closes():
+    # 01 05 is a prefix of the enabled Long, and a whole Short once nothing follows
+    spec = spec_of(
+        "message Ping with k is Integer(value=9) as BigEndian(length=8) end "
+        "message Long with k is Integer(value=1) as BigEndian(length=8) "
+        "n is Integer as BigEndian(length=16) end "
+        "message Short with k is Integer(value=1) as BigEndian(length=8) "
+        "n is Integer as BigEndian(length=8) end",
+        "actor Server with init state S where on Ping do send Long continue end end",
+    )
+    iut = answer_one_message(b"\x01\x05", close=True)
+    rep = run_in_process(spec, "Server", iut, fast_config(seed=0))
+    assert rep.verdict is Verdict.INVALID_TRACE
+    assert rep.detail == "no transition for !Short from states {u1}"
+    assert rep.trace == [("?", "Ping"), ("!", "Short")]
+

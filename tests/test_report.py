@@ -1,7 +1,8 @@
 from conftest import fast_config, run_in_process
 
 from wirespec.engine import Verdict
-from wirespec.iuts.myp import run_myp_server
+from wirespec.iuts.miniimap import run_mini_imap
+from wirespec.iuts.myp import FAULT_FORMAT, IutBehavior, run_myp_server
 from wirespec.report import render, render_machine
 
 
@@ -47,3 +48,29 @@ def test_reports_have_no_wallclock_content(myp_spec):
         fast_config(max_steps=15, seed=6),
     )
     assert render_machine(a, myp_spec) == render_machine(b, myp_spec)
+
+
+def test_machine_report_shows_offending_bytes(myp_spec):
+    rep = run_in_process(
+        myp_spec, "Server",
+        lambda ch: run_myp_server(ch, IutBehavior("srv", "server", FAULT_FORMAT), seed=42),
+        fast_config(max_steps=200, seed=1),
+    )
+    assert rep.verdict is Verdict.INVALID_FORMAT
+    lines = render_machine(rep, myp_spec).splitlines()
+    assert f"offending-bytes: {rep.offending.hex()}" in lines
+
+
+def test_both_reports_list_enum_constants(imap_spec):
+    rep = run_in_process(
+        imap_spec, "IMAPServer", run_mini_imap, fast_config(max_steps=60, seed=0)
+    )
+    assert rep.verdict is Verdict.PASS
+    enums = rep.coverage.enums
+    assert any(enums.values()) and not all(enums.values())
+    machine = render_machine(rep, imap_spec).splitlines()
+    text = render(rep, imap_spec, "text").splitlines()
+    assert "enums:" in machine and "enum constants:" in text
+    for (enum, const), count in enums.items():
+        assert f"  {enum}.{const} {count}" in machine
+        assert f"  {' ' if count else '✗'} {enum}.{const}  ({count})" in text

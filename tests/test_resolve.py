@@ -237,13 +237,18 @@ def test_record_instantiation_arg_must_name_param_or_field():
         ("e is E as BigEndian(length=8)", "e=no", "'e' must be a constant of E"),
         ("e is E as BigEndian(length=8)", "e=1", "'e' must be a constant of E"),
         ("t is Text as TerminatedText(terminator=' ')", "t=b'1'", "'t' must be text"),
+        # list, optional and record fields have no value for a pin to set
+        ("l is List(elem=Binary(length=8), max_length=3) "
+         "as CountPrefixList(count_codec=BigEndian(length=8))", "l='zz'",
+         "H has no argument named 'l'"),
+        ("i is I", "i=3", "H has no argument named 'i'"),
     ],
 )
 def test_field_pin_of_the_wrong_kind_rejected(field, pin, reason):
     # a pin has the kind of its field's value, through aliases and enums
     decls = (
         "enum E of Integer with ok as 1 end enum F of Integer with no as 2 end "
-        "type Byte is Integer(max=255) "
+        "type Byte is Integer(max=255) record I with n is Integer as BigEndian(length=8) end "
     )
     with pytest.raises(ResolutionError, match=reason):
         rs(f"{decls} record H with {field} end message A with h is H({pin}) end")

@@ -6,8 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from wirespec.bits import BitString
-from wirespec.cli import _retype
-from wirespec.codec import compile_node
+from wirespec.codec import compile_node, message_plan
 from wirespec.errors import (
     DivisionByZero,
     EvalError,
@@ -293,6 +292,6 @@ def test_notation_roundtrips_every_message(myp_spec, imap_spec):
             gen = Generator(spec, GenConfig(seed=seed))
             for m in spec.message_types:
                 v = gen.message(m)
-                assert _retype(parse_value_text(format_value(v)), m, spec) == v
+                assert message_plan(spec, m).retype(parse_value_text(format_value(v))) == v
                 count += 1
     assert count == 690
