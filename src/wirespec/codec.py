@@ -11,6 +11,19 @@ running out of input raises an :class:`IncompleteInput` subclass so that
 callers feeding a growing stream buffer can distinguish "wait for more
 bytes" from a malformed message, and a terminated text that has already
 run past its ``max_count`` is rejected without waiting for its terminator.
+
+Classification skips candidates that cannot match.  Each node states the
+static facts about the leading bits of its wire form (:class:`WirePrefix`):
+literal bits, where a pinned field has only one encoding; "skip through
+terminator T", for an unpinned terminated text at a byte boundary, with
+the first bytes its pattern allows; and nothing past anything else.  One
+:class:`Classifier` per candidate list, built on first use and cached on
+the spec, walks every candidate's facts over the buffer at once.  It rules
+a candidate out only when bytes already present contradict a literal or a
+skipped text's first byte; a short buffer or a missing terminator keeps
+it.  :func:`decode_message` decodes the others first and the candidates
+ruled out only for diagnostics, so every outcome is the one a decode of
+each candidate in turn would give.
 """
 
 from __future__ import annotations
@@ -29,6 +42,7 @@ from .errors import (
     TypeMismatch,
     UnsatisfiableConstraint,
     Unrepresentable,
+    WirespecError,
 )
 from .patterns import Pattern, alphabet_for_charset, compile_pattern, language
 from .resolve import CODED_TYPES, RCodec, RType, ResolvedSpec
@@ -75,6 +89,12 @@ def _encode_text_bytes(text: str, encoding: str) -> bytes:
         raise Unrepresentable(f"text {text!r} not encodable as {encoding}") from e
 
 
+def _check_ascii(data: bytes, encoding: str):
+    if encoding == "ascii" and not data.isascii():
+        code = next(b for b in data if b > 127)
+        raise ConstraintViolation(f"byte {code:#x} is not ASCII")
+
+
 def _scan_terminated(cur: Cursor, terminator: bytes) -> bytes:
     """The bytes from the cursor through the first terminator, or every whole
     byte left when there is none; advances the cursor past what it returns."""
@@ -117,6 +137,35 @@ def message_plan(spec: ResolvedSpec, msg_type: str) -> "RecordNode":
     return plan
 
 
+# --- wire-prefix facts ------------------------------------------------------------
+
+class EndOfFacts(Exception):
+    """Raised by a node where the static facts about a wire form end."""
+
+
+class WirePrefix:
+    """What every wire form of a message starts with, as segments in order:
+    ``("lit", bits)``, bits that every successful decode reads there, and
+    ``("skip", terminator, first)``, bytes through the first ``terminator``
+    that start with a byte in the set ``first``, or any byte when it is None.
+    ``align`` counts the bits past the last byte boundary."""
+
+    def __init__(self):
+        self.segments = []
+        self.align = 0
+
+    def literal(self, bits: BitString):
+        if self.segments and self.segments[-1][0] == "lit":
+            bits = self.segments.pop()[1].append(bits)
+        self.segments.append(("lit", bits))
+        self.align = (self.align + bits.length) % 8
+
+    def skip(self, terminator: bytes, first: frozenset | None):
+        if self.align:
+            raise EndOfFacts
+        self.segments.append(("skip", terminator, first))
+
+
 # --- field nodes ------------------------------------------------------------------
 
 class Node:
@@ -136,10 +185,21 @@ class Node:
     (record, field) pair, to the :class:`~wirespec.coverage.Coverage` ``cov``;
     ``seen`` holds the records added so far.  ``retype(value)`` fills in the
     record and enum names value literals omit, and keeps a value of another kind.
+    ``wire_prefix(env, facts)`` appends what the node's wire form starts
+    with to the :class:`WirePrefix` ``facts`` and returns the value that any
+    successful decode yields when the facts fix it, else None; where the
+    facts end it raises EndOfFacts, or the error of an argument it cannot
+    evaluate yet.  A pinned field gives a literal only when its node is
+    ``canonical``: each value has one encoding and decode accepts no other.
+    TextInteger is not, as it reads ``05`` and ``-0`` too; an unpinned
+    terminated text gives a skip through its terminator, with the first
+    bytes its pattern allows.
     Each subclass is named after the type or codec it codes.
     """
 
     classes = {}  # type or codec name -> node class
+    pin = None  # env -> the value a pinned field must have
+    canonical = False
 
     def __init_subclass__(cls):
         Node.classes[cls.__name__.removesuffix("Node")] = cls
@@ -155,6 +215,13 @@ class Node:
         reason = self.check(value, env)
         if reason:
             raise ConstraintViolation(reason)
+        return value
+
+    def wire_prefix(self, env, facts):
+        if not self.canonical or self.pin is None:
+            raise EndOfFacts
+        value = self.generate(None, env, "")  # a pinned field draws nothing
+        facts.literal(self.encode(value, env))
         return value
 
 
@@ -197,6 +264,8 @@ class IntegerNode(Node):
 
 
 class BigEndianNode(IntegerNode):
+    canonical = True
+
     def __init__(self, rtype, rcodec, spec):
         super().__init__(rtype, rcodec, spec)
         self.width = compile_arg(rcodec.args, "length", spec.constants, as_int)
@@ -238,6 +307,11 @@ class TextIntegerNode(IntegerNode):
         if not body or not body.isdigit():
             raise ConstraintViolation(f"{text!r} is not a decimal integer")
         return IntVal(int(text))
+
+    def wire_prefix(self, env, facts):
+        # the text codec fixes where the digits end, never which they are
+        self.text.wire_prefix(env, facts)
+        return None
 
 
 class TextNode(Node):
@@ -290,6 +364,8 @@ class TextNode(Node):
 
 
 class TerminatedTextNode(TextNode):
+    canonical = True
+
     def __init__(self, rtype, rcodec, spec):
         super().__init__(rtype, rcodec, spec)
         self.encoding = rcodec.args.get("encoding", "ascii")
@@ -309,9 +385,7 @@ class TerminatedTextNode(TextNode):
     def read(self, cur, env):
         terminator = self.terminator_bytes
         scanned = _scan_terminated(cur, terminator)
-        if self.encoding == "ascii" and not scanned.isascii():
-            code = next(b for b in scanned if b > 127)
-            raise ConstraintViolation(f"byte {code:#x} is not ASCII")
+        _check_ascii(scanned, self.encoding)
         if not scanned.endswith(terminator):
             # a valid text and a partial terminator span fewer bytes than this
             if self.max_count is not None and len(scanned) - len(terminator) >= self.max_count(env):
@@ -323,8 +397,28 @@ class TerminatedTextNode(TextNode):
         text = scanned[: len(scanned) - len(terminator)].decode("latin-1")
         return TextVal(text, self.charset)
 
+    def wire_prefix(self, env, facts):
+        if self.pin is not None:
+            return super().wire_prefix(env, facts)
+        facts.skip(self.terminator_bytes, self.first_bytes)
+        return None
+
+    @cached_property
+    def first_bytes(self) -> frozenset | None:
+        """The bytes a text that passes ``check`` can start its encoding with,
+        the terminator's for the empty text; None when any byte can."""
+        if self.pattern is None and self.exclude is None:
+            return None
+        sampler = language(self.pattern, alphabet_for_charset(self.charset), self.excludes)
+        first = {ord(ch) for ch in sampler.first_chars}
+        if sampler.counts(0)[0]:
+            first.add(self.terminator_bytes[0])
+        return frozenset(first)
+
 
 class FixedCountTextNode(TextNode):
+    canonical = True
+
     def __init__(self, rtype, rcodec, spec):
         super().__init__(rtype, rcodec, spec)
         self.encoding = rcodec.args.get("encoding", "ascii")
@@ -341,8 +435,9 @@ class FixedCountTextNode(TextNode):
         return BitString.from_bytes(_encode_text_bytes(value.text, self.encoding))
 
     def read(self, cur, env):
-        head = cur.bits(8 * max(self.exact(env), 0))
-        return TextVal(head.to_bytes().decode("latin-1"), self.charset)
+        data = cur.bits(8 * max(self.exact(env), 0)).to_bytes()
+        _check_ascii(data, self.encoding)
+        return TextVal(data.decode("latin-1"), self.charset)
 
 
 class BoolNode(Node):
@@ -363,6 +458,8 @@ class BoolNode(Node):
 
 
 class BoolBitsNode(BoolNode):
+    canonical = True
+
     def __init__(self, rtype, rcodec, spec):
         super().__init__(rtype, rcodec, spec)
         self.truth = rcodec.args["truth_string"]
@@ -382,6 +479,8 @@ class BoolBitsNode(BoolNode):
 
 class BinaryNode(Node):
     """Binary values are their own bits; a codec on the field is not used."""
+
+    canonical = True
 
     def __init__(self, rtype, rcodec, spec):
         self.pin = compile_arg(rtype.args, "value", spec.constants, as_bits)
@@ -508,6 +607,7 @@ class EnumNode(Node):
         # reversed, so that the first of two constants with one value wins
         self.by_value = {cval: cname for cname, cval in reversed(enum.constants.items())}
         self.base = compile_node(enum.base, rcodec, spec)
+        self.canonical = self.base.canonical
         self.pin = compile_arg(rtype.args, "value", spec.constants, self.as_constant)
 
     def as_constant(self, value) -> EnumVal:
@@ -643,6 +743,14 @@ class RecordNode(Node):
             inner[name] = value
         return RecordVal(self.name, tuple(entries))
 
+    def wire_prefix(self, env, facts):
+        inner = self.bind(env)
+        for name, node in self.fields:
+            value = node.wire_prefix(inner, facts)
+            if value is not None:
+                inner[name] = value
+        return None
+
     def generate(self, gen, env, path):
         inner = self.bind(env)
         entries = []
@@ -712,6 +820,148 @@ class InvalidFormat:
     diagnostics: dict  # candidate -> failure reason
 
 
+def wire_prefix(spec: ResolvedSpec, msg_type: str) -> list:
+    """The segments of :class:`WirePrefix` that every wire form of a message
+    type starts with, up to its last literal: a skip past that rules out
+    nothing."""
+    facts = WirePrefix()
+    try:
+        message_plan(spec, msg_type).wire_prefix({}, facts)
+    except (EndOfFacts, WirespecError):
+        pass  # the facts found so far hold
+    segments = facts.segments
+    while segments and segments[-1][0] == "skip":
+        segments.pop()
+    return segments
+
+
+def _pieces(segments) -> list:
+    """The segments with each literal cut into ``("bits", width, value)``
+    pieces that stay within one byte."""
+    out = []
+    align = 0  # skips start and end on a byte boundary
+    for segment in segments:
+        if segment[0] == "skip":
+            out.append(segment)
+            continue
+        bits = segment[1]
+        left = bits.length
+        while left:
+            width = min(left, 8 - align)
+            left -= width
+            out.append(("bits", width, (bits.value >> left) & ((1 << width) - 1)))
+            align = (align + width) % 8
+    return out
+
+
+class _Branch:
+    """A node of the tree of the candidates' wire-prefix facts, in which
+    candidates that start alike share a path; a candidate is one bit of a
+    mask."""
+
+    __slots__ = ("ends", "below", "skips", "reads")
+
+    def __init__(self):
+        self.ends = 0  # candidates whose facts end here
+        self.below = 0  # every candidate at or under this node
+        self.skips = {}  # (terminator, first bytes) -> branch past the terminator
+        self.reads = {}  # width -> [{value: branch past those bits}, their candidates]
+
+    def add(self, bit: int, segments: list):
+        node = self
+        node.below |= bit
+        for kind, a, b in _pieces(segments):
+            if kind == "skip":
+                node = node.skips.setdefault((a, b), _Branch())
+            else:
+                group = node.reads.setdefault(a, [{}, 0])
+                group[1] |= bit
+                node = group[0].setdefault(b, _Branch())
+            node.below |= bit
+        node.ends |= bit
+
+    def freeze(self):
+        """Turn the tables into the tuples that :meth:`alive` walks."""
+        self.skips = tuple((t, first, child) for (t, first), child in self.skips.items())
+        self.reads = tuple((width, children, below) for width, (children, below) in self.reads.items())
+        for *_, child in self.skips:
+            child.freeze()
+        for _, children, _ in self.reads:
+            for child in children.values():
+                child.freeze()
+
+    def alive(self, buf: bytes) -> int:
+        """The candidates whose facts ``buf`` does not contradict.  A missing
+        terminator or a read past the end of ``buf`` keeps them."""
+        alive = 0
+        size = len(buf)
+        stack = [(self, 0)]
+        while stack:
+            node, pos = stack.pop()
+            alive |= node.ends
+            for terminator, first, child in node.skips:
+                at = pos >> 3
+                if first is not None and at < size and buf[at] not in first:
+                    continue
+                at = buf.find(terminator, at)
+                if at < 0:
+                    alive |= child.below
+                else:
+                    stack.append((child, 8 * (at + len(terminator))))
+            for width, children, below in node.reads:
+                if pos + width > 8 * size:
+                    alive |= below
+                    continue
+                value = (buf[pos >> 3] >> (8 - (pos & 7) - width)) & ((1 << width) - 1)
+                child = children.get(value)
+                if child is not None:
+                    stack.append((child, pos + width))
+        return alive
+
+
+class Classifier:
+    """The order in which :func:`decode_message` tries one candidate list:
+    first the candidates whose wire-prefix facts the buffer does not
+    contradict, then the others, each group in declaration order.  A list
+    of one candidate is not filtered."""
+
+    def __init__(self, spec: ResolvedSpec, candidates: tuple):
+        for name in candidates:
+            spec.message_record(name)
+        wanted = set(candidates)
+        self.ordered = [m for m in spec.message_types if m in wanted]
+        if not self.ordered:
+            raise ValueError("no candidate message types")
+        self.tree = None
+        self.orders = {}  # alive mask -> (decode order, how many are alive)
+        if len(self.ordered) > 1:
+            self.tree = _Branch()
+            for i, name in enumerate(self.ordered):
+                self.tree.add(1 << i, wire_prefix(spec, name))
+            self.tree.freeze()
+
+    def order(self, buf: bytes) -> tuple[list, int]:
+        if self.tree is None:
+            return self.ordered, len(self.ordered)
+        alive = self.tree.alive(buf)
+        order = self.orders.get(alive)
+        if order is None:
+            kept = [m for i, m in enumerate(self.ordered) if alive >> i & 1]
+            ruled_out = [m for i, m in enumerate(self.ordered) if not alive >> i & 1]
+            order = self.orders.setdefault(alive, (kept + ruled_out, len(kept)))
+        return order
+
+
+def classifier(spec: ResolvedSpec, candidates) -> Classifier:
+    """The :class:`Classifier` of a candidate list, built on first use and
+    cached on the spec."""
+    key = candidates if type(candidates) is tuple else tuple(candidates)
+    found = spec.classifiers.get(key)
+    if found is None:
+        found = spec.classifiers.setdefault(key, Classifier(spec, key))
+    return found
+
+
 def decode_message(
     buf: bytes,
     candidates,
@@ -720,17 +970,22 @@ def decode_message(
 ):
     """Classify the front of a byte buffer against candidate message types.
 
-    Candidates are attempted in specification declaration order; the first
-    full decode wins.  Returns Classified, NEED_MORE, or InvalidFormat.
+    The first candidate in specification declaration order that decodes in
+    full wins.  Returns Classified, NEED_MORE, or InvalidFormat.  Candidates
+    whose wire-prefix facts the buffer contradicts can never decode, so the
+    others are decoded first (see :class:`Classifier`); the ruled-out ones
+    are decoded too only when none of the others decodes or is incomplete,
+    for their diagnostics, which come in declaration order.  An unknown
+    candidate is an UnknownName error.
     """
-    wanted = set(candidates)
-    ordered = [m for m in spec.message_types if m in wanted]
-    if not ordered:
-        raise ValueError("no candidate message types")
+    classify = classifier(spec, candidates)
+    order, kept = classify.order(buf)
     diagnostics = {}
     incomplete = False
     winner = None
-    for name in ordered:
+    for i, name in enumerate(order):
+        if i == kept and (winner is not None or incomplete):
+            break  # the rest are ruled out
         if winner is not None and not report_ambiguity:
             break
         try:
@@ -755,4 +1010,4 @@ def decode_message(
         return winner
     if incomplete:
         return NEED_MORE
-    return InvalidFormat(diagnostics)
+    return InvalidFormat({name: diagnostics[name] for name in classify.ordered})

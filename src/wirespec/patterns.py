@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from random import Random
 from threading import Lock
 
@@ -401,7 +401,9 @@ class LanguageSampler:
     one column per length, grown to the largest bound asked for, so every
     smaller bound reads the same table.  Columns are only ever appended,
     whole and under a lock, so threads may share a sampler (see
-    :func:`language`).
+    :func:`language`).  Nothing derived from a column goes stale, so the
+    weighted successors of each (state, characters left) step and the
+    feasible lengths of each bound are cached as they are first needed.
     """
 
     def __init__(self, pattern: Pattern | None, alphabet: str, excludes: tuple[Pattern, ...] = ()):
@@ -412,6 +414,8 @@ class LanguageSampler:
         # _columns[ln][s]: accepted strings of length ln from state s
         self._columns = [[1 if acc else 0 for acc in accepting]]
         self._lock = Lock()
+        self._steps = {}  # (state, remaining) -> ([(chars, successor, weight)], total)
+        self._feasible = {}  # max_len -> feasible_lengths(max_len)
 
     def _table(self, max_len: int) -> list:
         """The count columns, holding at least lengths 0..max_len."""
@@ -430,8 +434,26 @@ class LanguageSampler:
         columns = self._table(max_len)
         return [columns[ln][0] for ln in range(max_len + 1)]
 
+    @cached_property
+    def first_chars(self) -> str:
+        """The characters that accepted strings of any length start with."""
+        live = [bool(n) for n in self._columns[0]]  # states that reach acceptance
+        grew = True
+        while grew:
+            grew = False
+            for state, row in enumerate(self._rows):
+                if not live[state] and any(live[t] for _, t in row):
+                    live[state] = grew = True
+        return "".join(ch for chars, t in self._rows[0] if live[t] for ch in chars)
+
     def feasible_lengths(self, max_len: int) -> list[int]:
-        return [ln for ln, c in enumerate(self.counts(max_len)) if c]
+        """The lengths 0..max_len that some accepted string has; the list is
+        cached, so callers must not change it."""
+        lengths = self._feasible.get(max_len)
+        if lengths is None:
+            lengths = [ln for ln, c in enumerate(self.counts(max_len)) if c]
+            lengths = self._feasible.setdefault(max_len, lengths)
+        return lengths
 
     def sample(self, rng: Random, max_len: int, length: int | None = None) -> str:
         """One accepted string of at most ``max_len`` characters, of exactly
@@ -446,16 +468,20 @@ class LanguageSampler:
             length = rng.choice(lengths)
         elif not 0 <= length <= max_len or columns[length][0] == 0:
             raise UnsatisfiableConstraint(f"no accepted string of length {length}")
+        steps = self._steps
         out = []
         state = 0
         for remaining in range(length, 0, -1):
-            column = columns[remaining - 1]
-            weighted = [
-                (chars, t, len(chars) * column[t])
-                for chars, t in self._rows[state]
-                if column[t] > 0
-            ]
-            total = sum(w for _, _, w in weighted)
+            step = steps.get((state, remaining))
+            if step is None:
+                column = columns[remaining - 1]
+                weighted = [
+                    (chars, t, len(chars) * column[t])
+                    for chars, t in self._rows[state]
+                    if column[t] > 0
+                ]
+                step = steps.setdefault((state, remaining), (weighted, sum(w for _, _, w in weighted)))
+            weighted, total = step
             pick = rng.randrange(total)
             for chars, t, w in weighted:
                 if pick < w:

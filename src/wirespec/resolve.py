@@ -114,6 +114,8 @@ class ResolvedSpec:
     constants: dict  # enum constant name -> EnumVal
     # message type -> compiled plan (see wirespec.codec.message_plan)
     plans: dict = field(default_factory=dict, compare=False, repr=False)
+    # candidate tuple -> wirespec.codec.Classifier, built by decode_message
+    classifiers: dict = field(default_factory=dict, compare=False, repr=False)
 
     def message_record(self, name: str) -> RecordDef:
         rec = self.records.get(name)

@@ -151,6 +151,12 @@ def test_decode_invalid():
     assert "invalid format" in err
 
 
+@pytest.mark.parametrize("types", ["Nope", "Ask,Nope"])
+def test_decode_unknown_candidate(types):
+    code, out, err = run_cli("decode", MYP, "40", "--types", types)
+    assert (code, out, err) == (1, "", "error: no message type named 'Nope'\n")
+
+
 def test_gen_deterministic_per_seed():
     _, first, _ = run_cli("gen", MYP, "Data", "--seed", "7")
     _, second, _ = run_cli("gen", MYP, "Data", "--seed", "7")

@@ -11,6 +11,8 @@ from wirespec.codec import (
     decode_message,
     compile_node,
     encode_message,
+    message_plan,
+    wire_prefix,
 )
 from wirespec.errors import (
     ConstraintViolation,
@@ -20,6 +22,7 @@ from wirespec.errors import (
     TerminatorInPayload,
     TypeMismatch,
     Underrun,
+    UnknownName,
     UnsatisfiableConstraint,
     Unrepresentable,
 )
@@ -532,3 +535,133 @@ def test_strict_prefixes_need_more(myp_spec, imap_spec):
                 for cut in cuts:
                     out = decode_message(wire[:cut], [msg_type], spec)
                     assert out is NEED_MORE, (msg_type, seed, cut, out)
+
+
+def test_ascii_text_codecs_reject_non_ascii_bytes():
+    spec = resolve(
+        parse_spec(
+            "message module M "
+            "message A with t is Text(charset='latin-1', max_count=2) "
+            "as FixedCountText(encoding='ascii') end "
+            "message B with t is Text(charset='latin-1', max_count=2) "
+            "as TerminatedText(encoding='ascii', terminator='\\n') end end"
+        )
+    )
+    with pytest.raises(Unrepresentable):
+        encode_message("A", RecordVal("A", (("t", TextVal("\xe9a", "latin-1")),)), spec)
+    assert decode_message(b"\xe9a", ["A"], spec) == InvalidFormat({"A": "byte 0xe9 is not ASCII"})
+    assert decode_message(b"\xe9a\n", ["B"], spec) == InvalidFormat({"B": "byte 0xe9 is not ASCII"})
+
+
+TAG_FIRST = frozenset(b"0123456789abcdefghijklmnopqrstuvwxyzABCDEFGHIJKLMNOPQRSTUVWXYZ")
+
+
+def test_wire_prefix_facts(myp_spec, imap_spec):
+    def lit(data):
+        return ("lit", BitString.from_bytes(data))
+
+    tag = ("skip", b" ", TAG_FIRST)
+    assert wire_prefix(imap_spec, "OkResp") == [tag, lit(b"OK ")]
+    # TextInteger's digits: any first byte
+    assert wire_prefix(imap_spec, "ExistsResp") == [lit(b"* "), ("skip", b" ", None), lit(b"EXISTS ")]
+    # a literal field's value is bound for the fields after it
+    assert wire_prefix(imap_spec, "LoginCmd") == [tag, lit(b"LOGIN ")]
+    for name, byte in (("Ask", b"\x40"), ("Done", b"\xc0"), ("Data", b"\x00")):
+        assert wire_prefix(myp_spec, name) == [lit(byte)]
+
+
+TEXT_INTEGER_SPEC = (
+    "message module M "
+    "message A with n is Integer(value=5) as TextInteger(text_codec=Sp) end "
+    "message B with t is Text as Sp end "
+    "codec Sp is TerminatedText(encoding='ascii', terminator=' ') end"
+)
+
+
+def test_text_integer_pin_is_no_literal():
+    # TextInteger reads "05" as 5, so the pin's encoding "5 " rules nothing out
+    spec = resolve(parse_spec(TEXT_INTEGER_SPEC))
+    assert wire_prefix(spec, "A") == []
+    out = decode_message(b"05 ", ["A", "B"], spec)
+    assert isinstance(out, Classified)
+    assert (out.msg_type, out.value.get("n"), out.consumed) == ("A", IntVal(5), 3)
+
+
+def test_unknown_or_no_candidates(myp_spec):
+    with pytest.raises(UnknownName, match="^no message type named 'Nope'$"):
+        decode_message(b"\x40", ["Ask", "Nope"], myp_spec)
+    with pytest.raises(ValueError, match="no candidate message types"):
+        decode_message(b"\x40", [], myp_spec)
+
+
+def _variants(wire: bytes, other: bytes, rng) -> list:
+    """Truncations, bit flips, insertions and extensions of one encoding."""
+    head = max(min(len(wire), 16), 1)
+    out = [wire[:cut] for cut in {0, 1, 2, 3, len(wire) // 2, len(wire) - 1, rng.randrange(len(wire) + 1)}]
+    for _ in range(6):
+        pos = rng.randrange(8 * head) if rng.random() < 0.8 else rng.randrange(8 * max(len(wire), 1))
+        flipped = bytearray(wire.ljust(pos // 8 + 1, b"\x00"))
+        flipped[pos // 8] ^= 0x80 >> (pos % 8)
+        out.append(bytes(flipped))
+    for _ in range(4):
+        pos = rng.randrange(head + 1)
+        out.append(wire[:pos] + bytes([rng.choice(b" *\r\n\x00\x40\xc0OK5")]) + wire[pos:])
+    out += [wire + other, wire + b"\xff", wire + rng.randbytes(3)]
+    return out
+
+
+def _one_at_a_time(buf, spec):
+    """What classifying against every type gives, built from one decode per
+    candidate: the first match in declaration order and the later matches,
+    else NEED_MORE if any candidate needs more, else every reason in order."""
+    outs = [(m, decode_message(buf, [m], spec)) for m in spec.message_types]
+    matched = [out for _, out in outs if isinstance(out, Classified)]
+    if matched:
+        return matched[0], [out.msg_type for out in matched[1:]]
+    if any(out is NEED_MORE for _, out in outs):
+        return NEED_MORE, None
+    return [(m, out.diagnostics[m]) for m, out in outs], None
+
+
+def test_prefilter_changes_no_outcome(myp_spec, imap_spec):
+    import random
+
+    for spec in (myp_spec, imap_spec):
+        for seed in range(10):
+            gen = Generator(spec, GenConfig(seed=seed))
+            rng = random.Random(seed)
+            wires = [encode_message(m, gen.message(m), spec) for m in spec.message_types]
+            for i, wire in enumerate(wires):
+                for buf in _variants(wire, wires[i - 1], rng):
+                    expected, later = _one_at_a_time(buf, spec)
+                    out = decode_message(buf, spec.message_types, spec)
+                    if isinstance(out, InvalidFormat):
+                        assert list(out.diagnostics.items()) == expected, buf
+                        continue
+                    assert out == expected, buf
+                    if later is not None:
+                        loud = decode_message(buf, spec.message_types, spec, report_ambiguity=True)
+                        assert (loud.msg_type, loud.value, loud.consumed) == (
+                            out.msg_type, out.value, out.consumed
+                        )
+                        assert loud.also_matched == later, buf
+
+
+def test_one_full_decode_per_classified_message():
+    # a deterministic cost bound: a candidate that the wire-prefix facts rule
+    # out is never decoded when another matches
+    from wirespec.cli import bundled_spec_path
+
+    for name in ("myp", "imap_subset"):
+        spec = resolve(parse_spec(bundled_spec_path(name).read_text()))
+        gen = Generator(spec, GenConfig(seed=0))
+        wires = {m: encode_message(m, gen.message(m), spec) for m in spec.message_types}
+        decoded = []
+        for m in spec.message_types:
+            plan = message_plan(spec, m)
+            plan.decode = lambda cur, env, m=m, decode=plan.decode: decoded.append(m) or decode(cur, env)
+        for m, wire in wires.items():
+            decoded.clear()
+            out = decode_message(wire, spec.message_types, spec)
+            assert isinstance(out, Classified) and out.msg_type == m
+            assert decoded == [m]
