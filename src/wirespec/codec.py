@@ -1,10 +1,11 @@
 """Bidirectional translation between values and bitstrings.
 
 Each field pairs a (dependent) type with a codec.  :func:`compile_node`
-turns the pair into a node that checks, encodes, decodes and generates
-values of that field; records encode as the concatenation of their fields
-in declaration order.  A message type's node, its plan, is compiled on
-first use and cached on the spec.  Decoding reads through a
+turns the pair into a node that encodes, decodes and generates values of
+that field, each in one walk that checks every part of the value on the
+way; records encode as the concatenation of their fields in declaration
+order.  A message type's node, its plan, is compiled on first use and
+cached on the spec.  Decoding reads through a
 :class:`~wirespec.bits.Cursor` over the receive buffer, so a field costs
 time in its own size, not the buffer's.  Decoding is incremental:
 running out of input raises an :class:`IncompleteInput` subclass so that
@@ -18,12 +19,12 @@ literal bits, where a pinned field has only one encoding; "skip through
 terminator T", for an unpinned terminated text at a byte boundary, with
 the first bytes its pattern allows; and nothing past anything else.  One
 :class:`Classifier` per candidate list, built on first use and cached on
-the spec, walks every candidate's facts over the buffer at once.  It rules
-a candidate out only when bytes already present contradict a literal or a
-skipped text's first byte; a short buffer or a missing terminator keeps
-it.  :func:`decode_message` decodes the others first and the candidates
-ruled out only for diagnostics, so every outcome is the one a decode of
-each candidate in turn would give.
+the spec, walks every candidate's facts over the buffer at once, a whole
+byte at a time.  It rules a candidate out only when bytes already present
+contradict a literal or a skipped text's first byte; a short buffer or a
+missing terminator keeps it.  :func:`decode_message` decodes the others
+first and the candidates ruled out only for diagnostics, so every outcome
+is the one a decode of each candidate in turn would give.
 """
 
 from __future__ import annotations
@@ -148,20 +149,20 @@ class WirePrefix:
     ``("lit", bits)``, bits that every successful decode reads there, and
     ``("skip", terminator, first)``, bytes through the first ``terminator``
     that start with a byte in the set ``first``, or any byte when it is None.
-    ``align`` counts the bits past the last byte boundary."""
+    The facts start at bit 0, a skip starts and ends on a byte boundary and
+    adjacent literals merge, so every literal starts on a byte boundary and
+    only the last one may end inside a byte."""
 
     def __init__(self):
         self.segments = []
-        self.align = 0
 
     def literal(self, bits: BitString):
         if self.segments and self.segments[-1][0] == "lit":
             bits = self.segments.pop()[1].append(bits)
         self.segments.append(("lit", bits))
-        self.align = (self.align + bits.length) % 8
 
     def skip(self, terminator: bytes, first: frozenset | None):
-        if self.align:
+        if self.segments and self.segments[-1][0] == "lit" and self.segments[-1][1].length % 8:
             raise EndOfFacts
         self.segments.append(("skip", terminator, first))
 
@@ -171,12 +172,14 @@ class WirePrefix:
 class Node:
     """One field's type and codec, compiled.
 
-    ``check(value, env)`` returns None, or the reason the value breaks the
-    type.  ``encode(value, env)`` returns the value's bits.  ``decode(cur,
-    env)`` returns the value read at the :class:`~wirespec.bits.Cursor`
-    ``cur`` and advances ``cur`` past it; it raises IncompleteInput
-    subclasses when the buffer may simply be short and ConstraintViolation
-    when the input contradicts the type.  ``generate(gen, env, path)``
+    ``encode(value, env)`` returns the value's bits, or raises
+    ConstraintViolation with the path to the part that breaks the type.
+    ``decode(cur, env)`` returns the value read at the
+    :class:`~wirespec.bits.Cursor` ``cur`` and advances ``cur`` past it; it
+    raises IncompleteInput subclasses when the buffer may simply be short
+    and ConstraintViolation when the input contradicts the type.  A leaf
+    encodes by ``check(value, env)`` (None, or the reason) then ``write``,
+    and decodes by ``read`` then ``check``.  ``generate(gen, env, path)``
     draws a well-formed value with the
     :class:`~wirespec.generate.Generator` ``gen``.
     ``env`` maps the enclosing record's parameters and earlier fields to
@@ -210,6 +213,12 @@ class Node:
     def retype(self, value):
         return value
 
+    def encode(self, value, env: dict) -> BitString:
+        reason = self.check(value, env)
+        if reason:
+            raise ConstraintViolation(reason)
+        return self.write(value, env)
+
     def decode(self, cur: Cursor, env: dict):
         value = self.read(cur, env)
         reason = self.check(value, env)
@@ -221,7 +230,7 @@ class Node:
         if not self.canonical or self.pin is None:
             raise EndOfFacts
         value = self.generate(None, env, "")  # a pinned field draws nothing
-        facts.literal(self.encode(value, env))
+        facts.literal(self.write(value, env))
         return value
 
 
@@ -273,7 +282,7 @@ class BigEndianNode(IntegerNode):
         self.signed = signed or (lambda env: False)
         self.codec_range = fold(lambda env: signed_range(self.width(env), self.signed(env)))
 
-    def encode(self, value, env):
+    def write(self, value, env):
         width, signed = self.width(env), self.signed(env)
         lo, hi = self.codec_range(env)
         if not lo <= value.value <= hi:
@@ -298,8 +307,8 @@ class TextIntegerNode(IntegerNode):
         super().__init__(rtype, rcodec, spec)
         self.text = compile_node(RType("Text", {}), rcodec.args["text_codec"], spec)
 
-    def encode(self, value, env):
-        return self.text.encode(TextVal(str(value.value)), env)
+    def write(self, value, env):
+        return self.text.write(TextVal(str(value.value)), env)
 
     def read(self, cur, env):
         text = self.text.decode(cur, env).text
@@ -374,7 +383,7 @@ class TerminatedTextNode(TextNode):
         self.terminator_bytes = _encode_text_bytes(self.terminator, self.encoding)
         self.excludes += (_literal_pattern(self.terminator),)
 
-    def encode(self, value, env):
+    def write(self, value, env):
         if self.terminator in value.text:
             raise TerminatorInPayload(
                 f"text {value.text!r} contains its terminator {self.terminator!r}"
@@ -426,7 +435,7 @@ class FixedCountTextNode(TextNode):
         self.exact = self.max_count or (lambda env: len(self.pin(env).text))
         self.cap = self.exact
 
-    def encode(self, value, env):
+    def write(self, value, env):
         count = self.exact(env)
         if len(value.text) != count:
             raise Unrepresentable(
@@ -465,7 +474,7 @@ class BoolBitsNode(BoolNode):
         self.truth = rcodec.args["truth_string"]
         self.falsehood = rcodec.args["falsehood_string"]
 
-    def encode(self, value, env):
+    def write(self, value, env):
         return self.truth if value.value else self.falsehood
 
     def read(self, cur, env):
@@ -506,7 +515,7 @@ class BinaryNode(Node):
             return f"bits {bits.to_bits()!r} do not match {self.pattern!r}"
         return None
 
-    def encode(self, value, env):
+    def write(self, value, env):
         return value.bits
 
     def read(self, cur, env):
@@ -548,17 +557,6 @@ class ListNode(Node):
         self.max_length = compile_arg(rtype.args, "max_length", spec.constants, as_int)
         self.elem = compile_node(rtype.args["elem"], None, spec)
 
-    def check(self, value, env):
-        if not isinstance(value, ListVal):
-            return f"expected a list, got {value!r}"
-        if self.max_length is not None and len(value.items) > self.max_length(env):
-            return f"{len(value.items)} elements exceeds max_length"
-        for i, item in enumerate(value.items):
-            reason = self.elem.check(item, env)
-            if reason:
-                return f"element {i}: {reason}"
-        return None
-
     def generate(self, gen, env, path):
         cap = MAX_LIST_LEN if self.max_length is None else self.max_length(env)
         if cap < 0:
@@ -583,8 +581,16 @@ class CountPrefixListNode(ListNode):
         self.count = compile_node(RType("Integer", {}), rcodec.args["count_codec"], spec)
 
     def encode(self, value, env):
-        parts = [self.count.encode(IntVal(len(value.items)), env)]
-        parts.extend(self.elem.encode(item, env) for item in value.items)
+        if not isinstance(value, ListVal):
+            raise ConstraintViolation(f"expected a list, got {value!r}")
+        if self.max_length is not None and len(value.items) > self.max_length(env):
+            raise ConstraintViolation(f"{len(value.items)} elements exceeds max_length")
+        parts = [self.count.write(IntVal(len(value.items)), env)]
+        for i, item in enumerate(value.items):
+            try:
+                parts.append(self.elem.encode(item, env))
+            except ConstraintViolation as e:
+                raise ConstraintViolation(f"element {i}: {e}") from None
         return BitString.concat(parts)
 
     def decode(self, cur, env):
@@ -627,8 +633,8 @@ class EnumNode(Node):
                 return f"must be {expected!r}, got {value.constant}"
         return None
 
-    def encode(self, value, env):
-        return self.base.encode(self.constants[value.constant], env)
+    def write(self, value, env):
+        return self.base.write(self.constants[value.constant], env)
 
     def read(self, cur, env):
         raw = self.base.decode(cur, env)
@@ -657,15 +663,12 @@ class OptionalNode(Node):
         self.is_empty = compile_arg(rtype.args, "is_empty", spec.constants, as_bool)
         self.subject = compile_node(rtype.args["subject"], rcodec, spec)
 
-    def check(self, value, env):
-        if self.is_empty(env):
-            return None if value is ABSENT else "value must be absent"
-        if value is ABSENT:
-            return "value is required but absent"
-        return self.subject.check(value, env)
-
     def encode(self, value, env):
-        return EMPTY if self.is_empty(env) else self.subject.encode(value, env)
+        empty = self.is_empty(env)
+        if empty != (value is ABSENT):
+            reason = "value must be absent" if empty else "value is required but absent"
+            raise ConstraintViolation(reason)
+        return EMPTY if empty else self.subject.encode(value, env)
 
     def decode(self, cur, env):
         return ABSENT if self.is_empty(env) else self.subject.decode(cur, env)
@@ -713,24 +716,18 @@ class RecordNode(Node):
         references to later fields."""
         return {name: arg(outer) for name, arg in self.args}
 
-    def check(self, value, env):
-        if not isinstance(value, RecordVal) or value.type_name != self.name:
-            return f"expected a {self.name} record, got {value!r}"
-        if value.names() != self.names:
-            return f"field set mismatch for {self.name}"
-        inner = self.bind(env)
-        for (name, node), (_, v) in zip(self.fields, value.entries):
-            reason = node.check(v, inner)
-            if reason:
-                return f"{self.name}.{name}: {reason}"
-            inner[name] = v
-        return None
-
     def encode(self, value, env):
+        if not isinstance(value, RecordVal) or value.type_name != self.name:
+            raise ConstraintViolation(f"expected a {self.name} record, got {value!r}")
+        if value.names() != self.names:
+            raise ConstraintViolation(f"field set mismatch for {self.name}")
         inner = self.bind(env)
         parts = []
         for (name, node), (_, v) in zip(self.fields, value.entries):
-            parts.append(node.encode(v, inner))
+            try:
+                parts.append(node.encode(v, inner))
+            except ConstraintViolation as e:
+                raise ConstraintViolation(f"{self.name}.{name}: {e}") from None
             inner[name] = v
         return BitString.concat(parts)
 
@@ -786,12 +783,13 @@ class RecordNode(Node):
 # --- whole messages ---------------------------------------------------------------
 
 def encode_message(msg_type: str, value: RecordVal, spec: ResolvedSpec) -> bytes:
-    plan = message_plan(spec, msg_type)
-    env = {}
-    reason = plan.check(value, env)
-    if reason:
-        raise ConstraintViolation(f"{msg_type}: {reason}")
-    bits = plan.encode(value, env)
+    """The wire bytes of a message value, in one walk that checks each field
+    and then writes it, so only the first faulty field in field order is
+    reported: as ConstraintViolation with its path, or its codec's error."""
+    try:
+        bits = message_plan(spec, msg_type).encode(value, {})
+    except ConstraintViolation as e:
+        raise ConstraintViolation(f"{msg_type}: {e}") from None
     if bits.length % 8:
         raise NotByteAligned(
             f"{msg_type} encodes to {bits.length} bits for this value"
@@ -835,60 +833,46 @@ def wire_prefix(spec: ResolvedSpec, msg_type: str) -> list:
     return segments
 
 
-def _pieces(segments) -> list:
-    """The segments with each literal cut into ``("bits", width, value)``
-    pieces that stay within one byte."""
-    out = []
-    align = 0  # skips start and end on a byte boundary
-    for segment in segments:
-        if segment[0] == "skip":
-            out.append(segment)
-            continue
-        bits = segment[1]
-        left = bits.length
-        while left:
-            width = min(left, 8 - align)
-            left -= width
-            out.append(("bits", width, (bits.value >> left) & ((1 << width) - 1)))
-            align = (align + width) % 8
-    return out
-
-
 class _Branch:
     """A node of the tree of the candidates' wire-prefix facts, in which
     candidates that start alike share a path; a candidate is one bit of a
-    mask."""
+    mask.  Each node is at a byte boundary; a literal's tail that ends
+    inside a byte ends its candidate's facts."""
 
-    __slots__ = ("ends", "below", "skips", "reads")
+    __slots__ = ("ends", "below", "children", "tails", "skips")
 
     def __init__(self):
         self.ends = 0  # candidates whose facts end here
         self.below = 0  # every candidate at or under this node
+        self.children = {}  # byte -> branch past it
+        self.tails = []  # (8 - width, the byte's first width bits, candidate)
         self.skips = {}  # (terminator, first bytes) -> branch past the terminator
-        self.reads = {}  # width -> [{value: branch past those bits}, their candidates]
 
     def add(self, bit: int, segments: list):
         node = self
         node.below |= bit
-        for kind, a, b in _pieces(segments):
-            if kind == "skip":
-                node = node.skips.setdefault((a, b), _Branch())
-            else:
-                group = node.reads.setdefault(a, [{}, 0])
-                group[1] |= bit
-                node = group[0].setdefault(b, _Branch())
-            node.below |= bit
+        for segment in segments:
+            if segment[0] == "skip":
+                node = node.skips.setdefault(segment[1:], _Branch())
+                node.below |= bit
+                continue
+            bits = segment[1]
+            whole, width = divmod(bits.length, 8)
+            for byte in (bits.value >> width).to_bytes(whole, "big"):
+                node = node.children.setdefault(byte, _Branch())
+                node.below |= bit
+            if width:  # only the last literal ends inside a byte
+                node.tails.append((8 - width, bits.value & ((1 << width) - 1), bit))
+                return
         node.ends |= bit
 
     def freeze(self):
-        """Turn the tables into the tuples that :meth:`alive` walks."""
+        """Turn the skips into the tuples that :meth:`alive` scans."""
         self.skips = tuple((t, first, child) for (t, first), child in self.skips.items())
-        self.reads = tuple((width, children, below) for width, (children, below) in self.reads.items())
+        for child in self.children.values():
+            child.freeze()
         for *_, child in self.skips:
             child.freeze()
-        for _, children, _ in self.reads:
-            for child in children.values():
-                child.freeze()
 
     def alive(self, buf: bytes) -> int:
         """The candidates whose facts ``buf`` does not contradict.  A missing
@@ -897,25 +881,26 @@ class _Branch:
         size = len(buf)
         stack = [(self, 0)]
         while stack:
-            node, pos = stack.pop()
+            node, at = stack.pop()
+            if at == size:
+                alive |= node.below
+                continue
             alive |= node.ends
+            byte = buf[at]
+            child = node.children.get(byte)
+            if child is not None:
+                stack.append((child, at + 1))
+            for shift, value, bit in node.tails:
+                if byte >> shift == value:
+                    alive |= bit
             for terminator, first, child in node.skips:
-                at = pos >> 3
-                if first is not None and at < size and buf[at] not in first:
+                if first is not None and byte not in first:
                     continue
-                at = buf.find(terminator, at)
-                if at < 0:
+                end = buf.find(terminator, at)
+                if end < 0:
                     alive |= child.below
                 else:
-                    stack.append((child, 8 * (at + len(terminator))))
-            for width, children, below in node.reads:
-                if pos + width > 8 * size:
-                    alive |= below
-                    continue
-                value = (buf[pos >> 3] >> (8 - (pos & 7) - width)) & ((1 << width) - 1)
-                child = children.get(value)
-                if child is not None:
-                    stack.append((child, pos + width))
+                    stack.append((child, end + len(terminator)))
         return alive
 
 

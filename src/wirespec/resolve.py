@@ -283,9 +283,13 @@ class _Resolver:
         its RType or RCodec, a regex to its Pattern, a text or bit literal to
         its value; an expression stays an AST.  ``out`` is a fresh instance's
         own dict, so what an alias sets is overridden in place."""
+        given = set()
         for aname, expr in args:
             if aname not in signature:
                 raise UnknownName(f"{what} has no argument named {aname!r}")
+            if aname in given:
+                raise DuplicateName(f"{what} is given argument {aname!r} twice")
+            given.add(aname)
             kind = signature[aname][0]
             if kind in ("type", "codec"):
                 if isinstance(expr, syntax.NameRef):
@@ -311,9 +315,18 @@ class _Resolver:
                 out[aname] = expr
 
     def _check_kind(self, aname: str, kind: str | None, expr) -> None:
-        """Reject an expression that is a literal, truth value or constant not of ``kind``."""
-        if isinstance(expr, syntax.RegexLit):
-            raise ResolutionError(f"argument {aname!r} must be an expression, not a /regex/")
+        """Reject an expression that holds a /regex/ or an instantiation, which
+        have no value, or is a literal, truth value or constant not of ``kind``;
+        the kinds inside a compound expression are checked when it runs."""
+        if isinstance(expr, (syntax.RegexLit, syntax.InstExpr)):
+            raise ResolutionError(
+                f"argument {aname!r} must be an expression, not {syntax.format_expr(expr)}"
+            )
+        if isinstance(expr, syntax.Unary):
+            self._check_kind(aname, None, expr.operand)
+        elif isinstance(expr, syntax.Binary):
+            self._check_kind(aname, None, expr.left)
+            self._check_kind(aname, None, expr.right)
         if isinstance(expr, syntax.NameRef) and expr.name in ("true", "false"):
             found = "bool"
         elif isinstance(expr, syntax.NameRef) and expr.name in self.constants:
@@ -375,16 +388,12 @@ class _Resolver:
             elif isinstance(expr, syntax.Binary):
                 walk_expr(expr.left)
                 walk_expr(expr.right)
-            elif isinstance(expr, syntax.InstExpr):
-                for _, sub in expr.args:
-                    walk_expr(sub)
 
         def walk_args(args: dict):
             for value in args.values():
                 if isinstance(value, (RType, RCodec)):
                     walk_args(value.args)
-                elif isinstance(value, (syntax.NameRef, syntax.Unary, syntax.Binary,
-                                        syntax.InstExpr)):
+                elif isinstance(value, (syntax.NameRef, syntax.Unary, syntax.Binary)):
                     walk_expr(value)  # literals name nothing
 
         walk_args(rtype.args)
@@ -394,9 +403,9 @@ class _Resolver:
     def _check_coding(self, where: str, rtype: RType, rcodec: RCodec | None) -> None:
         """Reject a type and codec that cannot code every value of the type."""
         while rtype.base == "Optional":
-            self._require_args(where, rtype.base, rtype.args)
+            self._require_args(where, rtype)
             rtype = rtype.args["subject"]
-        self._require_args(where, rtype.base, rtype.args)
+        self._require_args(where, rtype)
         if rtype.base == "List":
             # elements are coded without a codec of their own
             self._check_coding(f"{where} element", rtype.args["elem"], None)
@@ -411,7 +420,7 @@ class _Resolver:
             if base == "Enum" or rtype.base in CODED_TYPES:
                 raise ResolutionError(f"{where}: a {base} field needs a codec")
             return
-        self._require_args(where, rcodec.base, rcodec.args)
+        self._require_args(where, rcodec)
         if rtype.base in CODED_TYPES and CODEC_SIGNATURES[rcodec.base][0] != rtype.base:
             raise ResolutionError(f"{where}: codec {rcodec.base} cannot code a {rtype.base}")
         if rcodec.base == "BoolBits":
@@ -434,10 +443,15 @@ class _Resolver:
         if rcodec.base == "TextInteger":
             self._check_coding(where, RType("Text", {}), rcodec.args["text_codec"])
 
-    def _require_args(self, where: str, base: str, args: dict) -> None:
-        missing = [a for a in _REQUIRED.get(base, ()) if a not in args]
+    def _require_args(self, where: str, inst) -> None:
+        """Reject an instance without a required argument or record parameter."""
+        if isinstance(inst, RType) and inst.base == "Record":
+            name, required = inst.record, self.record_decls[inst.record].params
+        else:
+            name, required = inst.base, _REQUIRED.get(inst.base, ())
+        missing = [a for a in required if a not in inst.args]
         if missing:
-            raise ResolutionError(f"{where}: {base} is missing {sorted(missing)}")
+            raise ResolutionError(f"{where}: {name} is missing {sorted(missing)}")
 
 
 # --- actor compilation ----------------------------------------------------------------

@@ -222,9 +222,9 @@ def tokenize(source: str) -> list[Token]:
             col += j - i
             i = j
             continue
-        if ch.isdigit():
+        if "0" <= ch <= "9":  # not str.isdigit, which takes '²' and int() does not
             j = i
-            while j < n and source[j].isdigit():
+            while j < n and "0" <= source[j] <= "9":
                 j += 1
             tokens.append(Token("INT", int(source[i:j]), start_line, start_col))
             col += j - i

@@ -137,11 +137,7 @@ def compile_expr(expr, constants: dict):
             return IntVal(op(a.value, b.value))
 
         return arithmetic
-
-    def not_a_value(env):
-        raise TypeMismatch(f"not a value expression: {syntax.format_expr(expr)}")
-
-    return not_a_value
+    raise TypeMismatch(f"not a value expression: {syntax.format_expr(expr)}")
 
 
 def _lookup(name: str):

@@ -99,6 +99,18 @@ def test_encode_malformed_value_literal():
     assert err.startswith("error: 1:7:")
 
 
+def test_non_ascii_digits_are_syntax_errors(tmp_path):
+    spec = tmp_path / "digit.wspec"
+    spec.write_text(
+        "message module M message X with i is Integer(max=\u00b2) as BigEndian(length=8) end end",
+        encoding="utf-8",
+    )
+    code, _, err = run_cli("check", str(spec))
+    assert (code, err) == (1, "error: 1:50: unexpected character '\u00b2'\n")
+    code, _, err = run_cli("encode", MYP, "Done", "--value", "\u00b2")
+    assert (code, err) == (1, "error: 1:1: unexpected character '\u00b2'\n")
+
+
 def test_decode_bad_hex():
     code, _, err = run_cli("decode", MYP, "zz")
     assert code == 1

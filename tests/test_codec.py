@@ -11,6 +11,7 @@ from wirespec.codec import (
     decode_message,
     compile_node,
     encode_message,
+    classifier,
     message_plan,
     wire_prefix,
 )
@@ -235,8 +236,30 @@ def test_encode_checks_value_first(myp_spec):
             ),
         ),
     )
-    with pytest.raises(ConstraintViolation):
+    # one walk checks each field before it writes it: the first fault in
+    # field order is reported, with the path the message and records add
+    with pytest.raises(ConstraintViolation) as e:
         encode_message("Ask", bad, myp_spec)
+    assert str(e.value) == "Ask: Ask.h: Header.flag: must equal 1, got 3"
+    item = RecordVal("DataItem", (("n", IntVal(1)), ("data", BitsVal(BitString(0, 8))),
+                                  ("padding", BitsVal(BitString(0, 24)))))
+    data = RecordVal("Data", (
+        ("h", RecordVal("Header", (("flag", IntVal(0)), ("reserved", BitsVal(BitString(0, 6)))))),
+        ("payload", ListVal((item,))),
+        ("hasfoot", BoolVal(False)),
+        ("foot", TextVal("x")),
+    ))
+    with pytest.raises(ConstraintViolation) as e:
+        encode_message("Data", data, myp_spec)
+    reason = "Data: Data.payload: element 0: DataItem.padding: bits "
+    assert str(e.value).startswith(reason)
+    fixed = RecordVal("DataItem", item.entries[:2] + (("padding", BitsVal(BitString(1, 24))),))
+    data = RecordVal("Data", data.entries[:1] + (("payload", ListVal((fixed,))),) + data.entries[2:])
+    with pytest.raises(ConstraintViolation) as e:
+        encode_message("Data", data, myp_spec)
+    assert str(e.value) == "Data: Data.foot: value must be absent"
+    with pytest.raises(ConstraintViolation, match="^Data: field set mismatch for Data$"):
+        encode_message("Data", RecordVal("Data", data.entries[:3]), myp_spec)
 
 
 def test_empty_data_message_is_six_bytes(myp_spec):
@@ -665,3 +688,78 @@ def test_one_full_decode_per_classified_message():
             out = decode_message(wire, spec.message_types, spec)
             assert isinstance(out, Classified) and out.msg_type == m
             assert decoded == [m]
+
+
+# f and g merge into the literal byte X'a1'; the facts go on past it
+SUB_BYTE_SPEC = """
+message module S
+  message P with
+    f is Integer(value=5) as BigEndian(length=3)
+    g is Integer(value=1) as BigEndian(length=5)
+    t is Text(max_count=8) as TerminatedText(terminator=' ')
+    k is Text(value='K') as FixedCountText()
+  end
+  message Q with
+    f is Integer(value=5) as BigEndian(length=3)
+    g is Integer(value=1) as BigEndian(length=5)
+    t is Text(max_count=8) as TerminatedText(terminator=' ')
+    k is Text(value='L') as FixedCountText()
+  end
+  message B with
+    h is Binary(value=b'101000010110')
+    r is Binary(length=4)
+  end
+  message N with
+    a is Integer(value=10) as BigEndian(length=4)
+    b is Integer as BigEndian(length=4)
+  end
+  message F with
+    c is Bool(value=true) as BoolBits(truth_string=b'101', falsehood_string=b'010')
+    t is Text(max_count=3) as TerminatedText(terminator=' ')
+    pad is Binary(length=5)
+  end
+end
+"""
+
+
+def test_sub_byte_literals_merge_into_whole_bytes():
+    spec = resolve(parse_spec(SUB_BYTE_SPEC))
+    skip = ("skip", b" ", None)
+    assert wire_prefix(spec, "P") == [("lit", BitString(0xA1, 8)), skip, ("lit", BitString.from_bytes(b"K"))]
+    assert wire_prefix(spec, "Q") == [("lit", BitString(0xA1, 8)), skip, ("lit", BitString.from_bytes(b"L"))]
+    assert wire_prefix(spec, "B") == [("lit", BitString.from_bits("101000010110"))]
+    assert wire_prefix(spec, "N") == [("lit", BitString.from_bits("1010"))]
+    # a text three bits into a byte is no skip: the facts end before it
+    assert wire_prefix(spec, "F") == [("lit", BitString.from_bits("101"))]
+    order, kept = classifier(spec, ["P", "Q"]).order(b"\xa1ab L")
+    assert (order[:kept], kept) == (["Q"], 1)
+    out = decode_message(b"\xa1ab L", ["P", "Q"], spec)
+    assert isinstance(out, Classified) and out.msg_type == "Q"
+
+
+def test_sub_byte_prefilter_changes_no_outcome():
+    # the byte tree against one decode per candidate, where literal tails
+    # end inside a byte and candidates share a first byte
+    import random
+
+    spec = resolve(parse_spec(SUB_BYTE_SPEC))
+    names = spec.message_types
+    tree = classifier(spec, names).tree
+    for seed in range(12):
+        gen = Generator(spec, GenConfig(seed=seed))
+        rng = random.Random(seed)
+        wires = [encode_message(m, gen.message(m), spec) for m in names]
+        for i, wire in enumerate(wires):
+            for buf in _variants(wire, wires[i - 1], rng) + [wire[:1] + b"ab " + wire[-1:]]:
+                # a ruled-out candidate never decodes (a pinned field longer
+                # than the buffer may still ask for more bytes on its own)
+                alive = tree.alive(buf)
+                for j, m in enumerate(names):
+                    if not alive >> j & 1:
+                        assert not isinstance(decode_message(buf, [m], spec), Classified), (m, buf)
+                expected, _ = _one_at_a_time(buf, spec)
+                out = decode_message(buf, names, spec)
+                if isinstance(out, InvalidFormat):
+                    assert list(out.diagnostics.items()) == expected, buf
+                else:
+                    assert out == expected, buf

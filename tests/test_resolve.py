@@ -183,13 +183,24 @@ def test_terminator_must_be_codable():
         ("t is Text(value=b'1') as TerminatedText(terminator=' ')", "'value' must be text"),
         ("e is E(value=3) as BigEndian(length=8)", "'value' must be a constant of E"),
         ("e is E(value=no) as BigEndian(length=8)", "'value' must be a constant of E"),
+        # an instantiation has no value, even inside an expression
+        ("i is Integer(max=Foo(a=1)) as BigEndian(length=8)", "'max' must be an expression, not Foo"),
+        ("i is Integer(max=1 + Integer(max=2)) as BigEndian(length=8)", "'max' must be an expression"),
+        ("i is Integer(max=-/x/) as BigEndian(length=8)", "'max' must be an expression, not /x/"),
+        ("b is Binary(length=8 * Byte(max=3))", "'length' must be an expression, not Byte"),
+        ("r is R(p=Foo(a=1))", "'p' must be an expression, not Foo"),
+        ("i is I(n=Foo(a=1))", "'n' must be an expression, not Foo"),
     ],
 )
 def test_literal_argument_of_the_wrong_kind_rejected(field, reason):
     # ok and no are constants of two different enums
-    enums = "enum E of Integer with ok as 1 end enum F of Integer with no as 2 end"
+    decls = (
+        "enum E of Integer with ok as 1 end enum F of Integer with no as 2 end "
+        "type Byte is Integer(max=255) record R(p) with b is Binary(length=p) end "
+        "record I with n is Integer as BigEndian(length=8) end "
+    )
     with pytest.raises(ResolutionError, match=reason):
-        rs(f"{enums} message X with {field} end")
+        rs(f"{decls} message X with {field} end")
 
 
 def test_enum_constants_must_be_literals_of_the_base():
@@ -252,6 +263,35 @@ def test_field_pin_of_the_wrong_kind_rejected(field, pin, reason):
     )
     with pytest.raises(ResolutionError, match=reason):
         rs(f"{decls} record H with {field} end message A with h is H({pin}) end")
+
+
+def test_record_parameters_are_required():
+    decls = "record R(p, q) with b is Binary(length=p) c is Binary(length=q) end "
+    with pytest.raises(ResolutionError, match=r"^X\.r: R is missing \['p', 'q'\]$"):
+        rs(f"{decls} message X with r is R end")
+    with pytest.raises(ResolutionError, match=r"^X\.r: R is missing \['q'\]$"):
+        rs(f"{decls} message X with r is R(p=8) end")
+    with pytest.raises(ResolutionError, match=r"^X\.o: R is missing \['p'\]$"):
+        rs(f"{decls} message X with o is Optional(is_empty=false, subject=R(q=8)) end")
+    with pytest.raises(ResolutionError, match=r"^X\.l element: R is missing \['p', 'q'\]$"):
+        rs(f"{decls} message X with l is List(elem=R, max_length=2) "
+           "as CountPrefixList(count_codec=BigEndian(length=8)) end")
+    rs(f"{decls} type S is R(p=8) message X with r is S(q=16) end")
+
+
+@pytest.mark.parametrize(
+    "field,reason",
+    [
+        ("i is Integer(max=1, max=200) as BigEndian(length=8)", "Integer is given argument 'max' twice"),
+        ("i is Integer as BigEndian(length=8, length=16)", "BigEndian is given argument 'length' twice"),
+        ("r is R(p=1, p=2)", "R is given argument 'p' twice"),
+        ("i is Small(max=2, max=3) as BigEndian(length=8)", "Integer is given argument 'max' twice"),
+    ],
+)
+def test_repeated_argument_rejected(field, reason):
+    decls = "type Small is Integer(max=1) record R(p) with b is Binary(length=8*p) end "
+    with pytest.raises(DuplicateName, match=reason):
+        rs(f"{decls} message X with {field} end")
 
 
 def test_field_pin_of_a_record_that_nests_itself():

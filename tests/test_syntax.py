@@ -50,6 +50,9 @@ def test_error_carries_position():
         "interactions module I actor A with state S where on do continue end end end",
         "message module M message X with f is Text as T('unterminated) end end",
         "message module M \x01 end",
+        # digits that str.isdigit takes and int() does not
+        "message module M message X with i is Integer(max=\u00b2) as BigEndian(length=8) end end",
+        "message module M message X with i is Integer(max=1\u00b9) as BigEndian(length=8) end end",
     ],
 )
 def test_malformed_sources(source):

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from wirespec.bits import BitString
 from wirespec.codec import compile_node, message_plan
 from wirespec.errors import (
+    ConstraintViolation,
     DivisionByZero,
     EvalError,
     SpecSyntaxError,
@@ -184,6 +185,21 @@ def field_type(spec, name):
     return next(f.type for f in spec.records["Wrap"].fields if f.name == name)
 
 
+def field_node(spec, name):
+    """The node of one field of Wrap, with its codec, which encodes."""
+    fld = next(f for f in spec.records["Wrap"].fields if f.name == name)
+    return compile_node(fld.type, fld.codec, spec)
+
+
+def encode_fault(node, value, env):
+    """The reason ``node.encode`` rejects the value, or None when it encodes."""
+    try:
+        node.encode(value, env)
+    except ConstraintViolation as e:
+        return str(e)
+    return None
+
+
 def test_integer_bounds(spec):
     t = field_type(spec, "n")
     node = compile_node(t, None, spec)
@@ -209,16 +225,15 @@ def test_text_pattern_and_count():
 
 
 def test_optional_exclusivity(spec):
-    t = field_type(spec, "foot")
     present_env = {"hasfoot": BoolVal(True)}
     absent_env = {"hasfoot": BoolVal(False)}
-    node = compile_node(t, None, spec)
+    node = field_node(spec, "foot")
     # guard true: the footer is required
-    assert node.check(ABSENT, present_env) is not None
-    assert node.check(TextVal("hi"), present_env) is None
+    assert encode_fault(node, ABSENT, present_env) is not None
+    assert encode_fault(node, TextVal("hi"), present_env) is None
     # guard false: the footer must be absent
-    assert node.check(ABSENT, absent_env) is None
-    assert node.check(TextVal("hi"), absent_env) is not None
+    assert encode_fault(node, ABSENT, absent_env) is None
+    assert encode_fault(node, TextVal("hi"), absent_env) is not None
 
 
 def test_binary_bit_pattern(spec):
@@ -230,14 +245,13 @@ def test_binary_bit_pattern(spec):
 
 
 def test_list_elements_checked(spec):
-    t = field_type(spec, "tags")
     good = ListVal((RecordVal("Item", (("v", IntVal(3)),)),))
     bad = ListVal((RecordVal("Item", (("v", IntVal(10)),)),))
     over = ListVal(tuple(RecordVal("Item", (("v", IntVal(1)),)) for _ in range(3)))
-    node = compile_node(t, None, spec)
-    assert node.check(good, {}) is None
-    assert "element 0" in node.check(bad, {})
-    assert "max_length" in node.check(over, {})
+    node = field_node(spec, "tags")
+    assert encode_fault(node, good, {}) is None
+    assert "element 0" in encode_fault(node, bad, {})
+    assert "max_length" in encode_fault(node, over, {})
 
 
 def test_enum_constants(spec):
