@@ -13,18 +13,20 @@ callers feeding a growing stream buffer can distinguish "wait for more
 bytes" from a malformed message, and a terminated text that has already
 run past its ``max_count`` is rejected without waiting for its terminator.
 
-Classification skips candidates that cannot match.  Each node states the
-static facts about the leading bits of its wire form (:class:`WirePrefix`):
-literal bits, where a pinned field has only one encoding; "skip through
-terminator T", for an unpinned terminated text at a byte boundary, with
-the first bytes its pattern allows; and nothing past anything else.  One
-:class:`Classifier` per candidate list, built on first use and cached on
-the spec, walks every candidate's facts over the buffer at once, a whole
-byte at a time.  It rules a candidate out only when bytes already present
-contradict a literal or a skipped text's first byte; a short buffer or a
-missing terminator keeps it.  :func:`decode_message` decodes the others
-first and the candidates ruled out only for diagnostics, so every outcome
-is the one a decode of each candidate in turn would give.
+Classification lets only candidates that can still match decide.  Each
+node states the static facts about the leading bits of its wire form
+(:class:`WirePrefix`): literal bits, where a pinned field has only one
+encoding; "skip through terminator T", for an unpinned terminated text at
+a byte boundary, with the first bytes its pattern allows; and nothing past
+anything else.  One :class:`Classifier` per candidate list, a list of one
+included, is built on first use and cached on the spec; its tree walks
+every candidate's facts over the buffer at once, a whole byte at a time.
+It rules a candidate out when bytes already present contradict a literal
+or a skipped text's first byte; a short buffer or a missing terminator
+keeps it.  :func:`decode_message` takes its outcome from the candidates
+kept alone, so a buffer that rules out every candidate is InvalidFormat at
+once, even where a candidate's own decode would still wait for bytes; the
+ruled-out candidates are decoded only for their diagnostics.
 """
 
 from __future__ import annotations
@@ -487,7 +489,7 @@ class BoolBitsNode(BoolNode):
 
 
 class BinaryNode(Node):
-    """Binary values are their own bits; a codec on the field is not used."""
+    """Binary values are their own bits; the resolver rejects a codec on the field."""
 
     canonical = True
 
@@ -846,14 +848,19 @@ class _Branch:
         self.below = 0  # every candidate at or under this node
         self.children = {}  # byte -> branch past it
         self.tails = []  # (8 - width, the byte's first width bits, candidate)
-        self.skips = {}  # (terminator, first bytes) -> branch past the terminator
+        self.skips = []  # (terminator, first bytes, branch past the terminator)
 
     def add(self, bit: int, segments: list):
         node = self
         node.below |= bit
         for segment in segments:
             if segment[0] == "skip":
-                node = node.skips.setdefault(segment[1:], _Branch())
+                _, terminator, first = segment
+                child = next((c for t, f, c in node.skips if (t, f) == (terminator, first)), None)
+                if child is None:
+                    child = _Branch()
+                    node.skips.append((terminator, first, child))
+                node = child
                 node.below |= bit
                 continue
             bits = segment[1]
@@ -865,14 +872,6 @@ class _Branch:
                 node.tails.append((8 - width, bits.value & ((1 << width) - 1), bit))
                 return
         node.ends |= bit
-
-    def freeze(self):
-        """Turn the skips into the tuples that :meth:`alive` scans."""
-        self.skips = tuple((t, first, child) for (t, first), child in self.skips.items())
-        for child in self.children.values():
-            child.freeze()
-        for *_, child in self.skips:
-            child.freeze()
 
     def alive(self, buf: bytes) -> int:
         """The candidates whose facts ``buf`` does not contradict.  A missing
@@ -905,10 +904,8 @@ class _Branch:
 
 
 class Classifier:
-    """The order in which :func:`decode_message` tries one candidate list:
-    first the candidates whose wire-prefix facts the buffer does not
-    contradict, then the others, each group in declaration order.  A list
-    of one candidate is not filtered."""
+    """One candidate list in declaration order (``ordered``; candidate ``i``
+    is bit ``1 << i``) and the tree of its candidates' wire-prefix facts."""
 
     def __init__(self, spec: ResolvedSpec, candidates: tuple):
         for name in candidates:
@@ -917,24 +914,9 @@ class Classifier:
         self.ordered = [m for m in spec.message_types if m in wanted]
         if not self.ordered:
             raise ValueError("no candidate message types")
-        self.tree = None
-        self.orders = {}  # alive mask -> (decode order, how many are alive)
-        if len(self.ordered) > 1:
-            self.tree = _Branch()
-            for i, name in enumerate(self.ordered):
-                self.tree.add(1 << i, wire_prefix(spec, name))
-            self.tree.freeze()
-
-    def order(self, buf: bytes) -> tuple[list, int]:
-        if self.tree is None:
-            return self.ordered, len(self.ordered)
-        alive = self.tree.alive(buf)
-        order = self.orders.get(alive)
-        if order is None:
-            kept = [m for i, m in enumerate(self.ordered) if alive >> i & 1]
-            ruled_out = [m for i, m in enumerate(self.ordered) if not alive >> i & 1]
-            order = self.orders.setdefault(alive, (kept + ruled_out, len(kept)))
-        return order
+        self.tree = _Branch()
+        for i, name in enumerate(self.ordered):
+            self.tree.add(1 << i, wire_prefix(spec, name))
 
 
 def classifier(spec: ResolvedSpec, candidates) -> Classifier:
@@ -947,6 +929,23 @@ def classifier(spec: ResolvedSpec, candidates) -> Classifier:
     return found
 
 
+def _attempt(buf: bytes, spec: ResolvedSpec, msg_type: str):
+    """The message decoded in full from the front of ``buf``, else why not:
+    (whether more bytes may help, the reason)."""
+    try:
+        cur = Cursor(buf)
+        value = message_plan(spec, msg_type).decode(cur, {})
+        if cur.pos % 8:
+            raise ConstraintViolation("message does not end on a byte boundary")
+        return Classified(msg_type, value, cur.pos // 8)
+    except IncompleteInput as e:
+        return True, f"incomplete: {e}"
+    except (ConstraintViolation, EvalError) as e:
+        # peer-controlled values reach expressions (lengths, guards), so
+        # an expression that fails to evaluate is a malformed message
+        return False, str(e)
+
+
 def decode_message(
     buf: bytes,
     candidates,
@@ -955,44 +954,38 @@ def decode_message(
 ):
     """Classify the front of a byte buffer against candidate message types.
 
-    The first candidate in specification declaration order that decodes in
-    full wins.  Returns Classified, NEED_MORE, or InvalidFormat.  Candidates
-    whose wire-prefix facts the buffer contradicts can never decode, so the
-    others are decoded first (see :class:`Classifier`); the ruled-out ones
-    are decoded too only when none of the others decodes or is incomplete,
-    for their diagnostics, which come in declaration order.  An unknown
-    candidate is an UnknownName error.
+    Only the candidates whose wire-prefix facts the buffer does not
+    contradict decide (see :class:`Classifier`): the first of them in
+    specification declaration order that decodes in full wins, else the
+    outcome is NEED_MORE if one of them ran out of input, else
+    InvalidFormat.  A candidate the facts rule out can never decode, however
+    the buffer goes on, so it is decoded only for its diagnostic, which
+    says so if that decode ran out of input.  InvalidFormat holds one
+    diagnostic per candidate, in declaration order.  An unknown candidate
+    is an UnknownName error.
     """
     classify = classifier(spec, candidates)
-    order, kept = classify.order(buf)
-    diagnostics = {}
-    incomplete = False
-    winner = None
-    for i, name in enumerate(order):
-        if i == kept and (winner is not None or incomplete):
-            break  # the rest are ruled out
-        if winner is not None and not report_ambiguity:
-            break
-        try:
-            cur = Cursor(buf)
-            value = message_plan(spec, name).decode(cur, {})
-            if cur.pos % 8:
-                raise ConstraintViolation("message does not end on a byte boundary")
-            if winner is None:
-                winner = Classified(name, value, cur.pos // 8)
-                if report_ambiguity:
-                    winner.also_matched = []
-            else:
-                winner.also_matched.append(name)
-        except IncompleteInput as e:
-            incomplete = True
-            diagnostics[name] = f"incomplete: {e}"
-        except (ConstraintViolation, EvalError) as e:
-            # peer-controlled values reach expressions (lengths, guards), so
-            # an expression that fails to evaluate is a malformed message
-            diagnostics[name] = str(e)
-    if winner is not None:
-        return winner
+    alive = classify.tree.alive(buf)
+    diagnostics, matched, incomplete = {}, [], False
+    for i, name in enumerate(classify.ordered):
+        if not alive >> i & 1:
+            continue
+        out = _attempt(buf, spec, name)
+        if not isinstance(out, Classified):
+            incomplete |= out[0]
+            diagnostics[name] = out[1]
+        elif not report_ambiguity:
+            return out
+        else:
+            matched.append(out)
+    if matched:
+        matched[0].also_matched = [out.msg_type for out in matched[1:]]
+        return matched[0]
     if incomplete:
         return NEED_MORE
+    for name in classify.ordered:
+        if name not in diagnostics:
+            # the facts rule out no candidate that decodes, so this one fails
+            more, reason = _attempt(buf, spec, name)
+            diagnostics[name] = f"ruled out by its wire prefix, {reason}" if more else reason
     return InvalidFormat({name: diagnostics[name] for name in classify.ordered})

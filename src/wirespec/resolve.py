@@ -202,6 +202,9 @@ class _Resolver:
 
     def _resolve_enum(self, decl: syntax.EnumDecl) -> EnumDef:
         base = self._expand_type(decl.base, stack=())
+        names = self._references(base)
+        if names:  # no record's fields or parameters are in scope here
+            raise UnknownName(f"enum {decl.name} references unknown name {names[0]!r}")
         kind = TYPE_SIGNATURES.get(base.base, {}).get("value", (None, False))[0]
         constants = {}
         for cname, literal in decl.constants:
@@ -363,42 +366,32 @@ class _Resolver:
             self._check_coding(f"{decl.name}.{f.name}", f.type, f.codec)
         return RecordDef(decl.name, params, fields, decl.name in self.message_order)
 
+    def _references(self, value) -> list:
+        """The names other than constants that an argument's value references:
+        those in an expression, or in the arguments of a type or codec instance."""
+        if isinstance(value, (RType, RCodec)):
+            return [name for arg in value.args.values() for name in self._references(arg)]
+        if isinstance(value, syntax.Unary):
+            return self._references(value.operand)
+        if isinstance(value, syntax.Binary):
+            return self._references(value.left) + self._references(value.right)
+        if isinstance(value, syntax.NameRef) and value.name not in ("true", "false"):
+            return [] if value.name in self.constants else [value.name]
+        return []  # a literal, or no codec, names nothing
+
     def _check_references(self, decl, fname, earlier, params, rtype, rcodec) -> None:
         later = {f.name for f in decl.fields} - set(earlier)
-
-        def walk_expr(expr):
-            if isinstance(expr, syntax.NameRef):
-                name = expr.name
-                if name in ("true", "false") or name in self.constants:
-                    return
-                if name == fname:
-                    raise CyclicDependency(
-                        f"{decl.name}.{fname} depends on itself"
-                    )
-                if name in later:
-                    raise ForwardReference(
-                        f"{decl.name}.{fname} references later field {name!r}"
-                    )
-                if name not in earlier and name not in params:
-                    raise UnknownName(
-                        f"{decl.name}.{fname} references unknown name {name!r}"
-                    )
-            elif isinstance(expr, syntax.Unary):
-                walk_expr(expr.operand)
-            elif isinstance(expr, syntax.Binary):
-                walk_expr(expr.left)
-                walk_expr(expr.right)
-
-        def walk_args(args: dict):
-            for value in args.values():
-                if isinstance(value, (RType, RCodec)):
-                    walk_args(value.args)
-                elif isinstance(value, (syntax.NameRef, syntax.Unary, syntax.Binary)):
-                    walk_expr(value)  # literals name nothing
-
-        walk_args(rtype.args)
-        if rcodec is not None:
-            walk_args(rcodec.args)
+        for name in self._references(rtype) + self._references(rcodec):
+            if name == fname:
+                raise CyclicDependency(f"{decl.name}.{fname} depends on itself")
+            if name in later:
+                raise ForwardReference(
+                    f"{decl.name}.{fname} references later field {name!r}"
+                )
+            if name not in earlier and name not in params:
+                raise UnknownName(
+                    f"{decl.name}.{fname} references unknown name {name!r}"
+                )
 
     def _check_coding(self, where: str, rtype: RType, rcodec: RCodec | None) -> None:
         """Reject a type and codec that cannot code every value of the type."""
@@ -417,11 +410,14 @@ class _Resolver:
         if rtype.base == "Binary" and not {"length", "value"} & set(rtype.args):
             raise ResolutionError(f"{where}: Binary needs a length or a fixed value")
         if rcodec is None:
-            if base == "Enum" or rtype.base in CODED_TYPES:
+            if rtype.base in CODED_TYPES:
                 raise ResolutionError(f"{where}: a {base} field needs a codec")
             return
+        if rtype.base not in CODED_TYPES:  # a record or Binary codes itself
+            what = f"{rtype.record} record" if rtype.record else rtype.base
+            raise ResolutionError(f"{where}: a {what} takes no codec")
         self._require_args(where, rcodec)
-        if rtype.base in CODED_TYPES and CODEC_SIGNATURES[rcodec.base][0] != rtype.base:
+        if CODEC_SIGNATURES[rcodec.base][0] != rtype.base:
             raise ResolutionError(f"{where}: codec {rcodec.base} cannot code a {rtype.base}")
         if rcodec.base == "BoolBits":
             t = rcodec.args["truth_string"]

@@ -18,6 +18,8 @@ from wirespec.codec import (
 from wirespec.errors import (
     ConstraintViolation,
     DivisionByZero,
+    EvalError,
+    IncompleteInput,
     MissingTerminator,
     NotByteAligned,
     TerminatorInPayload,
@@ -576,6 +578,18 @@ def test_ascii_text_codecs_reject_non_ascii_bytes():
     assert decode_message(b"\xe9a\n", ["B"], spec) == InvalidFormat({"B": "byte 0xe9 is not ASCII"})
 
 
+@pytest.mark.parametrize("buf", [b"a1 XYZW", b"a1 LOGOUX", b"a1 LOGOUX\r\n"])
+def test_buffer_that_rules_out_every_candidate_is_invalid_format(imap_spec, buf):
+    # no continuation of buf is valid, though LoginCmd's own decode would
+    # still wait for the space after its command name
+    for candidates in (imap_spec.message_types, ["LoginCmd"]):
+        out = decode_message(buf, candidates, imap_spec)
+        assert isinstance(out, InvalidFormat), out
+        assert list(out.diagnostics) == list(candidates)
+        reason = "ruled out by its wire prefix, incomplete: terminator ' ' not found"
+        assert out.diagnostics["LoginCmd"] == reason
+
+
 TAG_FIRST = frozenset(b"0123456789abcdefghijklmnopqrstuvwxyzABCDEFGHIJKLMNOPQRSTUVWXYZ")
 
 
@@ -633,17 +647,58 @@ def _variants(wire: bytes, other: bytes, rng) -> list:
     return out
 
 
+def _contradicted(segments, buf) -> bool:
+    """Whether ``buf`` contradicts one candidate's wire-prefix segments,
+    walked one segment at a time: a literal's bits that are present must
+    match, and a skipped text must start with an allowed byte."""
+    at = 0
+    for segment in segments:
+        if at == len(buf):
+            return False
+        if segment[0] == "skip":
+            _, terminator, first = segment
+            if first is not None and buf[at] not in first:
+                return True
+            end = buf.find(terminator, at)
+            if end < 0:
+                return False
+            at = end + len(terminator)
+            continue
+        bits, have = segment[1], BitString.from_bytes(buf[at:])
+        n = min(bits.length, have.length)
+        if bits.value >> (bits.length - n) != have.value >> (have.length - n):
+            return True
+        at += bits.length // 8  # only the last literal ends inside a byte
+    return False
+
+
 def _one_at_a_time(buf, spec):
-    """What classifying against every type gives, built from one decode per
-    candidate: the first match in declaration order and the later matches,
-    else NEED_MORE if any candidate needs more, else every reason in order."""
-    outs = [(m, decode_message(buf, [m], spec)) for m in spec.message_types]
-    matched = [out for _, out in outs if isinstance(out, Classified)]
+    """What classifying against every type gives, built from one plain decode
+    per candidate: the first match in declaration order and the later matches,
+    else NEED_MORE if a candidate whose wire prefix ``buf`` does not
+    contradict needs more, else every reason in order."""
+    matched, incomplete, reasons = [], False, []
+    for m in spec.message_types:
+        ruled_out = _contradicted(wire_prefix(spec, m), buf)
+        try:
+            cur = Cursor(buf)
+            value = message_plan(spec, m).decode(cur, {})
+            if cur.pos % 8:
+                raise ConstraintViolation("message does not end on a byte boundary")
+        except IncompleteInput as e:
+            incomplete |= not ruled_out
+            reason = f"incomplete: {e}"
+            reasons.append((m, f"ruled out by its wire prefix, {reason}" if ruled_out else reason))
+        except (ConstraintViolation, EvalError) as e:
+            reasons.append((m, str(e)))
+        else:
+            assert not ruled_out, (m, buf)
+            matched.append(Classified(m, value, cur.pos // 8))
     if matched:
         return matched[0], [out.msg_type for out in matched[1:]]
-    if any(out is NEED_MORE for _, out in outs):
+    if incomplete:
         return NEED_MORE, None
-    return [(m, out.diagnostics[m]) for m, out in outs], None
+    return reasons, None
 
 
 def test_prefilter_changes_no_outcome(myp_spec, imap_spec):
@@ -731,8 +786,8 @@ def test_sub_byte_literals_merge_into_whole_bytes():
     assert wire_prefix(spec, "N") == [("lit", BitString.from_bits("1010"))]
     # a text three bits into a byte is no skip: the facts end before it
     assert wire_prefix(spec, "F") == [("lit", BitString.from_bits("101"))]
-    order, kept = classifier(spec, ["P", "Q"]).order(b"\xa1ab L")
-    assert (order[:kept], kept) == (["Q"], 1)
+    # of P and Q (bits 0 and 1), the buffer keeps Q alone
+    assert classifier(spec, ["P", "Q"]).tree.alive(b"\xa1ab L") == 0b10
     out = decode_message(b"\xa1ab L", ["P", "Q"], spec)
     assert isinstance(out, Classified) and out.msg_type == "Q"
 
@@ -751,12 +806,11 @@ def test_sub_byte_prefilter_changes_no_outcome():
         wires = [encode_message(m, gen.message(m), spec) for m in names]
         for i, wire in enumerate(wires):
             for buf in _variants(wire, wires[i - 1], rng) + [wire[:1] + b"ab " + wire[-1:]]:
-                # a ruled-out candidate never decodes (a pinned field longer
-                # than the buffer may still ask for more bytes on its own)
+                # a ruled-out candidate never decodes, nor waits for more bytes
                 alive = tree.alive(buf)
                 for j, m in enumerate(names):
                     if not alive >> j & 1:
-                        assert not isinstance(decode_message(buf, [m], spec), Classified), (m, buf)
+                        assert isinstance(decode_message(buf, [m], spec), InvalidFormat), (m, buf)
                 expected, _ = _one_at_a_time(buf, spec)
                 out = decode_message(buf, names, spec)
                 if isinstance(out, InvalidFormat):

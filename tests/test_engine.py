@@ -136,6 +136,29 @@ def test_stalled_partial_message_is_format_error(myp_spec):
     assert rep.detail == "stalled mid-message"
 
 
+def test_reply_that_no_bytes_can_mend_is_format_error(imap_spec):
+    # the X of LOGOUX rules out every response, so the engine rejects the
+    # line at once instead of waiting for bytes that cannot make it valid
+    def iut(ch):
+        reader = StreamReader(ch)
+        ch.send(b"* OK ready\r\n")
+        reader.read_line()  # the LoginCmd
+        ch.send(b"a1 LOGOUX\r\n")
+        reader.read_exact(1)  # park until the engine gives up
+
+    def login(states, choices, coverage, rng):
+        return "LoginCmd"
+
+    rep = run_in_process(
+        imap_spec, "IMAPServer", iut,
+        fast_config(max_steps=50, seed=0, max_consecutive_timeouts=3), strategy=login,
+    )
+    assert rep.verdict is Verdict.INVALID_FORMAT
+    assert rep.detail != "stalled mid-message"
+    assert rep.offending == b"a1 LOGOUX\r\n"
+    assert "OkResp: ruled out by its wire prefix, incomplete: terminator ' ' not found" in rep.detail
+
+
 def test_close_mid_message_is_format_error(myp_spec):
     def truncator(ch):
         reader = StreamReader(ch)

@@ -134,6 +134,45 @@ def test_codec_must_code_the_field_type():
         rs("message X with n is Integer as TextInteger(text_codec=BigEndian(length=8)) end")
 
 
+TAKES_NO_CODEC_DEFS = (
+    "record H with a is Integer as BigEndian(length=8) end "
+    "enum EB of Binary(length=4) with one as b'0001' end "
+)
+
+
+@pytest.mark.parametrize(
+    "field, reason",
+    [
+        ("h is H as TerminatedText(terminator=' ')", "X.h: a H record takes no codec"),
+        ("b is Binary(length=8) as BigEndian(length=16)", "X.b: a Binary takes no codec"),
+        (
+            "f is Bool as BoolBits(truth_string=b'1', falsehood_string=b'0') "
+            "h is Optional(is_empty=f, subject=H) as BigEndian(length=8)",
+            "X.h: a H record takes no codec",
+        ),
+        ("e is EB as BigEndian(length=4)", "X.e: a Binary takes no codec"),
+    ],
+)
+def test_codec_on_a_type_that_takes_none_rejected(field, reason):
+    # records and Binary code themselves; a codec there would be ignored
+    with pytest.raises(ResolutionError, match=f"^{reason}$"):
+        rs(TAKES_NO_CODEC_DEFS + f"message X with {field} end")
+
+
+def test_enum_over_binary_needs_no_codec():
+    rs(TAKES_NO_CODEC_DEFS + "message X with e is EB b is Binary(length=4) end")
+
+
+@pytest.mark.parametrize("before", ["", "n is Integer as BigEndian(length=8) "])
+def test_enum_base_names_no_field(before):
+    # no record is in scope of an enum's base type, not even one declaring n
+    with pytest.raises(UnknownName, match="^enum E references unknown name 'n'$"):
+        rs(
+            "enum E of Text(max_count=n) with a as 'x' end "
+            f"message X with {before}e is E as TerminatedText(terminator=' ') end"
+        )
+
+
 def test_field_size_must_be_known():
     with pytest.raises(ResolutionError):
         rs("message X with t is Text as FixedCountText end")
