@@ -185,6 +185,21 @@ def cmd_serve(args) -> int:
                 return 0
 
 
+def _int_at_least(least: int):
+    """An argparse type: an integer no smaller than ``least``."""
+
+    def parse(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"invalid integer: {text!r}") from None
+        if value < least:
+            raise argparse.ArgumentTypeError(f"must be at least {least}, got {value}")
+        return value
+
+    return parse
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(
         prog="wirespec",
@@ -232,8 +247,8 @@ def main(argv=None) -> int:
     p.add_argument("--connect", help="host:port of a listening IUT")
     p.add_argument("--listen", type=int, help="port to await a client-role IUT on")
     p.add_argument("--host", default="127.0.0.1")
-    p.add_argument("--max-steps", type=int, default=100)
-    p.add_argument("--timeout-ms", type=int, default=2000)
+    p.add_argument("--max-steps", type=_int_at_least(0), default=100)
+    p.add_argument("--timeout-ms", type=_int_at_least(1), default=2000)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--format", choices=("text", "machine"), default="text")
     p.set_defaults(fn=cmd_test)
@@ -242,8 +257,8 @@ def main(argv=None) -> int:
     add_spec(p)
     p.add_argument("actor_a")
     p.add_argument("actor_b")
-    p.add_argument("--max-steps", type=int, default=100)
-    p.add_argument("--timeout-ms", type=int, default=50)
+    p.add_argument("--max-steps", type=_int_at_least(0), default=100)
+    p.add_argument("--timeout-ms", type=_int_at_least(1), default=50)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--format", choices=("text", "machine"), default="text")
     p.set_defaults(fn=cmd_selfplay)

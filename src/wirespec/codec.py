@@ -716,6 +716,8 @@ class RecordNode(Node):
         in the outer one.  A pinned field's name holds the pin until the field
         itself is bound; earlier fields cannot see it, as the resolver rejects
         references to later fields."""
+        if not self.args:
+            return {}
         return {name: arg(outer) for name, arg in self.args}
 
     def encode(self, value, env):

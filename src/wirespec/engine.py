@@ -60,6 +60,7 @@ class EngineConfig:
     receive_timeout_ms: int = 2000
     max_consecutive_timeouts: int = 5
     seed: int = 0
+    # No effect: run_test's rng, seeded from ``seed``, overrides its seed.
     gen: GenConfig | None = None
 
 

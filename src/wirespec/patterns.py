@@ -402,8 +402,11 @@ class LanguageSampler:
     smaller bound reads the same table.  Columns are only ever appended,
     whole and under a lock, so threads may share a sampler (see
     :func:`language`).  Nothing derived from a column goes stale, so the
-    weighted successors of each (state, characters left) step and the
-    feasible lengths of each bound are cached as they are first needed.
+    weighted successors of each (state, characters left) step, with their
+    total weight and its bit length, and the feasible lengths of each bound
+    are cached as they are first needed.  Each character is drawn with
+    ``getrandbits`` and rejection, the algorithm ``randrange`` runs, so a
+    seeded ``Random`` draws what ``randrange`` would have drawn.
     """
 
     def __init__(self, pattern: Pattern | None, alphabet: str, excludes: tuple[Pattern, ...] = ()):
@@ -414,7 +417,7 @@ class LanguageSampler:
         # _columns[ln][s]: accepted strings of length ln from state s
         self._columns = [[1 if acc else 0 for acc in accepting]]
         self._lock = Lock()
-        self._steps = {}  # (state, remaining) -> ([(chars, successor, weight)], total)
+        self._steps = {}  # (state, remaining) -> ([(chars, successor, weight)], total, bits)
         self._feasible = {}  # max_len -> feasible_lengths(max_len)
 
     def _table(self, max_len: int) -> list:
@@ -469,6 +472,7 @@ class LanguageSampler:
         elif not 0 <= length <= max_len or columns[length][0] == 0:
             raise UnsatisfiableConstraint(f"no accepted string of length {length}")
         steps = self._steps
+        getrandbits = rng.getrandbits
         out = []
         state = 0
         for remaining in range(length, 0, -1):
@@ -480,9 +484,13 @@ class LanguageSampler:
                     for chars, t in self._rows[state]
                     if column[t] > 0
                 ]
-                step = steps.setdefault((state, remaining), (weighted, sum(w for _, _, w in weighted)))
-            weighted, total = step
-            pick = rng.randrange(total)
+                total = sum(w for _, _, w in weighted)
+                step = steps.setdefault((state, remaining), (weighted, total, total.bit_length()))
+            weighted, total, bits = step
+            # randrange(total), inline: the same draws from the same state
+            pick = getrandbits(bits)
+            while pick >= total:
+                pick = getrandbits(bits)
             for chars, t, w in weighted:
                 if pick < w:
                     out.append(chars[pick % len(chars)])

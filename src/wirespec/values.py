@@ -3,13 +3,16 @@
 Values are what the generator produces, the codec serializes, and the
 checker validates.  Field types are dependent: their arguments are
 expressions over earlier fields of the same record.  :func:`compile_expr`
-turns each expression once into a closure over a plain dict of the
-field and parameter values known so far; :func:`compile_arg` also
-computes an argument that needs none of them once, up front."""
+turns each expression once into the source of one Python function over a
+plain dict of the field and parameter values known so far; the function
+computes on plain ints and bools and wraps its result once, or, for an
+integer or boolean argument, returns it plain.  :func:`compile_arg` also
+computes an argument that needs none of them once, up front.  Random
+draws elsewhere (``wirespec.patterns``) use ``getrandbits`` with
+rejection, as ``randrange`` does, so a seed draws the same values."""
 
 from __future__ import annotations
 
-import operator
 from dataclasses import dataclass
 
 from .bits import BitString
@@ -95,59 +98,126 @@ def literal_value(expr):
 
 
 _BUILTINS = {"true": BoolVal(True), "false": BoolVal(False)}
-_UNARY = {"!": (BoolVal, operator.not_, "!"), "-": (IntVal, operator.neg, "unary -")}
-_ARITHMETIC = {"+": operator.add, "-": operator.sub, "*": operator.mul, "%": operator.mod}
+_UNARY = {"!": (BoolVal, "not ", "!"), "-": (IntVal, "-", "unary -")}
 
 
-def compile_expr(expr, constants: dict):
-    """``expr`` as an ``env -> value`` closure, where ``env`` is a dict of
-    field and parameter values.  Enum ``constants``, ``true`` and ``false``
-    are looked up once, here; the resolver keeps field and parameter names
-    apart from them.  Errors surface when the closure runs."""
-    if isinstance(expr, syntax.NameRef):
-        value = _BUILTINS.get(expr.name, constants.get(expr.name))
-        if value is None:
-            return _lookup(expr.name)
+def _applied(label: str, *operands) -> TypeMismatch:
+    return TypeMismatch(f"{label} applied to {' and '.join(map(repr, operands))}")
+
+
+def _unbound(missing: KeyError) -> UnboundName:
+    return UnboundName(f"unbound name {missing.args[0]!r}")
+
+
+class _Source:
+    """The body of one compiled expression.  Each operand compiles to Python
+    source and its kind: ``IntVal`` or ``BoolVal`` when the source computes
+    the plain int or bool inside, None when it computes a value of a kind
+    known only at run time.  Lookups and checks, the only steps that can
+    fail, become statements in evaluation order; what they guard stays an
+    expression on plain ints and bools that cannot fail."""
+
+    def __init__(self, constants: dict):
+        self.constants = constants
+        self.lines = []
+        self.namespace = {
+            "IntVal": IntVal,
+            "BoolVal": BoolVal,
+            "DivisionByZero": DivisionByZero,
+            "_applied": _applied,
+            "_unbound": _unbound,
+        }
+        self.temps = 0
+        self.looks_up = False
+
+    def temp(self, code: str) -> str:
+        name = f"v{self.temps}"
+        self.temps += 1
+        self.lines.append(f"{name} = {code}")
+        return name
+
+    def constant(self, value):
+        if type(value) in (IntVal, BoolVal):
+            return repr(value.value), type(value)
+        name = f"c{self.temps}"
+        self.temps += 1
+        self.namespace[name] = value
+        return name, None
+
+    def operand(self, code: str, kind, want):
+        """The plain value of an operand that must be a ``want``, the test
+        that fails when it is not (None when it cannot fail), and the
+        operand's value for a message."""
+        if kind is want:
+            return code, None, f"{want.__name__}({code})"
+        if kind is None:
+            return f"{code}.value", f"not isinstance({code}, {want.__name__})", code
+        return code, "True", f"{kind.__name__}({code})"
+
+    def compile(self, expr):
+        if isinstance(expr, syntax.NameRef):
+            value = _BUILTINS.get(expr.name, self.constants.get(expr.name))
+            if value is None:
+                # the name only ever appears as a string literal
+                self.looks_up = True
+                return self.temp(f"env[{expr.name!r}]"), None
+        else:
+            value = literal_value(expr)
+        if value is not None:
+            return self.constant(value)
+        if isinstance(expr, syntax.Unary):
+            want, op, label = _UNARY[expr.op]
+            raw, test, shown = self.operand(*self.compile(expr.operand), want)
+            if test:
+                self.lines.append(f"if {test}: raise _applied({label!r}, {shown})")
+            return f"({op}{raw})", want
+        if isinstance(expr, syntax.Binary):
+            left = self.operand(*self.compile(expr.left), IntVal)
+            right = self.operand(*self.compile(expr.right), IntVal)
+            tests = [test for _, test, _ in (left, right) if test]
+            if tests:
+                self.lines.append(
+                    f"if {' or '.join(tests)}: "
+                    f"raise _applied({expr.op!r}, {left[2]}, {right[2]})"
+                )
+            divisor = right[0]
+            if expr.op == "%" and not (isinstance(expr.right, syntax.IntLit) and expr.right.value):
+                divisor = self.temp(divisor)
+                message = f"division by zero in {syntax.format_expr(expr)}"
+                self.lines.append(f"if {divisor} == 0: raise DivisionByZero({message!r})")
+            return f"({left[0]} {expr.op} {divisor})", IntVal
+        raise TypeMismatch(f"not a value expression: {syntax.format_expr(expr)}")
+
+
+def compile_expr(expr, constants: dict, convert=None):
+    """``expr`` as one Python function ``env -> value``, where ``env`` is a
+    dict of field and parameter values, and the value is passed through
+    ``convert`` when that is given.  Enum ``constants``, ``true`` and
+    ``false`` are looked up once, here; the resolver keeps field and
+    parameter names apart from them.  The function computes on plain ints
+    and bools and wraps its result once; with ``as_int`` or ``as_bool`` as
+    ``convert``, it returns the plain result, and checks its kind inline.
+    Errors surface when the function runs, in the order in which the
+    operands are evaluated, left to right."""
+    src = _Source(constants)
+    code, kind = src.compile(expr)
+    src.namespace["convert"] = convert
+    want = {as_int: IntVal, as_bool: BoolVal}.get(convert)
+    if want is not None:
+        raw, test, shown = src.operand(code, kind, want)
+        if test:
+            src.lines.append(f"if {test}: return convert({shown})  # raises")
+        src.lines.append(f"return {raw}")
     else:
-        value = literal_value(expr)
-    if value is not None:
-        return lambda env: value
-    if isinstance(expr, syntax.Unary):
-        operand = compile_expr(expr.operand, constants)
-        kind, op, label = _UNARY[expr.op]
-
-        def unary(env):
-            v = operand(env)
-            if not isinstance(v, kind):
-                raise TypeMismatch(f"{label} applied to {v!r}")
-            return kind(op(v.value))
-
-        return unary
-    if isinstance(expr, syntax.Binary):
-        left = compile_expr(expr.left, constants)
-        right = compile_expr(expr.right, constants)
-        op, modulo = _ARITHMETIC[expr.op], expr.op == "%"
-
-        def arithmetic(env):
-            a, b = left(env), right(env)
-            if not isinstance(a, IntVal) or not isinstance(b, IntVal):
-                raise TypeMismatch(f"{expr.op} applied to {a!r} and {b!r}")
-            if modulo and b.value == 0:
-                raise DivisionByZero(f"division by zero in {syntax.format_expr(expr)}")
-            return IntVal(op(a.value, b.value))
-
-        return arithmetic
-    raise TypeMismatch(f"not a value expression: {syntax.format_expr(expr)}")
-
-
-def _lookup(name: str):
-    def lookup(env):
-        try:
-            return env[name]
-        except KeyError:
-            raise UnboundName(f"unbound name {name!r}") from None
-
-    return lookup
+        result = code if kind is None else f"{kind.__name__}({code})"
+        src.lines.append(f"return {result}" if convert is None else f"return convert({result})")
+    lines = src.lines
+    if src.looks_up:
+        lines = ["try:", *("    " + line for line in lines),
+                 "except KeyError as missing:", "    raise _unbound(missing) from None"]
+    source = "def evaluate(env):\n" + "".join(f"    {line}\n" for line in lines)
+    exec(compile(source, f"<{syntax.format_expr(expr)}>", "exec"), src.namespace)
+    return src.namespace["evaluate"]
 
 
 def as_int(value) -> int:
@@ -186,14 +256,13 @@ def fold(fn):
     return lambda env: value
 
 
-def compile_arg(args: dict, name: str, constants: dict, convert=lambda value: value):
+def compile_arg(args: dict, name: str, constants: dict, convert=None):
     """The type or codec argument ``name`` as a folded ``env -> value``,
     passed through ``convert``, the converter of its kind (such as ``as_int``);
     None when the argument is not given."""
     if name not in args:
         return None
-    fn = compile_expr(args[name], constants)
-    return fold(lambda env: convert(fn(env)))
+    return fold(compile_expr(args[name], constants, convert))
 
 
 # --- value literals (CLI surface) -------------------------------------------------

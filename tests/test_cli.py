@@ -268,3 +268,29 @@ def test_console_script_entry_point():
     )
     assert proc.returncode == 0
     assert "3 message types" in proc.stdout
+
+
+@pytest.mark.parametrize(
+    "args, option",
+    [
+        (["selfplay", MYP, "Client", "Server", "--timeout-ms", "-5"], "--timeout-ms"),
+        (["selfplay", MYP, "Client", "Server", "--timeout-ms", "0"], "--timeout-ms"),
+        (["selfplay", MYP, "Client", "Server", "--max-steps", "-2"], "--max-steps"),
+        (["test", MYP, "Server", "--connect", "127.0.0.1:1", "--timeout-ms", "0"], "--timeout-ms"),
+        (["test", MYP, "Server", "--connect", "127.0.0.1:1", "--max-steps", "-1"], "--max-steps"),
+        (["selfplay", MYP, "Client", "Server", "--timeout-ms", "soon"], "--timeout-ms"),
+    ],
+)
+def test_engine_limits_out_of_range_are_usage_errors(args, option, capsys):
+    with pytest.raises(SystemExit) as stop:
+        main(args)
+    assert stop.value.code == 2
+    err = capsys.readouterr().err
+    assert f"argument {option}: " in err
+    assert "Traceback" not in err
+
+
+def test_zero_max_steps_is_allowed():
+    code, out, _ = run_cli("selfplay", MYP, "Client", "Server", "--max-steps", "0")
+    assert code == 0
+    assert "0 steps" in out

@@ -217,3 +217,37 @@ def test_malformed_patterns_raise():
     for bad in ["(a", "a)", "[a", "a{2", "*a", "a{4,2}", "a|*"]:
         with pytest.raises(PatternError):
             compile_pattern(bad)
+
+
+def randrange_sample(sampler, rng, max_len):
+    """The sampler's walk as it was written with ``rng.randrange(total)``."""
+    lengths = sampler.feasible_lengths(max_len)
+    length = rng.choice(lengths)
+    columns = sampler._table(max_len)
+    out = []
+    state = 0
+    for remaining in range(length, 0, -1):
+        column = columns[remaining - 1]
+        weighted = [(chars, t, len(chars) * column[t]) for chars, t in sampler._rows[state] if column[t]]
+        pick = rng.randrange(sum(w for _, _, w in weighted))
+        for chars, t, w in weighted:
+            if pick < w:
+                out.append(chars[pick % len(chars)])
+                state = t
+                break
+            pick -= w
+    return "".join(out)
+
+
+@settings(max_examples=150, deadline=None)
+@given(DIALECT, st.lists(DIALECT, max_size=2), st.integers(0, 6), st.integers(0, 2**32))
+def test_sampler_draws_what_randrange_drew(source, exclusions, cap, seed):
+    sampler = LanguageSampler(
+        compile_pattern(source), "ab", tuple(compile_pattern(e) for e in exclusions)
+    )
+    if not sampler.feasible_lengths(cap):
+        return
+    drawn, reference = Random(seed), Random(seed)
+    for _ in range(10):
+        assert sampler.sample(drawn, cap) == randrange_sample(sampler, reference, cap)
+    assert drawn.getstate() == reference.getstate()

@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from wirespec.bits import BitString
-from wirespec.codec import compile_node, message_plan
+from wirespec.codec import Classified, compile_node, decode_message, encode_message, message_plan
 from wirespec.errors import (
     ConstraintViolation,
     DivisionByZero,
@@ -17,7 +17,7 @@ from wirespec.errors import (
 )
 from wirespec.generate import GenConfig, Generator
 from wirespec.resolve import resolve
-from wirespec.syntax import parse_spec
+from wirespec.syntax import NameRef, parse_spec
 from wirespec.values import (
     ABSENT,
     BitsVal,
@@ -27,6 +27,9 @@ from wirespec.values import (
     ListVal,
     RecordVal,
     TextVal,
+    as_bool,
+    as_int,
+    as_text,
     compile_arg,
     compile_expr,
     format_value,
@@ -60,12 +63,20 @@ def test_eval_matches_python_arithmetic():
 
 
 def test_eval_errors():
-    with pytest.raises(UnboundName):
+    with pytest.raises(UnboundName, match=r"^unbound name 'missing'$"):
         compile_expr(expr("missing"), {})({})
-    with pytest.raises(TypeMismatch):
+    with pytest.raises(TypeMismatch, match=r"^! applied to IntVal\(value=1\)$"):
         compile_expr(expr("!n"), {})({"n": IntVal(1)})
-    with pytest.raises(DivisionByZero):
+    with pytest.raises(DivisionByZero, match=r"^division by zero in 5 % z$"):
         compile_expr(expr("5 % z"), {})({"z": IntVal(0)})
+    with pytest.raises(DivisionByZero, match=r"^division by zero in 4 % 0$"):
+        compile_expr(expr("4 % 0"), {})({})
+    with pytest.raises(
+        TypeMismatch, match=r"^\+ applied to IntVal\(value=1\) and BoolVal\(value=False\)$"
+    ):
+        compile_expr(expr("n + !true"), {})({"n": IntVal(1)})
+    with pytest.raises(TypeMismatch, match=r"^unary - applied to BoolVal\(value=True\)$"):
+        compile_expr(expr("-(!false) % missing"), {})({})
 
 
 def test_true_false_builtins():
@@ -154,6 +165,60 @@ def test_compiled_expression_matches_python(tree):
     assert _outcome(folded, env) == expected
     if not re.search(r"\bn\b", text):
         assert _outcome(folded, {}) == expected
+
+
+@pytest.mark.parametrize("name", ["class", "None", "lambda", "env", "IntVal"])
+def test_spec_names_that_look_like_python(name):
+    # spec names reach the compiled source only as string literals
+    spec = resolve(parse_spec(f"""
+message module M
+  message Sized with
+    {name} is Integer(min=0, max=3) as BigEndian(length=8)
+    data is Binary(length=8*{name})
+  end
+  message Guarded with
+    {name} is Bool as BoolBits(truth_string=X'ff', falsehood_string=X'00')
+    extra is Optional(is_empty=!{name}, subject=Integer(min=0, max=9)) as BigEndian(length=8)
+  end
+end
+"""))
+    sizes, extras = set(), set()
+    gen = Generator(spec, GenConfig(seed=1))
+    for _ in range(40):
+        for msg_type in spec.message_types:
+            value = gen.message(msg_type)
+            wire = encode_message(msg_type, value, spec)
+            out = decode_message(wire, [msg_type], spec)
+            assert isinstance(out, Classified) and out.value == value
+            assert out.consumed == len(wire)
+            if msg_type == "Sized":
+                sizes.add(len(wire))
+                assert len(wire) == 1 + value.get(name).value
+            else:
+                extras.add(value.get("extra") is ABSENT)
+                assert (value.get("extra") is ABSENT) == (value.get(name) == BoolVal(False))
+    assert sizes == {1, 2, 3, 4} and extras == {True, False}
+    with pytest.raises(UnboundName, match=r"^unbound name 'class'$"):
+        compile_expr(NameRef("class"), {})({})
+
+
+def _message(fn, env):
+    try:
+        return fn(env)
+    except EvalError as e:
+        return type(e), str(e)
+
+
+@settings(max_examples=150, deadline=None)
+@given(_TREES, st.sampled_from([as_int, as_bool, as_text]))
+def test_inlined_conversion_matches_the_converter(tree, convert):
+    # the compiled function checks an integer or boolean result itself;
+    # it must fail, and succeed, exactly as converting its value would
+    text, _ = tree
+    plain = compile_expr(expr(text), {"ok": OK})
+    converted = compile_expr(expr(text), {"ok": OK}, convert)
+    for env in ({"n": N}, {}):
+        assert _message(converted, env) == _message(lambda env: convert(plain(env)), env)
 
 
 # --- checking ---------------------------------------------------------------------
