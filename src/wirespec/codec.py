@@ -1,17 +1,27 @@
 """Bidirectional translation between values and bitstrings.
 
 Each field pairs a (dependent) type with a codec.  :func:`compile_node`
-turns the pair into a node that encodes, decodes and generates values of
-that field, each in one walk that checks every part of the value on the
-way; records encode as the concatenation of their fields in declaration
-order.  A message type's node, its plan, is compiled on first use and
-cached on the spec.  Decoding reads through a
-:class:`~wirespec.bits.Cursor` over the receive buffer, so a field costs
-time in its own size, not the buffer's.  Decoding is incremental:
-running out of input raises an :class:`IncompleteInput` subclass so that
-callers feeding a growing stream buffer can distinguish "wait for more
-bytes" from a malformed message, and a terminated text that has already
-run past its ``max_count`` is rejected without waiting for its terminator.
+turns the pair into a node, and each node emits the Python source of its
+own part of a codec: checks, reads and writes, with its argument
+expressions inlined through :class:`~wirespec.values.Source`.  A node's
+``encode(value, env)`` and ``decode(cur, env)`` are one generated
+function each, compiled on first use: a record inlines its fields in
+declaration order, with the values of its parameters and earlier fields
+in locals, so a whole message type, its plan, encodes and decodes in one
+function call.  A record that can contain itself calls its own function
+where it recurs, as does one nested deep in the source.  A message plan is built on first use and cached on the
+spec.  Encode checks each part of the value before it writes it, into
+one integer; decode reads each part, then checks it.  Decoding reads
+from the bytes under a :class:`~wirespec.bits.Cursor`, so a field costs
+time in its own size, not the buffer's; a terminated text is one
+``bytes.find`` and a pinned field one comparison.  Decoding is
+incremental: running out of input raises an :class:`IncompleteInput`
+subclass so that callers feeding a growing stream buffer can distinguish
+"wait for more bytes" from a malformed message, and a terminated text
+that has already run past its ``max_count`` is rejected without waiting
+for its terminator.  Generated functions are named ``<encode Data>`` and
+``<decode Data>``, and their source is in :mod:`linecache`, so
+tracebacks and debuggers show the emitted lines.
 
 Classification lets only candidates that can still match decide.  Each
 node states the static facts about the leading bits of its wire form
@@ -31,10 +41,13 @@ ruled-out candidates are decoded only for their diagnostics.
 
 from __future__ import annotations
 
+import hashlib
+import linecache
+from contextlib import contextmanager
 from dataclasses import dataclass
 from functools import cached_property
 
-from .bits import EMPTY, BitString, Cursor
+from .bits import BitString, Cursor
 from .errors import (
     ConstraintViolation,
     EvalError,
@@ -43,6 +56,8 @@ from .errors import (
     NotByteAligned,
     TerminatorInPayload,
     TypeMismatch,
+    UnboundName,
+    Underrun,
     UnsatisfiableConstraint,
     Unrepresentable,
     WirespecError,
@@ -58,13 +73,16 @@ from .values import (
     IntVal,
     ListVal,
     RecordVal,
+    Source,
     TextVal,
     as_bits,
     as_bool,
     as_int,
     as_text,
     compile_arg,
+    compile_expr,
     fold,
+    literal_value,
 )
 
 PRINTABLE = "".join(chr(c) for c in range(0x20, 0x7F))
@@ -74,6 +92,9 @@ PRINTABLE = "".join(chr(c) for c in range(0x20, 0x7F))
 REGEX_EXPANSION_CAP = 8
 MAX_TEXT_LEN = 12
 MAX_LIST_LEN = 4
+
+# Blocks a generated function nests before a record calls its own function.
+MAX_INLINED_DEPTH = 12
 
 
 def signed_range(width: int, signed: bool) -> tuple[int, int]:
@@ -85,40 +106,256 @@ def signed_range(width: int, signed: bool) -> tuple[int, int]:
     return 0, (1 << width) - 1
 
 
-def _encode_text_bytes(text: str, encoding: str) -> bytes:
-    try:
-        return text.encode("ascii" if encoding == "ascii" else "latin-1")
-    except UnicodeEncodeError as e:
-        raise Unrepresentable(f"text {text!r} not encodable as {encoding}") from e
-
-
-def _check_ascii(data: bytes, encoding: str):
-    if encoding == "ascii" and not data.isascii():
-        code = next(b for b in data if b > 127)
-        raise ConstraintViolation(f"byte {code:#x} is not ASCII")
-
-
-def _scan_terminated(cur: Cursor, terminator: bytes) -> bytes:
-    """The bytes from the cursor through the first terminator, or every whole
-    byte left when there is none; advances the cursor past what it returns."""
-    if cur.pos % 8 == 0:
-        data, start = cur.data, cur.pos >> 3
-        end = data.find(terminator, start)
-        end = len(data) if end < 0 else end + len(terminator)
-        cur.pos = 8 * end
-        return data[start:end]
-    scanned = bytearray()
-    while not scanned.endswith(terminator) and cur.remaining >= 8:
-        scanned.append(cur.uint(8))
-    return bytes(scanned)
-
-
 def _literal_pattern(text: str) -> Pattern:
     named = {"\n": "\\n", "\r": "\\r", "\t": "\\t"}
     escaped = "".join(
         named.get(c, c if c.isalnum() else f"\\{c}") for c in text
     )
     return compile_pattern(escaped)
+
+
+# --- what generated code calls ----------------------------------------------------
+
+def _lookup(env: dict, name: str):
+    try:
+        return env[name]
+    except KeyError:
+        raise UnboundName(f"unbound name {name!r}") from None
+
+
+def _read_range(width: int, signed: bool) -> tuple[int, int]:
+    """:func:`signed_range` for a read: a width no integer has makes the
+    message malformed."""
+    try:
+        return signed_range(width, signed)
+    except Unrepresentable as e:
+        raise ConstraintViolation(str(e)) from None
+
+
+def _not_ascii(data: bytes) -> ConstraintViolation:
+    code = next(b for b in data if b > 127)
+    return ConstraintViolation(f"byte {code:#x} is not ASCII")
+
+
+def _outside(text: str, alphabet: frozenset, charset: str) -> str:
+    ch = next(c for c in text if c not in alphabet)
+    return f"character {ch!r} outside charset {charset!r}"
+
+
+def _scan_terminated(data: bytes, pos: int, terminator: bytes) -> tuple[bytes, int]:
+    """The bytes from bit ``pos`` through the first terminator, or every
+    whole byte left when there is none, and the bit position past them."""
+    if pos & 7 == 0:
+        start = pos >> 3
+        stop = data.find(terminator, start)
+        stop = len(data) if stop < 0 else stop + len(terminator)
+        return data[start:stop], stop << 3
+    cur, scanned = Cursor(data, pos), bytearray()
+    while not scanned.endswith(terminator) and cur.remaining >= 8:
+        scanned.append(cur.uint(8))
+    return bytes(scanned), cur.pos
+
+
+_RUNTIME = {
+    f.__name__: f
+    for f in (
+        BitString, BitsVal, ConstraintViolation, EnumVal, ListVal,
+        MissingTerminator, RecordVal, TerminatorInPayload, TextVal, Underrun,
+        Unrepresentable, _lookup, _not_ascii, _outside, _read_range, _scan_terminated,
+        signed_range,
+    )
+}
+_RUNTIME["ABSENT"] = ABSENT
+
+_UNKNOWN = object()  # a value the generator cannot know
+
+
+class _Code(str):
+    """Python source that computes a string, as opposed to the text itself."""
+
+
+def _shown(code: str) -> _Code:
+    return _Code(f"repr({code})")
+
+
+def _said(code: str) -> _Code:
+    return _Code(f"str({code})")
+
+
+def _message(*parts) -> str:
+    """The source of a message: text parts as literals, :class:`_Code` parts as is."""
+    return " + ".join(p if isinstance(p, _Code) else repr(p) for p in parts if p)
+
+
+def _register(title: str, source: str) -> str:
+    """A file name for generated source, registered with :mod:`linecache`.
+    The name holds a hash of the source, so equal sources share one entry;
+    each distinct source stays registered for the life of the process, as
+    :func:`linecache.checkcache` keeps entries without a modification time."""
+    filename = f"<{title} {hashlib.blake2b(source.encode(), digest_size=6).hexdigest()}>"
+    linecache.cache[filename] = (len(source), None, source.splitlines(True), filename)
+    return filename
+
+
+class _Function(Source):
+    """The source of one generated function of a node: ``encode(value,
+    env)``, which checks the value, writes it into ``acc`` (``size`` bits)
+    and returns a BitString; ``decode(cur, env)``, which reads ``data``
+    from ``pos`` to ``end`` and returns the value; or ``check(value, env)``,
+    which returns the first reason the value breaks the type, or None.
+
+    ``names`` holds the spec names in scope, as the code and kind of what
+    holds their values (see :class:`~wirespec.values.Source`), and
+    ``known`` those whose values are fixed when the source is generated;
+    outside any record, other names are looked up in ``env``.  An argument
+    whose value is fixed is computed once, here, into a literal.
+    ``inlining`` lists the records whose fields are being inlined."""
+
+    def __init__(self, node: "Node", kind: str):
+        super().__init__(node.constants)
+        self.kind = kind
+        self.namespace.update(_RUNTIME)
+        self.indent = "    "
+        self.names = {}
+        self.known = {}
+        self.from_env = True
+        self.inlining = []
+        self.evaluators = {}  # (id of an expression, converter) -> its compiled function
+
+    def lookup(self, name):
+        found = self.names.get(name)
+        if found is not None:
+            return found
+        return self.temp(f"_lookup({'env' if self.from_env else '{}'}, {name!r})"), None
+
+    def static(self, args: dict, name: str, convert=None):
+        """The value of argument ``name`` when the known names fix it, else _UNKNOWN."""
+        if name not in args:
+            return _UNKNOWN
+        literal = literal_value(args[name])
+        key = id(args[name]), convert
+        evaluate = self.evaluators.get(key)
+        if evaluate is None and literal is None:
+            evaluate = self.evaluators[key] = compile_expr(args[name], self.constants, convert)
+        try:
+            if literal is not None:
+                return literal if convert is None else convert(literal)
+            return evaluate(self.known)
+        except EvalError:
+            return _UNKNOWN
+
+    def literal(self, value) -> str:
+        if type(value) in (int, bool, str, bytes):
+            return repr(value)
+        return self.ref(value)
+
+    def arg(self, args: dict, name: str, convert=None):
+        """The code of argument ``name`` passed through ``convert``, after
+        the statements that compute it; None when it is not given."""
+        if name not in args:
+            return None
+        value = self.static(args, name, convert)
+        if value is not _UNKNOWN:
+            return self.literal(value)
+        return self.result(args[name], convert)
+
+    def bind(self, name: str, code: str, kind=None, value=_UNKNOWN):
+        self.names[name] = (code, kind)
+        if value is _UNKNOWN:
+            self.known.pop(name, None)
+        else:
+            self.known[name] = value
+
+    def fail(self, message: str, path) -> str:
+        if self.kind == "check":
+            return f"return {message}"
+        return f"raise ConstraintViolation({message if path is None else f'{path} + {message}'})"
+
+    def require(self, failed: str, message: str, path=None):
+        self.emit(f"if {failed}: {self.fail(message, path)}")
+
+    @contextmanager
+    def block(self, header: str):
+        self.emit(header)
+        self.indent += "    "
+        yield
+        self.indent = self.indent[:-4]
+
+    @contextmanager
+    def record(self, node: "RecordNode"):
+        """The scope of a record's fields: its parameters and pins, computed
+        in the enclosing scope."""
+        bound = []
+        for name, expr in node.rtype.args.items():
+            value = self.static(node.rtype.args, name)
+            if value is not _UNKNOWN:
+                code, kind = self.constant(value)
+            else:
+                code, kind = self.compile(expr)
+                code = self.temp(code)
+            bound.append((name, code, kind, value))
+        outer = self.names, self.known, self.from_env
+        self.names, self.known, self.from_env = {}, {}, False
+        for entry in bound:
+            self.bind(*entry)
+        self.inlining.append(node)
+        try:
+            yield
+        finally:
+            self.inlining.pop()
+            self.names, self.known, self.from_env = outer
+
+    def read(self, width: str) -> str:
+        """The next ``width`` bits as an unsigned integer; ``width`` is the
+        code of a plain non-negative int."""
+        self.emit(f"if pos + {width} > end: raise Underrun(f'need {{{width}}} bits, have {{end - pos}}')")
+        stop = self.temp(f"pos + {width}")
+        raw = self.temp(
+            f"int.from_bytes(data[pos >> 3:({stop} + 7) >> 3], 'big') >> (-{stop} & 7) & ((1 << {width}) - 1)"
+        )
+        self.emit(f"pos = {stop}")
+        return raw
+
+    def write(self, bits: str, width: str):
+        self.emit(f"acc = acc << {width} | {bits}")
+        self.emit(f"size += {width}")
+
+    def env(self) -> str:
+        """The code of a dict of every name in scope, for a call."""
+        items = (
+            f"{name!r}: {code if kind is None else f'{kind.__name__}({code})'}"
+            for name, (code, kind) in self.names.items()
+        )
+        return "{" + ", ".join(items) + "}"
+
+    def finish(self, title: str, params: str):
+        source = f"def {self.kind}({params}):\n" + "".join(f"{line}\n" for line in self.lines)
+        exec(compile(source, _register(title, source), "exec"), self.namespace)
+        function = self.namespace[self.kind]
+        function.__code__ = function.__code__.replace(co_name=f"<{title}>")
+        function.__name__ = function.__qualname__ = f"<{title}>"
+        return function
+
+
+def _generate(node: "Node", kind: str):
+    """The generated function ``kind`` of ``node``: ``encode``, ``decode`` or ``check``."""
+    fn = _Function(node, kind)
+    if kind == "encode":
+        fn.emit("acc = size = 0")
+        node.emit_encode(fn, "value", None)
+        fn.emit("return BitString(acc, size)")
+        return fn.finish(f"encode {node.title}", "value, env")
+    if kind == "decode":
+        fn.emit("data = cur.data")
+        fn.emit("end = cur.end")
+        fn.emit("pos = cur.pos")
+        value, _ = node.emit_decode(fn)
+        fn.emit("cur.pos = pos")
+        fn.emit(f"return {value}")
+        return fn.finish(f"decode {node.title}", "cur, env")
+    node.emit_check(fn, "value", None)
+    fn.emit("return None")
+    return fn.finish(f"check {node.title}", "value, env")
 
 
 # --- compilation ------------------------------------------------------------------
@@ -171,6 +408,11 @@ class WirePrefix:
 
 # --- field nodes ------------------------------------------------------------------
 
+def _within(path, code: str) -> str:
+    """The source of the path prefix of a part inside ``path``."""
+    return code if path is None else f"{path} + {code}"
+
+
 class Node:
     """One field's type and codec, compiled.
 
@@ -179,13 +421,25 @@ class Node:
     ``decode(cur, env)`` returns the value read at the
     :class:`~wirespec.bits.Cursor` ``cur`` and advances ``cur`` past it; it
     raises IncompleteInput subclasses when the buffer may simply be short
-    and ConstraintViolation when the input contradicts the type.  A leaf
-    encodes by ``check(value, env)`` (None, or the reason) then ``write``,
-    and decodes by ``read`` then ``check``.  ``generate(gen, env, path)``
-    draws a well-formed value with the
-    :class:`~wirespec.generate.Generator` ``gen``.
-    ``env`` maps the enclosing record's parameters and earlier fields to
-    their values.
+    and ConstraintViolation when the input contradicts the type.  Both are
+    generated on first use (see :class:`_Function`) from what the node
+    emits: ``emit_encode(fn, v, path)``, which checks and writes the value
+    in the local ``v`` and prefixes the path ``path`` (source, or None) to
+    a violation, and ``emit_decode(fn)``.  Both give the code of the value
+    and how to bind its name for later fields: ``(code, kind, known)``, as
+    :meth:`_Function.bind` takes it.
+
+    A leaf's value, of class ``kind``, holds a payload in its attribute
+    ``payload``: an int, str, bool or BitString.  A leaf emits
+    ``emit_kind`` (the check that ``v`` is of its kind, which gives the
+    payload), ``emit_checks`` (the type's rules on a payload) and its
+    codec's ``emit_write`` and ``emit_read``; it encodes by kind, checks
+    and write, and decodes by read and checks.  A pinned field whose pin
+    is known and passes its checks decodes by one comparison.
+    ``check(value, env)``, generated from kind and checks, returns None or
+    the reason.  ``generate(gen, env, path)`` draws a well-formed value with
+    the :class:`~wirespec.generate.Generator` ``gen``.  ``env`` maps the
+    enclosing record's parameters and earlier fields to their values.
     ``add_goals(cov, key, seen)`` adds the goals of the field ``key``, a
     (record, field) pair, to the :class:`~wirespec.coverage.Coverage` ``cov``;
     ``seen`` holds the records added so far.  ``retype(value)`` fills in the
@@ -194,20 +448,45 @@ class Node:
     with to the :class:`WirePrefix` ``facts`` and returns the value that any
     successful decode yields when the facts fix it, else None; where the
     facts end it raises EndOfFacts, or the error of an argument it cannot
-    evaluate yet.  A pinned field gives a literal only when its node is
-    ``canonical``: each value has one encoding and decode accepts no other.
-    TextInteger is not, as it reads ``05`` and ``-0`` too; an unpinned
-    terminated text gives a skip through its terminator, with the first
-    bytes its pattern allows.
+    evaluate yet.  A pinned field gives a literal, its generated encoding,
+    only when its node is ``canonical``: each value has one encoding and
+    decode accepts no other.  TextInteger is not, as it reads ``05`` and
+    ``-0`` too; an unpinned terminated text gives a skip through its
+    terminator, with the first bytes its pattern allows.
     Each subclass is named after the type or codec it codes.
     """
 
     classes = {}  # type or codec name -> node class
     pin = None  # env -> the value a pinned field must have
     canonical = False
+    kind = None  # a leaf's value class, the attribute of its payload,
+    payload = None
+    convert = None  # the converter of its pin, and what kind names in a message
+    what = None
 
     def __init_subclass__(cls):
         Node.classes[cls.__name__.removesuffix("Node")] = cls
+
+    def __init__(self, rtype, rcodec, spec):
+        self.args = rtype.args
+        self.codec_args = rcodec.args if rcodec is not None else {}
+        self.constants = spec.constants
+
+    @property
+    def title(self) -> str:
+        return type(self).__name__.removesuffix("Node")
+
+    @cached_property
+    def encode(self):
+        return _generate(self, "encode")
+
+    @cached_property
+    def decode(self):
+        return _generate(self, "decode")
+
+    @cached_property
+    def check(self):
+        return _generate(self, "check")
 
     def add_goals(self, cov, key, seen):
         pass
@@ -215,45 +494,97 @@ class Node:
     def retype(self, value):
         return value
 
-    def encode(self, value, env: dict) -> BitString:
-        reason = self.check(value, env)
-        if reason:
-            raise ConstraintViolation(reason)
-        return self.write(value, env)
-
-    def decode(self, cur: Cursor, env: dict):
-        value = self.read(cur, env)
-        reason = self.check(value, env)
-        if reason:
-            raise ConstraintViolation(reason)
-        return value
-
     def wire_prefix(self, env, facts):
         if not self.canonical or self.pin is None:
             raise EndOfFacts
         value = self.generate(None, env, "")  # a pinned field draws nothing
-        facts.literal(self.write(value, env))
+        facts.literal(self.encode(value, env))
         return value
+
+    # leaves
+
+    def make(self, payload):
+        return self.kind(payload)
+
+    def pinned(self, pin):
+        """The value a pin's converted value stands for."""
+        return self.make(pin)
+
+    def wrap(self, payload: str) -> str:
+        return f"{self.kind.__name__}({payload})"
+
+    def entry(self, value: str, payload: str, known=_UNKNOWN) -> tuple:
+        return value, None, known
+
+    def emit_kind(self, fn, v, path) -> str:
+        fn.require(f"not isinstance({v}, {self.kind.__name__})",
+                   _message(f"expected {self.what}, got ", _shown(v)), path)
+        return fn.temp(f"{v}.{self.payload}")
+
+    def emit_check(self, fn, v, path):
+        self.emit_checks(fn, self.emit_kind(fn, v, path), path)
+
+    def emit_encode(self, fn, v, path):
+        payload = self.emit_kind(fn, v, path)
+        self.emit_checks(fn, payload, path)
+        self.emit_write(fn, payload)
+        return self.entry(v, payload)
+
+    def emit_payload(self, fn) -> str:
+        """Read, then check: the payload of the decoded value."""
+        payload = self.emit_read(fn)
+        self.emit_checks(fn, payload, None, read=True)
+        return payload
+
+    def fixed(self, fn):
+        """The value every successful decode yields, when the node's pin is
+        known and passes every check; else _UNKNOWN."""
+        pin = fn.static(self.args, "value", self.convert)
+        if pin is _UNKNOWN:
+            return _UNKNOWN
+        value = self.pinned(pin)
+        try:
+            reason = self.check(value, fn.known)
+        except EvalError:
+            return _UNKNOWN
+        return _UNKNOWN if reason else value
+
+    def emit_decode(self, fn):
+        fixed = self.fixed(fn)
+        if fixed is _UNKNOWN:
+            payload = self.emit_payload(fn)
+            value = fn.temp(self.wrap(payload))
+            return value, self.entry(value, payload)
+        # a pinned field: one comparison, and the checks only to say why not
+        payload, known = self.emit_read(fn), fn.literal(getattr(fixed, self.payload))
+        with fn.block(f"if {payload} != {known}:"):
+            self.emit_checks(fn, payload, None, read=True)
+        return fn.ref(fixed), self.entry(fn.ref(fixed), known, fixed)
 
 
 class IntegerNode(Node):
+    kind, payload, convert, what = IntVal, "value", staticmethod(as_int), "an integer"
+
     def __init__(self, rtype, rcodec, spec):
+        super().__init__(rtype, rcodec, spec)
         self.codec_range = lambda env: (None, None)
         self.pin = compile_arg(rtype.args, "value", spec.constants, as_int)
         self.min = compile_arg(rtype.args, "min", spec.constants, as_int)
         self.max = compile_arg(rtype.args, "max", spec.constants, as_int)
 
-    def check(self, value, env):
-        if not isinstance(value, IntVal):
-            return f"expected an integer, got {value!r}"
-        n = value.value
-        if self.pin is not None and n != self.pin(env):
-            return f"must equal {self.pin(env)}, got {n}"
-        if self.min is not None and n < self.min(env):
-            return f"{n} below minimum {self.min(env)}"
-        if self.max is not None and n > self.max(env):
-            return f"{n} above maximum {self.max(env)}"
-        return None
+    def entry(self, value, payload, known=_UNKNOWN):
+        return payload, IntVal, known
+
+    def emit_checks(self, fn, n, path, read=False):
+        pin = fn.arg(self.args, "value", as_int)
+        if pin is not None:
+            fn.require(f"{n} != {pin}", _message("must equal ", _said(pin), ", got ", _said(n)), path)
+        low = fn.arg(self.args, "min", as_int)
+        if low is not None:
+            fn.require(f"{n} < {low}", _message(_said(n), " below minimum ", _said(low)), path)
+        high = fn.arg(self.args, "max", as_int)
+        if high is not None:
+            fn.require(f"{n} > {high}", _message(_said(n), " above maximum ", _said(high)), path)
 
     def generate(self, gen, env, path):
         if self.pin is not None:
@@ -284,24 +615,49 @@ class BigEndianNode(IntegerNode):
         self.signed = signed or (lambda env: False)
         self.codec_range = fold(lambda env: signed_range(self.width(env), self.signed(env)))
 
-    def write(self, value, env):
-        width, signed = self.width(env), self.signed(env)
-        lo, hi = self.codec_range(env)
-        if not lo <= value.value <= hi:
-            raise Unrepresentable(
-                f"{value.value} does not fit {width}-bit {'signed' if signed else 'unsigned'}"
-            )
-        return BitString(value.value & ((1 << width) - 1), width)
-
-    def read(self, cur, env):
+    def known_range(self, fn):
+        """The width, the signedness and the range, when the known names fix
+        them and some integer has the width; else None."""
+        width = fn.static(self.codec_args, "length", as_int)
+        signed = fn.static(self.codec_args, "signed", as_bool) if "signed" in self.codec_args else False
+        if width is _UNKNOWN or signed is _UNKNOWN:
+            return None
         try:
-            _, hi = self.codec_range(env)
-        except Unrepresentable as e:
-            raise ConstraintViolation(str(e)) from None
-        width = self.width(env)
-        raw = cur.uint(width)
-        # two's complement: above the range, the sign bit is set
-        return IntVal(raw - (1 << width) if raw > hi else raw)
+            return (width, signed, *signed_range(width, signed))
+        except Unrepresentable:
+            return None  # raised when the codec runs
+
+    def emit_range(self, fn, ranged: str) -> tuple:
+        """The code of the width, the signedness (a bool when it is known)
+        and the range, with ``ranged`` (a function like
+        :func:`signed_range`) computing a range that is not known."""
+        known = self.known_range(fn)
+        if known is not None:
+            width, signed, low, high = known
+            return repr(width), signed, repr(low), repr(high)
+        width = fn.temp(fn.arg(self.codec_args, "length", as_int))
+        signed = fn.temp(fn.arg(self.codec_args, "signed", as_bool) or "False")
+        low, high = fn.fresh(), fn.fresh()
+        fn.emit(f"{low}, {high} = {ranged}({width}, {signed})")
+        return width, signed, low, high
+
+    def emit_write(self, fn, n):
+        width, signed, low, high = self.emit_range(fn, "signed_range")
+        if isinstance(signed, bool):
+            kind = "signed" if signed else "unsigned"
+        else:
+            kind = _Code(f"('signed' if {signed} else 'unsigned')")
+        fn.emit(f"if not {low} <= {n} <= {high}: raise Unrepresentable("
+                f"{_message(_said(n), ' does not fit ', _said(width), '-bit ', kind)})")
+        fn.write(n if signed is False else f"{n} & ((1 << {width}) - 1)", width)
+
+    def emit_read(self, fn):
+        width, signed, _, high = self.emit_range(fn, "_read_range")
+        raw = fn.read(width)
+        if signed is not False:
+            # two's complement: above the range, the sign bit is set
+            fn.emit(f"if {raw} > {high}: {raw} -= 1 << {width}")
+        return raw
 
 
 class TextIntegerNode(IntegerNode):
@@ -309,15 +665,16 @@ class TextIntegerNode(IntegerNode):
         super().__init__(rtype, rcodec, spec)
         self.text = compile_node(RType("Text", {}), rcodec.args["text_codec"], spec)
 
-    def write(self, value, env):
-        return self.text.write(TextVal(str(value.value)), env)
+    def emit_write(self, fn, n):
+        self.text.emit_write(fn, fn.temp(f"str({n})"))
 
-    def read(self, cur, env):
-        text = self.text.decode(cur, env).text
-        body = text[1:] if text.startswith("-") else text
-        if not body or not body.isdigit():
-            raise ConstraintViolation(f"{text!r} is not a decimal integer")
-        return IntVal(int(text))
+    def emit_read(self, fn):
+        text = self.text.emit_payload(fn)
+        with fn.block(f"if not {text}.isdigit():"):
+            body = fn.temp(f"{text}[1:] if {text}[:1] == '-' else {text}")
+            fn.require(f"not {body} or not {body}.isdigit()",
+                       _message(_shown(text), " is not a decimal integer"))
+        return fn.temp(f"int({text})")
 
     def wire_prefix(self, env, facts):
         # the text codec fixes where the digits end, never which they are
@@ -326,7 +683,11 @@ class TextIntegerNode(IntegerNode):
 
 
 class TextNode(Node):
+    kind, payload, convert, what = TextVal, "text", staticmethod(as_text), "text"
+    readable = frozenset()  # the characters a read can give
+
     def __init__(self, rtype, rcodec, spec):
+        super().__init__(rtype, rcodec, spec)
         args = rtype.args
         self.exact = lambda env: None  # the length a fixed-count codec forces on every draw
         self.charset = args.get("charset", "ascii")
@@ -339,25 +700,57 @@ class TextNode(Node):
         self.draw_alphabet = alphabet_for_charset(self.charset) if self.pattern else PRINTABLE
         fallback = REGEX_EXPANSION_CAP if self.pattern else MAX_TEXT_LEN
         self.cap = self.max_count or (lambda env: fallback)
+        if rcodec is not None:
+            self.encoding = rcodec.args.get("encoding", "ascii")
+            # text codes as ASCII, or as Latin-1 under any other encoding name
+            self.python_encoding = "ascii" if self.encoding == "ascii" else "latin-1"
+            self.readable = frozenset(alphabet_for_charset(self.python_encoding))
 
-    def check(self, value, env):
-        if not isinstance(value, TextVal):
-            return f"expected text, got {value!r}"
-        text = value.text
-        if not self.alphabet.issuperset(text):
-            ch = next(c for c in text if c not in self.alphabet)
-            return f"character {ch!r} outside charset {self.charset!r}"
-        if self.pin is not None:
-            expected = self.pin(env)
-            if text != expected.text:
-                return f"must equal {expected!r}, got {text!r}"
-        if self.max_count is not None and len(text) > self.max_count(env):
-            return f"{len(text)} characters exceeds max_count"
-        if self.pattern is not None and not self.pattern.fullmatch(text):
-            return f"{text!r} does not match {self.pattern!r}"
-        if self.exclude is not None and self.exclude.search(text):
-            return f"{text!r} contains a substring matching {self.exclude!r}"
-        return None
+    def make(self, payload):
+        return TextVal(payload, self.charset)
+
+    def pinned(self, pin):
+        return self.make(pin.text)
+
+    def wrap(self, text):
+        return f"TextVal({text}, {self.charset!r})"
+
+    def emit_checks(self, fn, text, path, read=False):
+        if not (read and self.alphabet >= self.readable):
+            alphabet = fn.ref(self.alphabet)
+            fn.require(f"not {alphabet}.issuperset({text})",
+                       _Code(f"_outside({text}, {alphabet}, {self.charset!r})"), path)
+        pin = fn.static(self.args, "value", as_text)
+        if pin is not _UNKNOWN:
+            fn.require(f"{text} != {pin.text!r}", _message(f"must equal {pin!r}, got ", _shown(text)), path)
+        elif "value" in self.args:
+            expected = fn.temp(fn.result(self.args["value"], as_text))
+            fn.require(f"{text} != {expected}.text",
+                       _message("must equal ", _shown(expected), ", got ", _shown(text)), path)
+        count = fn.arg(self.args, "max_count", as_int)
+        if count is not None:
+            fn.require(f"len({text}) > {count}",
+                       _message(_said(f"len({text})"), " characters exceeds max_count"), path)
+        if self.pattern is not None:
+            fn.require(f"not {fn.ref(self.pattern.fullmatch)}({text})",
+                       _message(_shown(text), f" does not match {self.pattern!r}"), path)
+        if self.exclude is not None:
+            fn.require(f"{fn.ref(self.exclude.search)}({text})",
+                       _message(_shown(text), f" contains a substring matching {self.exclude!r}"), path)
+
+    def emit_bytes(self, fn, text: str) -> str:
+        """The code of the encoded bytes of a text."""
+        data = fn.fresh("b")
+        with fn.block("try:"):
+            fn.emit(f"{data} = {text}.encode({self.python_encoding!r})")
+        with fn.block("except UnicodeEncodeError:"):
+            message = _message("text ", _shown(text), f" not encodable as {self.encoding}")
+            fn.emit(f"raise Unrepresentable({message}) from None")
+        return data
+
+    def emit_ascii(self, fn, data: str):
+        if self.encoding == "ascii":
+            fn.emit(f"if not {data}.isascii(): raise _not_ascii({data})")
 
     def generate(self, gen, env, path):
         if self.pin is not None:
@@ -379,34 +772,33 @@ class TerminatedTextNode(TextNode):
 
     def __init__(self, rtype, rcodec, spec):
         super().__init__(rtype, rcodec, spec)
-        self.encoding = rcodec.args.get("encoding", "ascii")
         self.terminator = rcodec.args["terminator"]
         # the resolver guarantees the terminator is encodable in the encoding
-        self.terminator_bytes = _encode_text_bytes(self.terminator, self.encoding)
+        self.terminator_bytes = self.terminator.encode(self.python_encoding)
         self.excludes += (_literal_pattern(self.terminator),)
 
-    def write(self, value, env):
-        if self.terminator in value.text:
-            raise TerminatorInPayload(
-                f"text {value.text!r} contains its terminator {self.terminator!r}"
-            )
-        data = _encode_text_bytes(value.text + self.terminator, self.encoding)
-        return BitString.from_bytes(data)
+    def emit_write(self, fn, text):
+        terminator = self.terminator
+        fn.emit(f"if {terminator!r} in {text}: raise TerminatorInPayload("
+                f"{_message('text ', _shown(text), f' contains its terminator {terminator!r}')})")
+        data = self.emit_bytes(fn, fn.temp(f"{text} + {terminator!r}"))
+        fn.write(f"int.from_bytes({data}, 'big')", fn.temp(f"len({data}) << 3"))
 
-    def read(self, cur, env):
-        terminator = self.terminator_bytes
-        scanned = _scan_terminated(cur, terminator)
-        _check_ascii(scanned, self.encoding)
-        if not scanned.endswith(terminator):
+    def emit_read(self, fn):
+        terminator, size = self.terminator_bytes, len(self.terminator_bytes)
+        data = fn.fresh("b")
+        fn.emit(f"{data}, pos = _scan_terminated(data, pos, {terminator!r})")
+        self.emit_ascii(fn, data)
+        with fn.block(f"if not {data}.endswith({terminator!r}):"):
             # a valid text and a partial terminator span fewer bytes than this
-            if self.max_count is not None and len(scanned) - len(terminator) >= self.max_count(env):
-                raise ConstraintViolation(
-                    f"{len(scanned)} characters without terminator {self.terminator!r} "
-                    "exceeds max_count"
-                )
-            raise MissingTerminator(f"terminator {self.terminator!r} not found")
-        text = scanned[: len(scanned) - len(terminator)].decode("latin-1")
-        return TextVal(text, self.charset)
+            count = fn.arg(self.args, "max_count", as_int)
+            if count is not None:
+                fn.require(f"len({data}) - {size} >= {count}", _message(
+                    _said(f"len({data})"),
+                    f" characters without terminator {self.terminator!r} exceeds max_count",
+                ))
+            fn.emit(f"raise MissingTerminator({f'terminator {self.terminator!r} not found'!r})")
+        return fn.temp(f"{data}[:-{size}].decode('latin-1')")
 
     def wire_prefix(self, env, facts):
         if self.pin is not None:
@@ -432,35 +824,44 @@ class FixedCountTextNode(TextNode):
 
     def __init__(self, rtype, rcodec, spec):
         super().__init__(rtype, rcodec, spec)
-        self.encoding = rcodec.args.get("encoding", "ascii")
         # the resolver guarantees the type gives max_count or value
         self.exact = self.max_count or (lambda env: len(self.pin(env).text))
         self.cap = self.exact
 
-    def write(self, value, env):
-        count = self.exact(env)
-        if len(value.text) != count:
-            raise Unrepresentable(
-                f"fixed-count text must be exactly {count} characters, got {len(value.text)}"
-            )
-        return BitString.from_bytes(_encode_text_bytes(value.text, self.encoding))
+    def emit_count(self, fn) -> str:
+        if "max_count" in self.args:
+            return fn.temp(fn.arg(self.args, "max_count", as_int))
+        return fn.temp(f"len({fn.arg(self.args, 'value', as_text)}.text)")
 
-    def read(self, cur, env):
-        data = cur.bits(8 * max(self.exact(env), 0)).to_bytes()
-        _check_ascii(data, self.encoding)
-        return TextVal(data.decode("latin-1"), self.charset)
+    def emit_write(self, fn, text):
+        count = self.emit_count(fn)
+        message = _message("fixed-count text must be exactly ", _said(count),
+                           " characters, got ", _said(f"len({text})"))
+        fn.emit(f"if len({text}) != {count}: raise Unrepresentable({message})")
+        data = self.emit_bytes(fn, text)
+        fn.write(f"int.from_bytes({data}, 'big')", fn.temp(f"len({data}) << 3"))
+
+    def emit_read(self, fn):
+        width = fn.temp(f"8 * max({self.emit_count(fn)}, 0)")
+        data = fn.temp(f"{fn.read(width)}.to_bytes({width} >> 3, 'big')")
+        self.emit_ascii(fn, data)
+        return fn.temp(f"{data}.decode('latin-1')")
 
 
 class BoolNode(Node):
+    kind, payload, convert, what = BoolVal, "value", staticmethod(as_bool), "a boolean"
+
     def __init__(self, rtype, rcodec, spec):
+        super().__init__(rtype, rcodec, spec)
         self.pin = compile_arg(rtype.args, "value", spec.constants, as_bool)
 
-    def check(self, value, env):
-        if not isinstance(value, BoolVal):
-            return f"expected a boolean, got {value!r}"
-        if self.pin is not None and value.value != self.pin(env):
-            return "boolean has the wrong fixed value"
-        return None
+    def entry(self, value, payload, known=_UNKNOWN):
+        return payload, BoolVal, known
+
+    def emit_checks(self, fn, flag, path, read=False):
+        pin = fn.arg(self.args, "value", as_bool)
+        if pin is not None:
+            fn.require(f"{flag} != {pin}", repr("boolean has the wrong fixed value"), path)
 
     def generate(self, gen, env, path):
         if self.pin is not None:
@@ -476,65 +877,72 @@ class BoolBitsNode(BoolNode):
         self.truth = rcodec.args["truth_string"]
         self.falsehood = rcodec.args["falsehood_string"]
 
-    def write(self, value, env):
-        return self.truth if value.value else self.falsehood
+    def emit_write(self, fn, flag):
+        fn.write(f"({self.truth.value} if {flag} else {self.falsehood.value})", repr(self.truth.length))
 
-    def read(self, cur, env):
-        head = cur.bits(self.truth.length)
-        if head == self.truth:
-            return BoolVal(True)
-        if head == self.falsehood:
-            return BoolVal(False)
-        raise ConstraintViolation(f"bits {head!r} are neither truth nor falsehood pattern")
+    def emit_read(self, fn):
+        width = self.truth.length
+        raw = fn.read(repr(width))
+        flag = fn.temp(f"{raw} == {self.truth.value}")
+        fn.require(f"not {flag} and {raw} != {self.falsehood.value}", _message(
+            "bits ", _shown(f"BitString({raw}, {width})"), " are neither truth nor falsehood pattern"
+        ))
+        return flag
 
 
 class BinaryNode(Node):
     """Binary values are their own bits; the resolver rejects a codec on the field."""
 
+    kind, payload, convert, what = BitsVal, "bits", staticmethod(as_bits), "bits"
     canonical = True
 
     def __init__(self, rtype, rcodec, spec):
+        super().__init__(rtype, rcodec, spec)
         self.pin = compile_arg(rtype.args, "value", spec.constants, as_bits)
         self.length = compile_arg(rtype.args, "length", spec.constants, as_int)
         self.pattern = rtype.args.get("char8_pattern")
-        # the resolver guarantees the type gives length or value
-        self.size = self.length if self.pin is None else lambda env: self.pin(env).length
 
-    def check(self, value, env):
-        if not isinstance(value, BitsVal):
-            return f"expected bits, got {value!r}"
-        bits = value.bits
-        if self.pin is not None:
-            expected = self.pin(env)
-            if bits != expected:
-                return f"must equal {expected!r}, got {bits!r}"
-        if self.length is not None and bits.length != self.length(env):
-            return f"length {bits.length} bits, expected {self.length(env)}"
-        return self.pattern_mismatch(bits)
+    def emit_checks(self, fn, bits, path, read=False):
+        # a read takes exactly length bits: only a pin and the pattern are left
+        if not read or self.pin is not None:
+            pin = fn.arg(self.args, "value", as_bits)
+            if pin is not None:
+                fn.require(f"{bits} != {pin}", _message("must equal ", _shown(pin), ", got ", _shown(bits)), path)
+            length = fn.arg(self.args, "length", as_int)
+            if length is not None:
+                fn.require(f"{bits}.length != {length}", _message(
+                    "length ", _said(f"{bits}.length"), " bits, expected ", _said(length)
+                ), path)
+        if self.pattern is not None:
+            fn.require(f"not {fn.ref(self.pattern.fullmatch)}({bits}.to_bits())", _message(
+                "bits ", _shown(f"{bits}.to_bits()"), f" do not match {self.pattern!r}"
+            ), path)
 
-    def pattern_mismatch(self, bits):
-        if self.pattern is not None and not self.pattern.fullmatch(bits.to_bits()):
-            return f"bits {bits.to_bits()!r} do not match {self.pattern!r}"
-        return None
+    def emit_write(self, fn, bits):
+        fn.write(f"{bits}.value", fn.temp(f"{bits}.length"))
 
-    def write(self, value, env):
-        return value.bits
+    def emit_read(self, fn):
+        pin = fn.static(self.args, "value", as_bits)
+        if pin is not _UNKNOWN:
+            width = repr(pin.length)
+        elif self.pin is not None:
+            width = fn.temp(f"{fn.arg(self.args, 'value', as_bits)}.length")
+        else:
+            width = fn.arg(self.args, "length", as_int)
+            if not width.isdigit():
+                width = fn.temp(width)
+                fn.require(f"{width} < 0", _message("negative bit length ", _said(width)))
+        return fn.temp(f"BitString({fn.read(width)}, {width})")
 
-    def read(self, cur, env):
-        length = self.size(env)
-        if length < 0:
-            raise ConstraintViolation(f"negative bit length {length}")
-        return BitsVal(cur.bits(length))
-
-    def decode(self, cur, env):
-        if self.pin is not None:
-            return super().decode(cur, env)
-        # read took exactly length bits: only the pattern is left to check
-        value = self.read(cur, env)
-        reason = self.pattern_mismatch(value.bits)
-        if reason:
-            raise ConstraintViolation(reason)
-        return value
+    def emit_decode(self, fn):
+        fixed = self.fixed(fn)
+        if fixed is _UNKNOWN:
+            return super().emit_decode(fn)
+        bits = fixed.bits
+        raw = fn.read(repr(bits.length))
+        with fn.block(f"if {raw} != {bits.value}:"):
+            self.emit_checks(fn, fn.temp(f"BitString({raw}, {bits.length})"), None, read=True)
+        return fn.ref(fixed), self.entry(fn.ref(fixed), fn.ref(bits), fixed)
 
     def generate(self, gen, env, path):
         if self.pin is not None:
@@ -556,6 +964,7 @@ class BinaryNode(Node):
 
 class ListNode(Node):
     def __init__(self, rtype, rcodec, spec):
+        super().__init__(rtype, rcodec, spec)
         self.max_length = compile_arg(rtype.args, "max_length", spec.constants, as_int)
         self.elem = compile_node(rtype.args["elem"], None, spec)
 
@@ -582,41 +991,58 @@ class CountPrefixListNode(ListNode):
         super().__init__(rtype, rcodec, spec)
         self.count = compile_node(RType("Integer", {}), rcodec.args["count_codec"], spec)
 
-    def encode(self, value, env):
-        if not isinstance(value, ListVal):
-            raise ConstraintViolation(f"expected a list, got {value!r}")
-        if self.max_length is not None and len(value.items) > self.max_length(env):
-            raise ConstraintViolation(f"{len(value.items)} elements exceeds max_length")
-        parts = [self.count.write(IntVal(len(value.items)), env)]
-        for i, item in enumerate(value.items):
-            try:
-                parts.append(self.elem.encode(item, env))
-            except ConstraintViolation as e:
-                raise ConstraintViolation(f"element {i}: {e}") from None
-        return BitString.concat(parts)
+    def emit_encode(self, fn, v, path):
+        fn.require(f"not isinstance({v}, ListVal)", _message("expected a list, got ", _shown(v)), path)
+        items = fn.temp(f"{v}.items")
+        limit = fn.arg(self.args, "max_length", as_int)
+        if limit is not None:
+            fn.require(f"len({items}) > {limit}",
+                       _message(_said(f"len({items})"), " elements exceeds max_length"), path)
+        self.count.emit_write(fn, fn.temp(f"len({items})"))
+        index, item = fn.fresh("i"), fn.fresh("x")
+        with fn.block(f"for {index}, {item} in enumerate({items}):"):
+            self.elem.emit_encode(fn, item, _within(path, f"'element ' + str({index}) + ': '"))
+        return v, None, _UNKNOWN
 
-    def decode(self, cur, env):
-        count = self.count.decode(cur, env).value
-        if count < 0:
-            raise ConstraintViolation(f"negative list count {count}")
-        if self.max_length is not None and count > self.max_length(env):
-            raise ConstraintViolation(f"list count {count} exceeds max_length")
-        return ListVal(tuple(self.elem.decode(cur, env) for _ in range(count)))
+    def emit_decode(self, fn):
+        count = self.count.emit_payload(fn)
+        fn.require(f"{count} < 0", _message("negative list count ", _said(count)))
+        limit = fn.arg(self.args, "max_length", as_int)
+        if limit is not None:
+            fn.require(f"{count} > {limit}", _message("list count ", _said(count), " exceeds max_length"))
+        items = fn.temp("[]")
+        with fn.block(f"for _ in range({count}):"):
+            item, _ = self.elem.emit_decode(fn)
+            fn.emit(f"{items}.append({item})")
+        value = fn.temp(f"ListVal(tuple({items}))")
+        return value, (value, None, _UNKNOWN)
 
 
 class EnumNode(Node):
     """Maps constants to and from their values, which code as the enum's base type."""
 
     def __init__(self, rtype, rcodec, spec):
+        super().__init__(rtype, rcodec, spec)
         enum = spec.enums[rtype.enum]
         self.name = enum.name
-        self.constants = enum.constants
+        self.values = enum.constants
         self.choices = list(enum.constants)
-        # reversed, so that the first of two constants with one value wins
-        self.by_value = {cval: cname for cname, cval in reversed(enum.constants.items())}
         self.base = compile_node(enum.base, rcodec, spec)
         self.canonical = self.base.canonical
         self.pin = compile_arg(rtype.args, "value", spec.constants, self.as_constant)
+        self.convert = self.as_constant
+        # each constant's payload, and the constant each payload decodes as:
+        # the first of two constants with one value wins
+        self.payloads = {c: getattr(v, self.base.payload) for c, v in enum.constants.items()}
+        self.by_payload = {}
+        for cname, cval in reversed(enum.constants.items()):
+            payload = self.payloads[cname]
+            if self.base.make(payload) == cval:  # a text of another charset never does
+                self.by_payload[payload] = EnumVal(self.name, cname)
+
+    @property
+    def title(self):
+        return self.name
 
     def as_constant(self, value) -> EnumVal:
         """The value itself, once it is one of this enum's own constants."""
@@ -624,26 +1050,37 @@ class EnumNode(Node):
             raise TypeMismatch(f"expected a {self.name} constant, got {value!r}")
         return value
 
-    def check(self, value, env):
-        if not isinstance(value, EnumVal) or value.enum != self.name:
-            return f"expected a {self.name} constant, got {value!r}"
-        if value.constant not in self.constants:
-            return f"{value.constant!r} is not a constant of {self.name}"
-        if self.pin is not None:
-            expected = self.pin(env)
-            if expected != value:
-                return f"must be {expected!r}, got {value.constant}"
-        return None
+    def emit_kind(self, fn, v, path):
+        fn.require(f"not isinstance({v}, EnumVal) or {v}.enum != {self.name!r}",
+                   _message(f"expected a {self.name} constant, got ", _shown(v)), path)
+        fn.require(f"{v}.constant not in {fn.ref(self.values)}",
+                   _message(_shown(f"{v}.constant"), f" is not a constant of {self.name}"), path)
+        return v
 
-    def write(self, value, env):
-        return self.base.write(self.constants[value.constant], env)
+    def emit_checks(self, fn, v, path, read=False):
+        pin = fn.static(self.args, "value", self.as_constant)
+        if pin is not _UNKNOWN:
+            # both are constants of this enum
+            fn.require(f"{v}.constant != {pin.constant!r}",
+                       _message(f"must be {pin!r}, got ", _said(f"{v}.constant")), path)
+        elif "value" in self.args:
+            expected = fn.temp(fn.result(self.args["value"], self.as_constant))
+            fn.require(f"{expected} != {v}",
+                       _message("must be ", _shown(expected), ", got ", _said(f"{v}.constant")), path)
 
-    def read(self, cur, env):
-        raw = self.base.decode(cur, env)
-        constant = self.by_value.get(raw)
-        if constant is None:
-            raise ConstraintViolation(f"{raw!r} is not a {self.name} constant")
-        return EnumVal(self.name, constant)
+    def emit_write(self, fn, v):
+        self.base.emit_write(fn, fn.temp(f"{fn.ref(self.payloads)}[{v}.constant]"))
+
+    def emit_read(self, fn):
+        payload = self.base.emit_payload(fn)
+        constant = fn.temp(f"{fn.ref(self.by_payload)}.get({payload})")
+        fn.require(f"{constant} is None",
+                   _message(_shown(self.base.wrap(payload)), f" is not a {self.name} constant"))
+        return constant
+
+    def emit_decode(self, fn):
+        constant = self.emit_payload(fn)
+        return constant, (constant, None, _UNKNOWN)
 
     def generate(self, gen, env, path):
         if self.pin is not None:
@@ -651,7 +1088,7 @@ class EnumNode(Node):
         return EnumVal(self.name, gen.rng.choice(self.choices))
 
     def add_goals(self, cov, key, seen):
-        for constant in self.constants:
+        for constant in self.values:
             cov.enums.setdefault((self.name, constant), 0)
 
     def retype(self, value):
@@ -662,18 +1099,26 @@ class OptionalNode(Node):
     """Present or absent by its guard; a present value codes as the subject."""
 
     def __init__(self, rtype, rcodec, spec):
+        super().__init__(rtype, rcodec, spec)
         self.is_empty = compile_arg(rtype.args, "is_empty", spec.constants, as_bool)
         self.subject = compile_node(rtype.args["subject"], rcodec, spec)
 
-    def encode(self, value, env):
-        empty = self.is_empty(env)
-        if empty != (value is ABSENT):
-            reason = "value must be absent" if empty else "value is required but absent"
-            raise ConstraintViolation(reason)
-        return EMPTY if empty else self.subject.encode(value, env)
+    def emit_encode(self, fn, v, path):
+        empty = fn.temp(fn.arg(self.args, "is_empty", as_bool))
+        fn.require(f"{empty} != ({v} is ABSENT)",
+                   f"('value must be absent' if {empty} else 'value is required but absent')", path)
+        with fn.block(f"if not {empty}:"):
+            self.subject.emit_encode(fn, v, path)
+        return v, None, _UNKNOWN
 
-    def decode(self, cur, env):
-        return ABSENT if self.is_empty(env) else self.subject.decode(cur, env)
+    def emit_decode(self, fn):
+        empty = fn.arg(self.args, "is_empty", as_bool)
+        value = fn.fresh("o")
+        with fn.block(f"if {empty}:"):
+            fn.emit(f"{value} = ABSENT")
+        with fn.block("else:"):
+            fn.emit(f"{value} = {self.subject.emit_decode(fn)[0]}")
+        return value, (value, None, _UNKNOWN)
 
     def generate(self, gen, env, path):
         return ABSENT if self.is_empty(env) else self.subject.generate(gen, env, path)
@@ -691,13 +1136,18 @@ class RecordNode(Node):
     ``Header(flag=1)``, and binds each field in turn for the later ones."""
 
     def __init__(self, rtype, rcodec, spec):
+        super().__init__(rtype, rcodec, spec)
         self.rtype = rtype
         self.record = spec.records[rtype.record]
         self.name = self.record.name
         self.spec = spec
         # parameter arguments and field pins, both over the outer environment
-        self.args = [(name, compile_arg(rtype.args, name, spec.constants)) for name in rtype.args]
+        self.params = [(name, compile_arg(rtype.args, name, spec.constants)) for name in rtype.args]
         self.names = [f.name for f in self.record.fields]
+
+    @property
+    def title(self):
+        return self.name
 
     @cached_property
     def fields(self) -> list:
@@ -716,33 +1166,66 @@ class RecordNode(Node):
         in the outer one.  A pinned field's name holds the pin until the field
         itself is bound; earlier fields cannot see it, as the resolver rejects
         references to later fields."""
-        if not self.args:
+        if not self.params:
             return {}
-        return {name: arg(outer) for name, arg in self.args}
+        return {name: arg(outer) for name, arg in self.params}
 
-    def encode(self, value, env):
-        if not isinstance(value, RecordVal) or value.type_name != self.name:
-            raise ConstraintViolation(f"expected a {self.name} record, got {value!r}")
-        if value.names() != self.names:
-            raise ConstraintViolation(f"field set mismatch for {self.name}")
-        inner = self.bind(env)
-        parts = []
-        for (name, node), (_, v) in zip(self.fields, value.entries):
-            try:
-                parts.append(node.encode(v, inner))
-            except ConstraintViolation as e:
-                raise ConstraintViolation(f"{self.name}.{name}: {e}") from None
-            inner[name] = v
-        return BitString.concat(parts)
+    def recurs(self, fn):
+        """The node whose function to call where this record recurs inside
+        itself (the enclosing instance with the same arguments, else this
+        one) or where the source is already nested deep (this one; Python
+        compiles no more than 20 nested loops and ``try`` blocks); None
+        where it is inlined."""
+        same = [node for node in fn.inlining if node.name == self.name]
+        if not same:
+            return self if len(fn.indent) > 4 * MAX_INLINED_DEPTH else None
+        return next((node for node in same if node.rtype.args == self.rtype.args), self)
 
-    def decode(self, cur, env):
-        inner = self.bind(env)
-        entries = []
-        for name, node in self.fields:
-            value = node.decode(cur, inner)
-            entries.append((name, value))
-            inner[name] = value
-        return RecordVal(self.name, tuple(entries))
+    def emit_encode(self, fn, v, path):
+        target = self.recurs(fn)
+        if target is not None:
+            bits = fn.fresh("b")
+            call = f"{bits} = {fn.ref(target)}.encode({v}, {fn.env()})"
+            if path is None:
+                fn.emit(call)
+            else:
+                with fn.block("try:"):
+                    fn.emit(call)
+                with fn.block("except ConstraintViolation as inner:"):
+                    fn.emit(f"raise ConstraintViolation({path} + str(inner)) from None")
+            fn.write(f"{bits}.value", f"{bits}.length")
+            return v, None, _UNKNOWN
+        fn.require(f"not isinstance({v}, RecordVal) or {v}.type_name != {self.name!r}",
+                   _message(f"expected a {self.name} record, got ", _shown(v)), path)
+        entries = fn.temp(f"{v}.entries")
+        mismatch = repr(f"field set mismatch for {self.name}")
+        fn.require(f"len({entries}) != {len(self.names)}", mismatch, path)
+        keys = [fn.fresh("k") for _ in self.names]
+        values = [fn.fresh("f") for _ in self.names]
+        if self.names:
+            fn.emit("".join(f"({k}, {x}), " for k, x in zip(keys, values)) + f"= {entries}")
+            fn.require(" or ".join(f"{k} != {name!r}" for k, name in zip(keys, self.names)), mismatch, path)
+        with fn.record(self):
+            for (name, node), value in zip(self.fields, values):
+                fn.bind(name, *node.emit_encode(fn, value, _within(path, repr(f"{self.name}.{name}: "))))
+        return v, None, _UNKNOWN
+
+    def emit_decode(self, fn):
+        target = self.recurs(fn)
+        if target is not None:
+            fn.emit("cur.pos = pos")
+            value = fn.temp(f"{fn.ref(target)}.decode(cur, {fn.env()})")
+            fn.emit("pos = cur.pos")
+            return value, (value, None, _UNKNOWN)
+        values = []
+        with fn.record(self):
+            for name, node in self.fields:
+                value, entry = node.emit_decode(fn)
+                fn.bind(name, *entry)
+                values.append(value)
+        entries = "".join(f"({name!r}, {value}), " for name, value in zip(self.names, values))
+        value = fn.temp(f"RecordVal({self.name!r}, ({entries}))")
+        return value, (value, None, _UNKNOWN)
 
     def wire_prefix(self, env, facts):
         inner = self.bind(env)

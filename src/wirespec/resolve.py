@@ -13,13 +13,14 @@ from . import syntax
 from .errors import (
     CyclicDependency,
     DuplicateName,
+    EvalError,
     ForwardReference,
     ResolutionError,
     UnknownName,
 )
 from .lts import IOLTS, QUIT, QUIT_STATE, TAU, Edge, recv, send
 from .patterns import ALPHABETS, compile_pattern
-from .values import EnumVal, literal_value
+from .values import BitsVal, EnumVal, IntVal, TextVal, compile_expr, literal_value
 
 # Argument kinds: "type" and "codec" take an instance of one; "regex", "text
 # literal" and "bits literal" take only that literal; "int", "bool", "text"
@@ -38,7 +39,9 @@ TYPE_SIGNATURES = {  # type -> {argument: (kind, required)}
     "Optional": {"is_empty": ("bool", True), "subject": ("type", True)},
 }
 
-CODEC_SIGNATURES = {  # codec -> (the value type it codes, {argument: (kind, required)})
+# codec -> (the value type it codes, {argument: (kind, required)}); a new
+# codec also needs its least width in _Resolver._min_bits, or it counts 0 bits
+CODEC_SIGNATURES = {
     "BigEndian": ("Integer", {"signed": ("bool", False), "length": ("int", True)}),
     "BoolBits": ("Bool", {"truth_string": ("bits literal", True),
                           "falsehood_string": ("bits literal", True)}),
@@ -151,6 +154,9 @@ class _Resolver:
             self.enums[ename] = self._resolve_enum(decl)
         for rname, decl in self.record_decls.items():
             self.records[rname] = self._resolve_record(decl)
+        for record in self.records.values():
+            for f in record.fields:
+                self._check_list_bound(f"{record.name}.{f.name}", f.type, f.codec)
         actors = {}
         for mod in self.ast.interaction_modules:
             for actor in mod.actors:
@@ -438,6 +444,56 @@ class _Resolver:
             self._check_coding(where, RType("Integer", {}), rcodec.args["count_codec"])
         if rcodec.base == "TextInteger":
             self._check_coding(where, RType("Text", {}), rcodec.args["text_codec"])
+
+    def _check_list_bound(self, where: str, rtype: RType, rcodec: RCodec | None) -> None:
+        """Reject a counted list without a max_length whose element can
+        encode to no bits: a peer's count alone would set the decode's work."""
+        while rtype.base == "Optional":
+            rtype = rtype.args["subject"]
+        if (rcodec is not None and rcodec.base == "CountPrefixList"
+                and "max_length" not in rtype.args and not self._min_bits(rtype.args["elem"], None, set())):
+            raise ResolutionError(
+                f"{where}: an element can encode to no bits, so the List needs a max_length"
+            )
+
+    def _min_bits(self, rtype: RType, rcodec: RCodec | None, seen: set) -> int:
+        """A lower bound on the bits of every encoding of a type: constant
+        widths and lengths fold, a terminator counts its bytes, and anything
+        else, an Optional and a record within itself included, counts 0."""
+        def constant(args, name, kind):
+            try:
+                value = compile_expr(args[name], self.constants)({}) if name in args else None
+            except EvalError:
+                return None
+            return value if isinstance(value, kind) else None
+
+        base = rtype.base
+        if base == "Record":
+            if rtype.record in seen:
+                return 0
+            fields = self.records[rtype.record].fields
+            return sum(self._min_bits(f.type, f.codec, seen | {rtype.record}) for f in fields)
+        if base == "Enum":
+            return self._min_bits(self.enums[rtype.enum].base, rcodec, seen)
+        if base == "Binary":
+            pin, length = constant(rtype.args, "value", BitsVal), constant(rtype.args, "length", IntVal)
+            return pin.bits.length if pin else max(length.value, 0) if length else 0
+        codec = rcodec.base if rcodec is not None else None
+        if codec == "BigEndian":
+            width = constant(rcodec.args, "length", IntVal)
+            return max(width.value, 0) if width else 0
+        if codec == "BoolBits":
+            return rcodec.args["truth_string"].length
+        if codec == "TerminatedText":
+            return 8 * len(rcodec.args["terminator"])
+        if codec == "FixedCountText":
+            count, pin = constant(rtype.args, "max_count", IntVal), constant(rtype.args, "value", TextVal)
+            return 8 * max(count.value, 0) if count else 8 * len(pin.text) if pin else 0
+        if codec == "TextInteger":
+            return self._min_bits(RType("Text", {}), rcodec.args["text_codec"], seen)
+        if codec == "CountPrefixList":
+            return self._min_bits(RType("Integer", {}), rcodec.args["count_codec"], seen)
+        return 0
 
     def _require_args(self, where: str, inst) -> None:
         """Reject an instance without a required argument or record parameter."""

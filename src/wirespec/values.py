@@ -6,10 +6,13 @@ expressions over earlier fields of the same record.  :func:`compile_expr`
 turns each expression once into the source of one Python function over a
 plain dict of the field and parameter values known so far; the function
 computes on plain ints and bools and wraps its result once, or, for an
-integer or boolean argument, returns it plain.  :func:`compile_arg` also
-computes an argument that needs none of them once, up front.  Random
-draws elsewhere (``wirespec.patterns``) use ``getrandbits`` with
-rejection, as ``randrange`` does, so a seed draws the same values."""
+integer or boolean argument, returns it plain.  :class:`Source`, the
+compiler behind it, also inlines expressions into the functions that
+:mod:`wirespec.codec` generates, over names held in locals.
+:func:`compile_arg` also computes an argument that needs none of them
+once, up front.  Random draws elsewhere (``wirespec.patterns``) use
+``getrandbits`` with rejection, as ``randrange`` does, so a seed draws
+the same values."""
 
 from __future__ import annotations
 
@@ -109,17 +112,20 @@ def _unbound(missing: KeyError) -> UnboundName:
     return UnboundName(f"unbound name {missing.args[0]!r}")
 
 
-class _Source:
-    """The body of one compiled expression.  Each operand compiles to Python
+class Source:
+    """The body of one compiled function.  Each operand compiles to Python
     source and its kind: ``IntVal`` or ``BoolVal`` when the source computes
     the plain int or bool inside, None when it computes a value of a kind
     known only at run time.  Lookups and checks, the only steps that can
     fail, become statements in evaluation order; what they guard stays an
-    expression on plain ints and bools that cannot fail."""
+    expression on plain ints and bools that cannot fail.  Objects other
+    than ints, bools and strings reach the source only as names bound in
+    ``namespace``, and spec names only as string literals."""
 
     def __init__(self, constants: dict):
         self.constants = constants
         self.lines = []
+        self.indent = ""
         self.namespace = {
             "IntVal": IntVal,
             "BoolVal": BoolVal,
@@ -127,22 +133,40 @@ class _Source:
             "_applied": _applied,
             "_unbound": _unbound,
         }
+        self.refs = {}  # id of an object -> its name in namespace
         self.temps = 0
         self.looks_up = False
 
-    def temp(self, code: str) -> str:
-        name = f"v{self.temps}"
+    def emit(self, line: str):
+        self.lines.append(self.indent + line)
+
+    def fresh(self, prefix: str = "v") -> str:
+        name = f"{prefix}{self.temps}"
         self.temps += 1
-        self.lines.append(f"{name} = {code}")
+        return name
+
+    def temp(self, code: str) -> str:
+        name = self.fresh()
+        self.emit(f"{name} = {code}")
+        return name
+
+    def ref(self, obj) -> str:
+        """The name under which the source refers to ``obj``."""
+        name = self.refs.get(id(obj))
+        if name is None:
+            name = self.refs[id(obj)] = self.fresh("c")
+            self.namespace[name] = obj
         return name
 
     def constant(self, value):
         if type(value) in (IntVal, BoolVal):
             return repr(value.value), type(value)
-        name = f"c{self.temps}"
-        self.temps += 1
-        self.namespace[name] = value
-        return name, None
+        return self.ref(value), None
+
+    def lookup(self, name: str):
+        """The code and kind of the value bound to a field or parameter."""
+        self.looks_up = True
+        return self.temp(f"env[{name!r}]"), None
 
     def operand(self, code: str, kind, want):
         """The plain value of an operand that must be a ``want``, the test
@@ -159,8 +183,7 @@ class _Source:
             value = _BUILTINS.get(expr.name, self.constants.get(expr.name))
             if value is None:
                 # the name only ever appears as a string literal
-                self.looks_up = True
-                return self.temp(f"env[{expr.name!r}]"), None
+                return self.lookup(expr.name)
         else:
             value = literal_value(expr)
         if value is not None:
@@ -169,14 +192,14 @@ class _Source:
             want, op, label = _UNARY[expr.op]
             raw, test, shown = self.operand(*self.compile(expr.operand), want)
             if test:
-                self.lines.append(f"if {test}: raise _applied({label!r}, {shown})")
+                self.emit(f"if {test}: raise _applied({label!r}, {shown})")
             return f"({op}{raw})", want
         if isinstance(expr, syntax.Binary):
             left = self.operand(*self.compile(expr.left), IntVal)
             right = self.operand(*self.compile(expr.right), IntVal)
             tests = [test for _, test, _ in (left, right) if test]
             if tests:
-                self.lines.append(
+                self.emit(
                     f"if {' or '.join(tests)}: "
                     f"raise _applied({expr.op!r}, {left[2]}, {right[2]})"
                 )
@@ -184,9 +207,22 @@ class _Source:
             if expr.op == "%" and not (isinstance(expr.right, syntax.IntLit) and expr.right.value):
                 divisor = self.temp(divisor)
                 message = f"division by zero in {syntax.format_expr(expr)}"
-                self.lines.append(f"if {divisor} == 0: raise DivisionByZero({message!r})")
+                self.emit(f"if {divisor} == 0: raise DivisionByZero({message!r})")
             return f"({left[0]} {expr.op} {divisor})", IntVal
         raise TypeMismatch(f"not a value expression: {syntax.format_expr(expr)}")
+
+    def result(self, expr, convert=None) -> str:
+        """The code of ``expr``'s value passed through ``convert``; with
+        ``as_int`` or ``as_bool``, the plain result, its kind checked inline."""
+        code, kind = self.compile(expr)
+        want = {as_int: IntVal, as_bool: BoolVal}.get(convert)
+        if want is not None:
+            raw, test, shown = self.operand(code, kind, want)
+            if test:
+                self.emit(f"if {test}: {self.ref(convert)}({shown})  # raises")
+            return raw
+        result = code if kind is None else f"{kind.__name__}({code})"
+        return result if convert is None else f"{self.ref(convert)}({result})"
 
 
 def compile_expr(expr, constants: dict, convert=None):
@@ -199,18 +235,8 @@ def compile_expr(expr, constants: dict, convert=None):
     ``convert``, it returns the plain result, and checks its kind inline.
     Errors surface when the function runs, in the order in which the
     operands are evaluated, left to right."""
-    src = _Source(constants)
-    code, kind = src.compile(expr)
-    src.namespace["convert"] = convert
-    want = {as_int: IntVal, as_bool: BoolVal}.get(convert)
-    if want is not None:
-        raw, test, shown = src.operand(code, kind, want)
-        if test:
-            src.lines.append(f"if {test}: return convert({shown})  # raises")
-        src.lines.append(f"return {raw}")
-    else:
-        result = code if kind is None else f"{kind.__name__}({code})"
-        src.lines.append(f"return {result}" if convert is None else f"return convert({result})")
+    src = Source(constants)
+    src.emit(f"return {src.result(expr, convert)}")
     lines = src.lines
     if src.looks_up:
         lines = ["try:", *("    " + line for line in lines),

@@ -1,3 +1,5 @@
+import hashlib
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -28,6 +30,7 @@ from wirespec.errors import (
     UnknownName,
     UnsatisfiableConstraint,
     Unrepresentable,
+    WirespecError,
 )
 from wirespec.generate import GenConfig, Generator
 from wirespec.resolve import CODEC_SIGNATURES, TYPE_SIGNATURES, RCodec, RType, resolve
@@ -36,6 +39,7 @@ from wirespec.values import (
     ABSENT,
     BitsVal,
     BoolVal,
+    EnumVal,
     IntVal,
     ListVal,
     RecordVal,
@@ -817,3 +821,203 @@ def test_sub_byte_prefilter_changes_no_outcome():
                     assert list(out.diagnostics.items()) == expected, buf
                 else:
                     assert out == expected, buf
+
+
+def _wrong_and_out_of_range(value):
+    """A value of another kind than ``value``, and one of its kind that
+    breaks a bound: a huge integer, an overlong text with every bundled
+    terminator, one bit too many, an unknown constant, a list too long."""
+    if isinstance(value, IntVal):
+        return TextVal("1"), IntVal(1 << 40)
+    if isinstance(value, TextVal):
+        return IntVal(1), TextVal("~" * 60 + " \r\n\n")
+    if isinstance(value, BitsVal):
+        return TextVal("0"), BitsVal(value.bits.append(BitString(1, 1)))
+    if isinstance(value, BoolVal):
+        return IntVal(1), BoolVal(not value.value)
+    if isinstance(value, EnumVal):
+        return TextVal(value.constant), EnumVal(value.enum, "nope")
+    if isinstance(value, ListVal):
+        return BoolVal(True), ListVal(value.items * 3 + value.items[:1] * 5)
+    if isinstance(value, RecordVal):
+        return IntVal(0), RecordVal(value.type_name, value.entries[:-1])
+    return IntVal(0), TextVal("")  # absent
+
+
+def _replaced(value, path, new):
+    """``value`` with the part at ``path`` (field names and list indices) replaced."""
+    if not path:
+        return new
+    head, rest = path[0], path[1:]
+    if isinstance(value, ListVal):
+        items = list(value.items)
+        items[head] = _replaced(items[head], rest, new)
+        return ListVal(tuple(items))
+    entries = tuple((k, _replaced(v, rest, new) if k == head else v) for k, v in value.entries)
+    return RecordVal(value.type_name, entries)
+
+
+def _parts(value, path=()):
+    """Every (path, part) of a value below the message, depth first."""
+    children = ()
+    if isinstance(value, RecordVal):
+        children = value.entries
+    elif isinstance(value, ListVal):
+        children = enumerate(value.items)
+    for key, child in children:
+        yield path + (key,), child
+        yield from _parts(child, path + (key,))
+
+
+def test_golden_diagnostics(myp_spec, imap_spec):
+    """Every decode outcome and encode error, with its text, class, field
+    path and diagnostic order, over truncations, bit flips and appended
+    messages of generated messages, and over values with one part replaced
+    by one of the wrong kind or out of range, is pinned by one digest."""
+    digest = hashlib.sha256()
+    for spec in (myp_spec, imap_spec):
+        types = spec.message_types
+        for seed in range(10):
+            gen = Generator(spec, GenConfig(seed=seed))
+            values = [gen.message(m) for m in types]
+            wires = [encode_message(m, v, spec) for m, v in zip(types, values)]
+            for i, (m, value, wire) in enumerate(zip(types, values, wires)):
+                variants = [wire[:k] for k in range(len(wire))]
+                variants += [wire[:k] + bytes([wire[k] ^ 0x80 >> k % 8]) + wire[k + 1:]
+                             for k in range(len(wire))]
+                variants.append(wire + wires[i - 1])
+                for buf in variants:
+                    out = decode_message(buf, types, spec, report_ambiguity=True)
+                    digest.update(repr(out).encode())
+                for path, part in _parts(value):
+                    for new in _wrong_and_out_of_range(part):
+                        try:
+                            got = encode_message(m, _replaced(value, path, new), spec).hex()
+                        except WirespecError as e:
+                            got = f"{type(e).__name__}: {e}"
+                        digest.update(f"{path} {got}\n".encode())
+    assert digest.hexdigest() == "7877e2f532bad141d7d61d98690168acd01b6bf52e6e2b3476b91d61c106ba1d"
+
+
+PYTHON_NAMES_SPEC = r'''
+message module M
+  message class with
+    None  is Integer(max=200) as BigEndian(length=8)
+    cur   is Binary(length=8 * None)
+    env   is env(env=None)
+    quote is Text(max_count=5) as TerminatedText(terminator='\'')
+    slash is Text(max_count=5) as TerminatedText(terminator='\\')
+    pin   is Text(value='a"""b') as TerminatedText(terminator=' ')
+    kind  is Kind(value=def) as TerminatedText(terminator=' ')
+  end
+  record env(env) with
+    value is Integer(value=env) as BigEndian(length=8)
+    kind  is Kind as TerminatedText(terminator=';')
+  end
+  enum Kind of Text with class as 'c'  def as 'd' end
+end
+'''
+
+
+def test_spec_names_that_look_like_python_reach_generated_code_as_literals():
+    spec = resolve(parse_spec(PYTHON_NAMES_SPEC))
+    gen = Generator(spec, GenConfig(seed=3))
+    for _ in range(20):
+        value = gen.message("class")
+        wire = encode_message("class", value, spec)
+        assert decode_message(wire, ["class"], spec) == Classified("class", value, len(wire))
+    wire = b"\x01\xaa\x01c;ab'\\" + b'a"""b d '
+    assert isinstance(decode_message(wire, ["class"], spec), Classified)
+
+    def fault(buf):
+        return decode_message(buf, ["class"], spec).diagnostics["class"]
+
+    assert fault(b"\xc9") == "201 above maximum 200"
+    assert fault(wire.replace(b"\x01c;", b"\x02c;")) == "must equal 1, got 2"
+    assert fault(wire.replace(b"c;", b"x;")) == "TextVal(text='x', charset='ascii') is not a Kind constant"
+    assert fault(wire.replace(b"ab'", b"abcdef'")) == "6 characters exceeds max_count"
+    assert fault(wire.replace(b'a"""b', b'a""b')) == (
+        "must equal TextVal(text='a\"\"\"b', charset='ascii'), got 'a\"\"b'"
+    )
+    assert fault(wire[:-2] + b"c ") == "must be EnumVal(enum='Kind', constant='def'), got class"
+
+    def refused(path, new):
+        try:
+            encode_message("class", _replaced(value, path, new), spec)
+        except ConstraintViolation as e:
+            return str(e)
+
+    assert refused(("None",), IntVal(201)) == "class: class.None: 201 above maximum 200"
+    assert refused(("env", "kind"), EnumVal("Kind", "None")) == (
+        "class: class.env: env.kind: 'None' is not a constant of Kind"
+    )
+    assert refused(("kind",), EnumVal("Kind", "class")) == (
+        "class: class.kind: must be EnumVal(enum='Kind', constant='def'), got class"
+    )
+    with pytest.raises(TerminatorInPayload, match=r"^text \"a'\" contains its terminator \"'\"$"):
+        encode_message("class", _replaced(value, ("quote",), TextVal("a'")), spec)
+
+
+def test_generated_code_shows_in_tracebacks(myp_spec):
+    import traceback
+
+    plan = message_plan(myp_spec, "Data")
+    with pytest.raises(TypeError) as e:
+        plan.encode(RecordVal("Data", 5), {})  # entries that are no tuple
+    frame = traceback.extract_tb(e.value.__traceback__)[-1]
+    assert frame.name == "<encode Data>" == plan.encode.__code__.co_name
+    assert frame.filename == plan.encode.__code__.co_filename
+    assert frame.line.startswith("if len(") and "field set mismatch for Data" in frame.line
+    assert message_plan(myp_spec, "Ask").decode.__name__ == "<decode Ask>"
+
+
+CHAIN_SPEC = """
+message module M
+  record Link with
+    more is Bool as BoolBits(truth_string=X'01', falsehood_string=X'00')
+    tag  is Integer(max=9) as BigEndian(length=8)
+    rest is Optional(is_empty=!more, subject=Link)
+  end
+  message Chain with first is Link end
+end
+"""
+
+
+def test_record_that_contains_itself():
+    spec = resolve(parse_spec(CHAIN_SPEC))
+    depths = set()
+    gen = Generator(spec, GenConfig(seed=2))
+    for _ in range(40):
+        value = gen.message("Chain")
+        wire = encode_message("Chain", value, spec)
+        depths.add(len(wire) // 2)
+        assert decode_message(wire, ["Chain"], spec) == Classified("Chain", value, len(wire))
+    assert max(depths) >= 4
+
+    def link(tag, rest=ABSENT):
+        return RecordVal("Link", (("more", BoolVal(rest is not ABSENT)), ("tag", IntVal(tag)), ("rest", rest)))
+
+    chain = RecordVal("Chain", (("first", link(1, link(2, link(10)))),))
+    with pytest.raises(ConstraintViolation) as e:
+        encode_message("Chain", chain, spec)
+    assert str(e.value) == "Chain: Chain.first: Link.rest: Link.rest: Link.tag: 10 above maximum 9"
+    out = decode_message(b"\x01\x01\x01\x02\x00\x0a", ["Chain"], spec)
+    assert out.diagnostics == {"Chain": "10 above maximum 9"}
+    assert decode_message(b"\x01\x01\x01\x02\x01", ["Chain"], spec) is NEED_MORE
+
+
+def test_deeply_nested_lists():
+    # one function per record past a depth, where Python allows 20 nested blocks
+    records = " ".join(
+        f"record R{i} with n is Integer as BigEndian(length=8) "
+        f"xs is List(elem=R{i + 1}, max_length=1) as CountPrefixList(count_codec=BigEndian(length=8)) end"
+        for i in range(30)
+    )
+    spec = resolve(parse_spec(
+        f"message module M {records} record R30 with t is Text as TerminatedText(terminator=' ') end "
+        "message X with r is R0 end end"
+    ))
+    wire = b"\x07\x01" * 30 + b"deep "
+    out = decode_message(wire, ["X"], spec)
+    assert isinstance(out, Classified) and out.consumed == len(wire)
+    assert encode_message("X", out.value, spec) == wire

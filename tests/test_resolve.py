@@ -1,5 +1,8 @@
+import time
+
 import pytest
 
+from wirespec.codec import decode_message
 from wirespec.errors import (
     CyclicDependency,
     DuplicateName,
@@ -460,3 +463,38 @@ def test_resolve_is_idempotent_on_ast():
     assert {n: [f.name for f in r.fields] for n, r in a.records.items()} == {
         n: [f.name for f in r.fields] for n, r in b.records.items()
     }
+
+
+ZERO_WIDTH_ELEMENTS = [
+    "Binary(length=0)",
+    "Binary(length=n)",  # n may be 0
+    "Empty",  # a record of one Optional
+]
+
+
+@pytest.mark.parametrize("elem", ZERO_WIDTH_ELEMENTS)
+def test_count_prefix_list_of_zero_width_elements_needs_max_length(elem):
+    # a peer's 32-bit count would make decode read ~4e9 empty elements
+    decls = (
+        "record Empty with o is Optional(is_empty=true, subject=Binary(length=8)) end "
+        "message X with n is Integer as BigEndian(length=8) xs is List(elem={}{}) "
+        "as CountPrefixList(count_codec=BigEndian(length=32)) end"
+    )
+    with pytest.raises(ResolutionError, match=r"^X\.xs: an element can encode to no bits, "
+                                              r"so the List needs a max_length$"):
+        rs(decls.format(elem, ""))
+    spec = rs(decls.format(elem, ", max_length=3"))
+    started = time.perf_counter()
+    out = decode_message(b"\x00\xff\xff\xff\xff", ["X"], spec)
+    assert time.perf_counter() - started < 1.0
+    assert out.diagnostics == {"X": "list count 4294967295 exceeds max_length"}
+
+
+@pytest.mark.parametrize("elem", ["Binary(length=1)", "Binary(value=b'0')", "Word", "Tree"])
+def test_count_prefix_list_of_elements_with_bits_needs_no_max_length(elem):
+    rs(
+        "record Word with t is Text as TerminatedText(terminator=' ') end "
+        "record Tree with more is Bool as BoolBits(truth_string=b'1', falsehood_string=b'0') "
+        "kids is List(elem=Tree) as CountPrefixList(count_codec=BigEndian(length=7)) end "
+        f"message X with xs is List(elem={elem}) as CountPrefixList(count_codec=BigEndian(length=8)) end"
+    )
