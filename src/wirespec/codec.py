@@ -1,27 +1,37 @@
-"""Bidirectional translation between values and bitstrings.
+"""Bidirectional translation between values and bitstrings, and the
+drawing of fresh values.
 
 Each field pairs a (dependent) type with a codec.  :func:`compile_node`
 turns the pair into a node, and each node emits the Python source of its
-own part of a codec: checks, reads and writes, with its argument
-expressions inlined through :class:`~wirespec.values.Source`.  A node's
-``encode(value, env)`` and ``decode(cur, env)`` are one generated
-function each, compiled on first use: a record inlines its fields in
-declaration order, with the values of its parameters and earlier fields
-in locals, so a whole message type, its plan, encodes and decodes in one
+own part of a codec and of a generator: checks, reads, writes and draws,
+with its argument expressions inlined through
+:class:`~wirespec.values.Source`.  A node's ``encode(value, env)``,
+``decode(cur, env)`` and ``generate(rng, env)`` are one generated function
+each, compiled on first use: a record inlines its fields in declaration
+order, with the values of its parameters and earlier fields in locals, so
+a whole message type, its plan, encodes, decodes or is drawn in one
 function call.  A record that can contain itself calls its own function
-where it recurs, as does one nested deep in the source.  A message plan is built on first use and cached on the
-spec.  Encode checks each part of the value before it writes it, into
-one integer; decode reads each part, then checks it.  Decoding reads
-from the bytes under a :class:`~wirespec.bits.Cursor`, so a field costs
-time in its own size, not the buffer's; a terminated text is one
-``bytes.find`` and a pinned field one comparison.  Decoding is
-incremental: running out of input raises an :class:`IncompleteInput`
-subclass so that callers feeding a growing stream buffer can distinguish
-"wait for more bytes" from a malformed message, and a terminated text
-that has already run past its ``max_count`` is rejected without waiting
-for its terminator.  Generated functions are named ``<encode Data>`` and
-``<decode Data>``, and their source is in :mod:`linecache`, so
-tracebacks and debuggers show the emitted lines.
+where it recurs, as does one nested deep in the source.  A message plan
+is built on first use and cached on the spec.  Encode checks each part of
+the value before it writes it, into one integer; decode reads each part,
+then checks it.  Decoding reads from the bytes under a
+:class:`~wirespec.bits.Cursor`, so a field costs time in its own size, not
+the buffer's; a terminated text is one ``bytes.find`` and a pinned field
+one comparison.  Decoding is incremental: running out of input raises an
+:class:`IncompleteInput` subclass so that callers feeding a growing stream
+buffer can distinguish "wait for more bytes" from a malformed message, and
+a terminated text that has already run past its ``max_count`` is rejected
+without waiting for its terminator.  Generating gives a pinned field whose
+pin the known names fix, and a record all of whose fields are such, as a
+constant; draws an integer range they fix with literal bounds, by
+``getrandbits`` with rejection as ``randint`` draws; draws text and
+pattern-constrained bits through the field's
+:func:`~wirespec.patterns.language` sampler, fetched when the function is
+compiled; and builds the path of an :class:`UnsatisfiableConstraint`
+(``.payload[2].padding: ...``, under the message type's name) only where
+it raises.  Generated functions are named ``<encode Data>``, ``<decode
+Data>`` and ``<generate Data>``, and their source is in :mod:`linecache`,
+so tracebacks and debuggers show the emitted lines.
 
 Classification lets only candidates that can still match decide.  Each
 node states the static facts about the leading bits of its wire form
@@ -79,9 +89,7 @@ from .values import (
     as_bool,
     as_int,
     as_text,
-    compile_arg,
     compile_expr,
-    fold,
     literal_value,
 )
 
@@ -161,8 +169,8 @@ _RUNTIME = {
     for f in (
         BitString, BitsVal, ConstraintViolation, EnumVal, ListVal,
         MissingTerminator, RecordVal, TerminatorInPayload, TextVal, Underrun,
-        Unrepresentable, _lookup, _not_ascii, _outside, _read_range, _scan_terminated,
-        signed_range,
+        Unrepresentable, UnsatisfiableConstraint, _lookup, _not_ascii, _outside,
+        _read_range, _scan_terminated, signed_range,
     )
 }
 _RUNTIME["ABSENT"] = ABSENT
@@ -201,15 +209,19 @@ class _Function(Source):
     """The source of one generated function of a node: ``encode(value,
     env)``, which checks the value, writes it into ``acc`` (``size`` bits)
     and returns a BitString; ``decode(cur, env)``, which reads ``data``
-    from ``pos`` to ``end`` and returns the value; or ``check(value, env)``,
-    which returns the first reason the value breaks the type, or None.
+    from ``pos`` to ``end`` and returns the value; ``generate(rng, env)``,
+    which draws a value with the ``random.Random`` ``rng``; or
+    ``check(value, env)``, which returns the first reason the value breaks
+    the type, or None.
 
     ``names`` holds the spec names in scope, as the code and kind of what
     holds their values (see :class:`~wirespec.values.Source`), and
     ``known`` those whose values are fixed when the source is generated;
     outside any record, other names are looked up in ``env``.  An argument
     whose value is fixed is computed once, here, into a literal.
-    ``inlining`` lists the records whose fields are being inlined."""
+    ``inlining`` lists the records whose fields are being inlined.  The
+    walk that finds wire-prefix facts keeps its known names in one that
+    is never compiled."""
 
     def __init__(self, node: "Node", kind: str):
         super().__init__(node.constants)
@@ -258,6 +270,12 @@ class _Function(Source):
         if value is not _UNKNOWN:
             return self.literal(value)
         return self.result(args[name], convert)
+
+    def int_arg(self, args: dict, name: str):
+        """The code of int argument ``name``: a literal where the known names
+        fix it, else a local; None when it is not given."""
+        code = self.arg(args, name, as_int)
+        return code if code is None or _int_literal(code) is not None else self.temp(code)
 
     def bind(self, name: str, code: str, kind=None, value=_UNKNOWN):
         self.names[name] = (code, kind)
@@ -320,6 +338,25 @@ class _Function(Source):
         self.emit(f"acc = acc << {width} | {bits}")
         self.emit(f"size += {width}")
 
+    def below(self, bound) -> str:
+        """The code of a uniform int in ``[0, bound)``, drawn as ``randrange``
+        draws it: ``getrandbits`` of the bound's bit length, until it is
+        below the bound.  ``bound`` is a positive int, or the code of one."""
+        if isinstance(bound, int):
+            bits = bound.bit_length()
+        else:
+            bits = self.temp(f"{bound}.bit_length()")
+        pick = self.temp(f"getrandbits({bits})")
+        self.emit(f"while {pick} >= {bound}: {pick} = getrandbits({bits})")
+        return pick
+
+    def unsatisfiable(self, path: tuple, *parts, when: str | None = None):
+        """Raise UnsatisfiableConstraint for the part at ``path``, a tuple
+        of message parts, where the code ``when`` holds, or always; its
+        text is built only when it is raised."""
+        raise_it = f"raise UnsatisfiableConstraint({_message(*path, ': ', *parts)}) from None"
+        self.emit(raise_it if when is None else f"if {when}: {raise_it}")
+
     def env(self) -> str:
         """The code of a dict of every name in scope, for a call."""
         items = (
@@ -338,7 +375,8 @@ class _Function(Source):
 
 
 def _generate(node: "Node", kind: str):
-    """The generated function ``kind`` of ``node``: ``encode``, ``decode`` or ``check``."""
+    """The generated function ``kind`` of ``node``: ``encode``, ``decode``,
+    ``generate`` or ``check``."""
     fn = _Function(node, kind)
     if kind == "encode":
         fn.emit("acc = size = 0")
@@ -353,6 +391,11 @@ def _generate(node: "Node", kind: str):
         fn.emit("cur.pos = pos")
         fn.emit(f"return {value}")
         return fn.finish(f"decode {node.title}", "cur, env")
+    if kind == "generate":
+        fn.emit("getrandbits = rng.getrandbits")
+        value, _ = node.emit_generate(fn, ())
+        fn.emit(f"return {value}")
+        return fn.finish(f"generate {node.title}", "rng, env")
     node.emit_check(fn, "value", None)
     fn.emit("return None")
     return fn.finish(f"check {node.title}", "value, env")
@@ -408,6 +451,23 @@ class WirePrefix:
 
 # --- field nodes ------------------------------------------------------------------
 
+def _int_literal(code: str) -> int | None:
+    """The int that ``code`` is the literal of, else None."""
+    try:
+        return int(code)
+    except ValueError:
+        return None
+
+
+def _negative(fn, path: tuple, count: str, name: str):
+    """Raise UnsatisfiableConstraint where the count or length ``count``,
+    the code of an int, is negative."""
+    literal = _int_literal(count)
+    if literal is None or literal < 0:
+        when = None if literal is not None else f"{count} < 0"
+        fn.unsatisfiable(path, f"negative {name} ", _said(count), when=when)
+
+
 def _within(path, code: str) -> str:
     """The source of the path prefix of a part inside ``path``."""
     return code if path is None else f"{path} + {code}"
@@ -437,27 +497,30 @@ class Node:
     and write, and decodes by read and checks.  A pinned field whose pin
     is known and passes its checks decodes by one comparison.
     ``check(value, env)``, generated from kind and checks, returns None or
-    the reason.  ``generate(gen, env, path)`` draws a well-formed value with
-    the :class:`~wirespec.generate.Generator` ``gen``.  ``env`` maps the
-    enclosing record's parameters and earlier fields to their values.
+    the reason.  ``generate(rng, env)``, generated from ``emit_generate(fn,
+    path)``, draws a well-formed value with the ``random.Random`` ``rng``;
+    ``path`` is a tuple of message parts (see :meth:`_Function.unsatisfiable`).
+    A pinned field gives its pin, a literal where the known names fix it;
+    a leaf draws otherwise by ``emit_draw``.  ``env`` maps the enclosing
+    record's parameters and earlier fields to their values.
     ``add_goals(cov, key, seen)`` adds the goals of the field ``key``, a
     (record, field) pair, to the :class:`~wirespec.coverage.Coverage` ``cov``;
     ``seen`` holds the records added so far.  ``retype(value)`` fills in the
     record and enum names value literals omit, and keeps a value of another kind.
-    ``wire_prefix(env, facts)`` appends what the node's wire form starts
+    ``wire_prefix(fn, facts)`` appends what the node's wire form starts
     with to the :class:`WirePrefix` ``facts`` and returns the value that any
-    successful decode yields when the facts fix it, else None; where the
-    facts end it raises EndOfFacts, or the error of an argument it cannot
-    evaluate yet.  A pinned field gives a literal, its generated encoding,
-    only when its node is ``canonical``: each value has one encoding and
-    decode accepts no other.  TextInteger is not, as it reads ``05`` and
+    successful decode yields when the facts fix it, else None; the
+    :class:`_Function` ``fn`` holds the names known so far, and where the
+    facts end it raises EndOfFacts.  A pinned field gives a literal, its
+    generated encoding, only when its node is ``canonical`` (each value has
+    one encoding and decode accepts no other) and its pin is known and
+    passes its checks.  TextInteger is not canonical, as it reads ``05`` and
     ``-0`` too; an unpinned terminated text gives a skip through its
     terminator, with the first bytes its pattern allows.
     Each subclass is named after the type or codec it codes.
     """
 
     classes = {}  # type or codec name -> node class
-    pin = None  # env -> the value a pinned field must have
     canonical = False
     kind = None  # a leaf's value class, the attribute of its payload,
     payload = None
@@ -485,6 +548,10 @@ class Node:
         return _generate(self, "decode")
 
     @cached_property
+    def generate(self):
+        return _generate(self, "generate")
+
+    @cached_property
     def check(self):
         return _generate(self, "check")
 
@@ -494,11 +561,11 @@ class Node:
     def retype(self, value):
         return value
 
-    def wire_prefix(self, env, facts):
-        if not self.canonical or self.pin is None:
+    def wire_prefix(self, fn, facts):
+        value = self.fixed(fn) if self.canonical else _UNKNOWN
+        if value is _UNKNOWN:
             raise EndOfFacts
-        value = self.generate(None, env, "")  # a pinned field draws nothing
-        facts.literal(self.encode(value, env))
+        facts.literal(self.encode(value, fn.known))
         return value
 
     # leaves
@@ -549,6 +616,22 @@ class Node:
             return _UNKNOWN
         return _UNKNOWN if reason else value
 
+    def emit_generate(self, fn, path):
+        pin = fn.static(self.args, "value", self.convert)
+        if pin is not _UNKNOWN:
+            value = self.pinned(pin)
+            return fn.ref(value), self.entry(fn.ref(value), fn.literal(getattr(value, self.payload)), value)
+        if "value" in self.args:
+            payload = fn.temp(self.pin_payload(fn.arg(self.args, "value", self.convert)))
+        else:
+            payload = self.emit_draw(fn, path)
+        value = fn.temp(self.wrap(payload))
+        return value, self.entry(value, payload)
+
+    def pin_payload(self, pin: str) -> str:
+        """The code of the payload of a pin's converted value ``pin``."""
+        return pin
+
     def emit_decode(self, fn):
         fixed = self.fixed(fn)
         if fixed is _UNKNOWN:
@@ -565,13 +648,6 @@ class Node:
 class IntegerNode(Node):
     kind, payload, convert, what = IntVal, "value", staticmethod(as_int), "an integer"
 
-    def __init__(self, rtype, rcodec, spec):
-        super().__init__(rtype, rcodec, spec)
-        self.codec_range = lambda env: (None, None)
-        self.pin = compile_arg(rtype.args, "value", spec.constants, as_int)
-        self.min = compile_arg(rtype.args, "min", spec.constants, as_int)
-        self.max = compile_arg(rtype.args, "max", spec.constants, as_int)
-
     def entry(self, value, payload, known=_UNKNOWN):
         return payload, IntVal, known
 
@@ -586,34 +662,43 @@ class IntegerNode(Node):
         if high is not None:
             fn.require(f"{n} > {high}", _message(_said(n), " above maximum ", _said(high)), path)
 
-    def generate(self, gen, env, path):
-        if self.pin is not None:
-            return IntVal(self.pin(env))
-        lo = None if self.min is None else self.min(env)
-        hi = None if self.max is None else self.max(env)
-        try:
-            clo, chi = self.codec_range(env)
-        except Unrepresentable as e:
-            raise UnsatisfiableConstraint(f"{path}: {e}") from None
-        if clo is not None:
-            lo = clo if lo is None else max(lo, clo)
-            hi = chi if hi is None else min(hi, chi)
-        if lo is None or hi is None:
-            raise UnsatisfiableConstraint(f"{path}: integer range is unbounded")
-        if lo > hi:
-            raise UnsatisfiableConstraint(f"{path}: empty integer range [{lo}, {hi}]")
-        return IntVal(gen.rng.randint(lo, hi))
+    def emit_codec_range(self, fn, path):
+        """The code of the least and greatest integers the codec codes, or
+        None when it codes every integer."""
+        return None
+
+    def emit_draw(self, fn, path):
+        """``randint`` over the type's bounds and the codec's range, drawn as
+        it draws, with the bounds as literals where the known names fix them."""
+        low = fn.int_arg(self.args, "min")
+        high = fn.int_arg(self.args, "max")
+        codec = self.emit_codec_range(fn, path)
+        if codec is not None:
+            low = codec[0] if low is None else self.tighter(fn, "max", low, codec[0])
+            high = codec[1] if high is None else self.tighter(fn, "min", high, codec[1])
+        if low is None or high is None:
+            fn.unsatisfiable(path, "integer range is unbounded")
+            return "0"
+        if _int_literal(low) is not None and _int_literal(high) is not None:
+            low, high = int(low), int(high)
+            if low > high:
+                fn.unsatisfiable(path, f"empty integer range [{low}, {high}]")
+                return "0"
+            pick = fn.below(high - low + 1)
+            return pick if low == 0 else fn.temp(f"{low} + {pick}")
+        fn.unsatisfiable(path, "empty integer range [", _said(low), ", ", _said(high), "]", when=f"{low} > {high}")
+        return fn.temp(f"{low} + {fn.below(fn.temp(f'{high} - {low} + 1'))}")
+
+    @staticmethod
+    def tighter(fn, which: str, a: str, b: str) -> str:
+        """The code of the ``max`` or ``min`` of two bounds, folded when both are literals."""
+        if _int_literal(a) is not None and _int_literal(b) is not None:
+            return repr((max if which == "max" else min)(int(a), int(b)))
+        return fn.temp(f"{which}({a}, {b})")
 
 
 class BigEndianNode(IntegerNode):
     canonical = True
-
-    def __init__(self, rtype, rcodec, spec):
-        super().__init__(rtype, rcodec, spec)
-        self.width = compile_arg(rcodec.args, "length", spec.constants, as_int)
-        signed = compile_arg(rcodec.args, "signed", spec.constants, as_bool)
-        self.signed = signed or (lambda env: False)
-        self.codec_range = fold(lambda env: signed_range(self.width(env), self.signed(env)))
 
     def known_range(self, fn):
         """The width, the signedness and the range, when the known names fix
@@ -640,6 +725,16 @@ class BigEndianNode(IntegerNode):
         low, high = fn.fresh(), fn.fresh()
         fn.emit(f"{low}, {high} = {ranged}({width}, {signed})")
         return width, signed, low, high
+
+    def emit_codec_range(self, fn, path):
+        if self.known_range(fn) is not None:
+            _, _, low, high = self.emit_range(fn, "signed_range")
+            return low, high
+        with fn.block("try:"):
+            _, _, low, high = self.emit_range(fn, "signed_range")
+        with fn.block("except Unrepresentable as e:"):
+            fn.unsatisfiable(path, _said("e"))
+        return low, high
 
     def emit_write(self, fn, n):
         width, signed, low, high = self.emit_range(fn, "signed_range")
@@ -676,30 +771,26 @@ class TextIntegerNode(IntegerNode):
                        _message(_shown(text), " is not a decimal integer"))
         return fn.temp(f"int({text})")
 
-    def wire_prefix(self, env, facts):
+    def wire_prefix(self, fn, facts):
         # the text codec fixes where the digits end, never which they are
-        self.text.wire_prefix(env, facts)
+        self.text.wire_prefix(fn, facts)
         return None
 
 
 class TextNode(Node):
     kind, payload, convert, what = TextVal, "text", staticmethod(as_text), "text"
     readable = frozenset()  # the characters a read can give
+    drawn_at_cap = False  # whether every draw has max_count characters
 
     def __init__(self, rtype, rcodec, spec):
         super().__init__(rtype, rcodec, spec)
         args = rtype.args
-        self.exact = lambda env: None  # the length a fixed-count codec forces on every draw
         self.charset = args.get("charset", "ascii")
         self.alphabet = frozenset(alphabet_for_charset(self.charset))
-        self.pin = compile_arg(args, "value", spec.constants, as_text)
-        self.max_count = compile_arg(args, "max_count", spec.constants, as_int)
         self.pattern = args.get("pattern")
         self.exclude = args.get("exclude_pattern")
         self.excludes = () if self.exclude is None else (self.exclude,)
         self.draw_alphabet = alphabet_for_charset(self.charset) if self.pattern else PRINTABLE
-        fallback = REGEX_EXPANSION_CAP if self.pattern else MAX_TEXT_LEN
-        self.cap = self.max_count or (lambda env: fallback)
         if rcodec is not None:
             self.encoding = rcodec.args.get("encoding", "ascii")
             # text codes as ASCII, or as Latin-1 under any other encoding name
@@ -711,6 +802,9 @@ class TextNode(Node):
 
     def pinned(self, pin):
         return self.make(pin.text)
+
+    def pin_payload(self, pin):
+        return f"{pin}.text"
 
     def wrap(self, text):
         return f"TextVal({text}, {self.charset!r})"
@@ -752,19 +846,18 @@ class TextNode(Node):
         if self.encoding == "ascii":
             fn.emit(f"if not {data}.isascii(): raise _not_ascii({data})")
 
-    def generate(self, gen, env, path):
-        if self.pin is not None:
-            return TextVal(self.pin(env).text, self.charset)
-        exact = self.exact(env)
-        cap = self.cap(env)
-        if cap < 0:
-            raise UnsatisfiableConstraint(f"{path}: negative max_count {cap}")
-        sampler = language(self.pattern, self.draw_alphabet, self.excludes)
-        try:
-            text = sampler.sample(gen.rng, cap, exact)
-        except UnsatisfiableConstraint as e:
-            raise UnsatisfiableConstraint(f"{path}: {e}") from None
-        return TextVal(text, self.charset)
+    def emit_draw(self, fn, path):
+        cap = fn.int_arg(self.args, "max_count")
+        if cap is None:  # only where the codec leaves the count free
+            cap = repr(REGEX_EXPANSION_CAP if self.pattern else MAX_TEXT_LEN)
+        _negative(fn, path, cap, "max_count")
+        sampler = fn.ref(language(self.pattern, self.draw_alphabet, self.excludes))
+        text = fn.fresh()
+        with fn.block("try:"):
+            fn.emit(f"{text} = {sampler}.sample(rng, {cap}{f', {cap}' if self.drawn_at_cap else ''})")
+        with fn.block("except UnsatisfiableConstraint as e:"):
+            fn.unsatisfiable(path, _said("e"))
+        return text
 
 
 class TerminatedTextNode(TextNode):
@@ -800,9 +893,9 @@ class TerminatedTextNode(TextNode):
             fn.emit(f"raise MissingTerminator({f'terminator {self.terminator!r} not found'!r})")
         return fn.temp(f"{data}[:-{size}].decode('latin-1')")
 
-    def wire_prefix(self, env, facts):
-        if self.pin is not None:
-            return super().wire_prefix(env, facts)
+    def wire_prefix(self, fn, facts):
+        if "value" in self.args:
+            return super().wire_prefix(fn, facts)
         facts.skip(self.terminator_bytes, self.first_bytes)
         return None
 
@@ -820,13 +913,8 @@ class TerminatedTextNode(TextNode):
 
 
 class FixedCountTextNode(TextNode):
-    canonical = True
-
-    def __init__(self, rtype, rcodec, spec):
-        super().__init__(rtype, rcodec, spec)
-        # the resolver guarantees the type gives max_count or value
-        self.exact = self.max_count or (lambda env: len(self.pin(env).text))
-        self.cap = self.exact
+    # the resolver guarantees the type gives max_count or value
+    canonical = drawn_at_cap = True
 
     def emit_count(self, fn) -> str:
         if "max_count" in self.args:
@@ -851,10 +939,6 @@ class FixedCountTextNode(TextNode):
 class BoolNode(Node):
     kind, payload, convert, what = BoolVal, "value", staticmethod(as_bool), "a boolean"
 
-    def __init__(self, rtype, rcodec, spec):
-        super().__init__(rtype, rcodec, spec)
-        self.pin = compile_arg(rtype.args, "value", spec.constants, as_bool)
-
     def entry(self, value, payload, known=_UNKNOWN):
         return payload, BoolVal, known
 
@@ -863,10 +947,8 @@ class BoolNode(Node):
         if pin is not None:
             fn.require(f"{flag} != {pin}", repr("boolean has the wrong fixed value"), path)
 
-    def generate(self, gen, env, path):
-        if self.pin is not None:
-            return BoolVal(self.pin(env))
-        return BoolVal(gen.rng.random() < 0.5)
+    def emit_draw(self, fn, path):
+        return fn.temp("rng.random() < 0.5")
 
 
 class BoolBitsNode(BoolNode):
@@ -898,13 +980,11 @@ class BinaryNode(Node):
 
     def __init__(self, rtype, rcodec, spec):
         super().__init__(rtype, rcodec, spec)
-        self.pin = compile_arg(rtype.args, "value", spec.constants, as_bits)
-        self.length = compile_arg(rtype.args, "length", spec.constants, as_int)
         self.pattern = rtype.args.get("char8_pattern")
 
     def emit_checks(self, fn, bits, path, read=False):
         # a read takes exactly length bits: only a pin and the pattern are left
-        if not read or self.pin is not None:
+        if not read or "value" in self.args:
             pin = fn.arg(self.args, "value", as_bits)
             if pin is not None:
                 fn.require(f"{bits} != {pin}", _message("must equal ", _shown(pin), ", got ", _shown(bits)), path)
@@ -925,7 +1005,7 @@ class BinaryNode(Node):
         pin = fn.static(self.args, "value", as_bits)
         if pin is not _UNKNOWN:
             width = repr(pin.length)
-        elif self.pin is not None:
+        elif "value" in self.args:
             width = fn.temp(f"{fn.arg(self.args, 'value', as_bits)}.length")
         else:
             width = fn.arg(self.args, "length", as_int)
@@ -944,38 +1024,37 @@ class BinaryNode(Node):
             self.emit_checks(fn, fn.temp(f"BitString({raw}, {bits.length})"), None, read=True)
         return fn.ref(fixed), self.entry(fn.ref(fixed), fn.ref(bits), fixed)
 
-    def generate(self, gen, env, path):
-        if self.pin is not None:
-            return BitsVal(self.pin(env))
-        length = self.length(env)
-        if length < 0:
-            raise UnsatisfiableConstraint(f"{path}: negative bit length {length}")
+    def emit_draw(self, fn, path):
+        length = fn.int_arg(self.args, "length")
+        _negative(fn, path, length, "bit length")
         if self.pattern is None:
-            return BitsVal(BitString(gen.rng.getrandbits(length), length))
-        sampler = language(self.pattern, "01", ())
-        try:
-            bits = sampler.sample(gen.rng, length, length)
-        except UnsatisfiableConstraint:
-            raise UnsatisfiableConstraint(
-                f"{path}: no {length}-bit string matches {self.pattern!r}"
-            ) from None
-        return BitsVal(BitString.from_bits(bits))
+            return fn.temp(f"BitString(getrandbits({length}), {length})")
+        bits = fn.fresh()
+        with fn.block("try:"):
+            sampler = fn.ref(language(self.pattern, "01", ()))
+            fn.emit(f"{bits} = {sampler}.sample(rng, {length}, {length})")
+        with fn.block("except UnsatisfiableConstraint:"):
+            fn.unsatisfiable(path, "no ", _said(length), f"-bit string matches {self.pattern!r}")
+        return fn.temp(f"BitString.from_bits({bits})")
 
 
 class ListNode(Node):
     def __init__(self, rtype, rcodec, spec):
         super().__init__(rtype, rcodec, spec)
-        self.max_length = compile_arg(rtype.args, "max_length", spec.constants, as_int)
         self.elem = compile_node(rtype.args["elem"], None, spec)
 
-    def generate(self, gen, env, path):
-        cap = MAX_LIST_LEN if self.max_length is None else self.max_length(env)
-        if cap < 0:
-            raise UnsatisfiableConstraint(f"{path}: negative max_length {cap}")
-        count = gen.rng.randint(0, cap)
-        return ListVal(
-            tuple(self.elem.generate(gen, env, f"{path}[{i}]") for i in range(count))
-        )
+    def emit_generate(self, fn, path):
+        cap = fn.int_arg(self.args, "max_length")
+        if cap is None:
+            cap = repr(MAX_LIST_LEN)
+        _negative(fn, path, cap, "max_length")
+        count = fn.below(int(cap) + 1 if _int_literal(cap) is not None else fn.temp(f"{cap} + 1"))
+        items, index = fn.temp("[]"), fn.fresh("i")
+        with fn.block(f"for {index} in range({count}):"):
+            item, _ = self.elem.emit_generate(fn, (*path, "[", _Code(f"str({index})"), "]"))
+            fn.emit(f"{items}.append({item})")
+        value = fn.temp(f"ListVal(tuple({items}))")
+        return value, (value, None, _UNKNOWN)
 
     def add_goals(self, cov, key, seen):
         self.elem.add_goals(cov, key, seen)
@@ -1026,19 +1105,14 @@ class EnumNode(Node):
         enum = spec.enums[rtype.enum]
         self.name = enum.name
         self.values = enum.constants
-        self.choices = list(enum.constants)
+        self.choices = tuple(EnumVal(self.name, c) for c in enum.constants)
         self.base = compile_node(enum.base, rcodec, spec)
         self.canonical = self.base.canonical
-        self.pin = compile_arg(rtype.args, "value", spec.constants, self.as_constant)
         self.convert = self.as_constant
         # each constant's payload, and the constant each payload decodes as:
         # the first of two constants with one value wins
         self.payloads = {c: getattr(v, self.base.payload) for c, v in enum.constants.items()}
-        self.by_payload = {}
-        for cname, cval in reversed(enum.constants.items()):
-            payload = self.payloads[cname]
-            if self.base.make(payload) == cval:  # a text of another charset never does
-                self.by_payload[payload] = EnumVal(self.name, cname)
+        self.by_payload = {self.payloads[c.constant]: c for c in reversed(self.choices)}
 
     @property
     def title(self):
@@ -1049,6 +1123,9 @@ class EnumNode(Node):
         if not isinstance(value, EnumVal) or value.enum != self.name:
             raise TypeMismatch(f"expected a {self.name} constant, got {value!r}")
         return value
+
+    def pinned(self, pin):
+        return pin
 
     def emit_kind(self, fn, v, path):
         fn.require(f"not isinstance({v}, EnumVal) or {v}.enum != {self.name!r}",
@@ -1082,10 +1159,18 @@ class EnumNode(Node):
         constant = self.emit_payload(fn)
         return constant, (constant, None, _UNKNOWN)
 
-    def generate(self, gen, env, path):
-        if self.pin is not None:
-            return self.pin(env)
-        return EnumVal(self.name, gen.rng.choice(self.choices))
+    def emit_generate(self, fn, path):
+        pin = fn.static(self.args, "value", self.as_constant)
+        if pin is not _UNKNOWN:
+            return fn.ref(pin), (fn.ref(pin), None, pin)
+        if "value" in self.args:
+            value = fn.temp(fn.arg(self.args, "value", self.as_constant))
+        elif not self.choices:
+            fn.unsatisfiable(path, f"enum {self.name} has no constants")
+            value = "None"
+        else:
+            value = fn.temp(f"{fn.ref(self.choices)}[{fn.below(len(self.choices))}]")
+        return value, (value, None, _UNKNOWN)
 
     def add_goals(self, cov, key, seen):
         for constant in self.values:
@@ -1100,7 +1185,6 @@ class OptionalNode(Node):
 
     def __init__(self, rtype, rcodec, spec):
         super().__init__(rtype, rcodec, spec)
-        self.is_empty = compile_arg(rtype.args, "is_empty", spec.constants, as_bool)
         self.subject = compile_node(rtype.args["subject"], rcodec, spec)
 
     def emit_encode(self, fn, v, path):
@@ -1120,8 +1204,13 @@ class OptionalNode(Node):
             fn.emit(f"{value} = {self.subject.emit_decode(fn)[0]}")
         return value, (value, None, _UNKNOWN)
 
-    def generate(self, gen, env, path):
-        return ABSENT if self.is_empty(env) else self.subject.generate(gen, env, path)
+    def emit_generate(self, fn, path):
+        value = fn.fresh("o")
+        with fn.block(f"if {fn.arg(self.args, 'is_empty', as_bool)}:"):
+            fn.emit(f"{value} = ABSENT")
+        with fn.block("else:"):
+            fn.emit(f"{value} = {self.subject.emit_generate(fn, path)[0]}")
+        return value, (value, None, _UNKNOWN)
 
     def add_goals(self, cov, key, seen):
         cov.optional.setdefault(key, [0, 0])
@@ -1141,8 +1230,6 @@ class RecordNode(Node):
         self.record = spec.records[rtype.record]
         self.name = self.record.name
         self.spec = spec
-        # parameter arguments and field pins, both over the outer environment
-        self.params = [(name, compile_arg(rtype.args, name, spec.constants)) for name in rtype.args]
         self.names = [f.name for f in self.record.fields]
 
     @property
@@ -1156,19 +1243,12 @@ class RecordNode(Node):
         for fld in self.record.fields:
             ftype = fld.type
             if fld.name in self.rtype.args:
-                # the pin's value is bound under the field's own name (see bind)
+                # the pin's value is bound under the field's own name until
+                # the field itself is (see _Function.record); earlier fields
+                # cannot see it, as the resolver rejects references to later ones
                 ftype = ftype.replace_args({**ftype.args, "value": NameRef(fld.name)})
             out.append((fld.name, compile_node(ftype, fld.codec, self.spec)))
         return out
-
-    def bind(self, outer: dict) -> dict:
-        """The record's own environment, with its parameters and pins evaluated
-        in the outer one.  A pinned field's name holds the pin until the field
-        itself is bound; earlier fields cannot see it, as the resolver rejects
-        references to later fields."""
-        if not self.params:
-            return {}
-        return {name: arg(outer) for name, arg in self.params}
 
     def recurs(self, fn):
         """The node whose function to call where this record recurs inside
@@ -1227,22 +1307,36 @@ class RecordNode(Node):
         value = fn.temp(f"RecordVal({self.name!r}, ({entries}))")
         return value, (value, None, _UNKNOWN)
 
-    def wire_prefix(self, env, facts):
-        inner = self.bind(env)
-        for name, node in self.fields:
-            value = node.wire_prefix(inner, facts)
-            if value is not None:
-                inner[name] = value
-        return None
+    def emit_generate(self, fn, path):
+        target = self.recurs(fn)
+        if target is not None:
+            value = fn.fresh()
+            with fn.block("try:"):
+                fn.emit(f"{value} = {fn.ref(target)}.generate(rng, {fn.env()})")
+            with fn.block("except UnsatisfiableConstraint as inner:"):
+                fn.emit(f"raise UnsatisfiableConstraint({_message(*path, _said('inner'))}) from None")
+            return value, (value, None, _UNKNOWN)
+        values = []
+        with fn.record(self):
+            for name, node in self.fields:
+                value, entry = node.emit_generate(fn, (*path, f".{name}"))
+                fn.bind(name, *entry)
+                values.append((value, entry[2]))
+        if all(known is not _UNKNOWN for _, known in values):
+            # every field is fixed: the record is one constant
+            record = RecordVal(self.name, tuple((name, known) for name, (_, known) in zip(self.names, values)))
+            return fn.ref(record), (fn.ref(record), None, record)
+        entries = "".join(f"({name!r}, {value}), " for name, (value, _) in zip(self.names, values))
+        value = fn.temp(f"RecordVal({self.name!r}, ({entries}))")
+        return value, (value, None, _UNKNOWN)
 
-    def generate(self, gen, env, path):
-        inner = self.bind(env)
-        entries = []
-        for name, node in self.fields:
-            value = node.generate(gen, inner, f"{path}.{name}")
-            entries.append((name, value))
-            inner[name] = value
-        return RecordVal(self.name, tuple(entries))
+    def wire_prefix(self, fn, facts):
+        with fn.record(self):
+            for name, node in self.fields:
+                value = node.wire_prefix(fn, facts)
+                if value is not None:
+                    fn.bind(name, fn.ref(value), None, value)
+        return None
 
     def add_goals(self, cov, key, seen):
         if self.name in seen:
@@ -1309,9 +1403,9 @@ def wire_prefix(spec: ResolvedSpec, msg_type: str) -> list:
     """The segments of :class:`WirePrefix` that every wire form of a message
     type starts with, up to its last literal: a skip past that rules out
     nothing."""
-    facts = WirePrefix()
+    facts, plan = WirePrefix(), message_plan(spec, msg_type)
     try:
-        message_plan(spec, msg_type).wire_prefix({}, facts)
+        plan.wire_prefix(_Function(plan, "wire_prefix"), facts)
     except (EndOfFacts, WirespecError):
         pass  # the facts found so far hold
     segments = facts.segments

@@ -399,14 +399,17 @@ class LanguageSampler:
     length uniformly among feasible ones and walks the automaton weighting
     each step by the number of accepted completions.  The count table is
     one column per length, grown to the largest bound asked for, so every
-    smaller bound reads the same table.  Columns are only ever appended,
-    whole and under a lock, so threads may share a sampler (see
-    :func:`language`).  Nothing derived from a column goes stale, so the
-    weighted successors of each (state, characters left) step, with their
-    total weight and its bit length, and the feasible lengths of each bound
-    are cached as they are first needed.  Each character is drawn with
-    ``getrandbits`` and rejection, the algorithm ``randrange`` runs, so a
-    seeded ``Random`` draws what ``randrange`` would have drawn.
+    smaller bound reads the same table.  Beside each column ``ln`` sits a
+    flat row of steps, one per state, for a walk with ``ln + 1`` characters
+    left: the total weight of the state's successors, its bit length, and
+    every successor with its weight, or, where there is only one, that
+    successor at once.  Columns and step rows are only ever appended,
+    whole and under a lock, and a step row before the column that needs
+    it, so threads may share a sampler (see :func:`language`).  The
+    feasible lengths of each bound are cached as they are first needed.
+    The length and each character are drawn with ``getrandbits`` and
+    rejection, the algorithm ``choice`` and ``randrange`` run, so a seeded
+    ``Random`` draws what they would have drawn.
     """
 
     def __init__(self, pattern: Pattern | None, alphabet: str, excludes: tuple[Pattern, ...] = ()):
@@ -416,17 +419,20 @@ class LanguageSampler:
         self._rows, accepting = _determinize(machines, alphabet)
         # _columns[ln][s]: accepted strings of length ln from state s
         self._columns = [[1 if acc else 0 for acc in accepting]]
+        # _steps[ln][s]: the step from state s with ln + 1 characters left
+        self._steps = []
         self._lock = Lock()
-        self._steps = {}  # (state, remaining) -> ([(chars, successor, weight)], total, bits)
         self._feasible = {}  # max_len -> feasible_lengths(max_len)
 
     def _table(self, max_len: int) -> list:
-        """The count columns, holding at least lengths 0..max_len."""
+        """The count columns, holding at least lengths 0..max_len, and the
+        step rows of at least 1..max_len characters left."""
         columns = self._columns
         if len(columns) <= max_len:
             with self._lock:
                 while len(columns) <= max_len:
                     prev = columns[-1]
+                    self._steps.append([_step(prev, row) for row in self._rows])
                     columns.append(
                         [sum(len(chars) * prev[t] for chars, t in row) for row in self._rows]
                     )
@@ -466,38 +472,47 @@ class LanguageSampler:
             raise UnsatisfiableConstraint(
                 f"no string of length 0..{max_len} satisfies the constraints"
             )
-        columns = self._columns
+        getrandbits = rng.getrandbits
         if length is None:
-            length = rng.choice(lengths)
-        elif not 0 <= length <= max_len or columns[length][0] == 0:
+            # choice(lengths), inline
+            count = len(lengths)
+            bits = count.bit_length()
+            pick = getrandbits(bits)
+            while pick >= count:
+                pick = getrandbits(bits)
+            length = lengths[pick]
+        elif not 0 <= length <= max_len or self._columns[length][0] == 0:
             raise UnsatisfiableConstraint(f"no accepted string of length {length}")
         steps = self._steps
-        getrandbits = rng.getrandbits
         out = []
         state = 0
-        for remaining in range(length, 0, -1):
-            step = steps.get((state, remaining))
-            if step is None:
-                column = columns[remaining - 1]
-                weighted = [
-                    (chars, t, len(chars) * column[t])
-                    for chars, t in self._rows[state]
-                    if column[t] > 0
-                ]
-                total = sum(w for _, _, w in weighted)
-                step = steps.setdefault((state, remaining), (weighted, total, total.bit_length()))
-            weighted, total, bits = step
+        for left in range(length - 1, -1, -1):
+            total, bits, chars, state, weighted = steps[left][state]
             # randrange(total), inline: the same draws from the same state
             pick = getrandbits(bits)
             while pick >= total:
                 pick = getrandbits(bits)
-            for chars, t, w in weighted:
-                if pick < w:
-                    out.append(chars[pick % len(chars)])
-                    state = t
-                    break
-                pick -= w
+            if chars is None:
+                for chars, state, w in weighted:
+                    if pick < w:
+                        break
+                    pick -= w
+            out.append(chars[pick % len(chars)])
         return "".join(out)
+
+
+def _step(column: list, row: list) -> tuple:
+    """One state's step towards strings whose remainders ``column`` counts:
+    ``(total, bits, chars, successor, weighted)``.  ``weighted`` lists
+    ``(chars, successor, weight)`` for every successor with a completion,
+    ``total`` is the sum of their weights and ``bits`` its bit length.
+    Where there is one such successor, its characters and state are also
+    ``chars`` and ``successor``, so a walk need not search; else both are
+    None.  Nearly every step the bundled specs draw has one successor."""
+    weighted = [(chars, t, len(chars) * column[t]) for chars, t in row if column[t]]
+    total = sum(w for _, _, w in weighted)
+    chars, t = weighted[0][:2] if len(weighted) == 1 else (None, None)
+    return total, total.bit_length(), chars, t, weighted
 
 
 @lru_cache(maxsize=64)

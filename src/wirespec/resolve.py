@@ -212,6 +212,7 @@ class _Resolver:
         if names:  # no record's fields or parameters are in scope here
             raise UnknownName(f"enum {decl.name} references unknown name {names[0]!r}")
         kind = TYPE_SIGNATURES.get(base.base, {}).get("value", (None, False))[0]
+        charset = base.args.get("charset", "ascii")  # what a Text base decodes its texts in
         constants = {}
         for cname, literal in decl.constants:
             if cname in constants:
@@ -222,7 +223,8 @@ class _Resolver:
                 )
             if _LITERAL_KINDS.get(type(literal)) != kind:
                 raise ResolutionError(f"enum {decl.name}: constants must be {base.base} literals")
-            constants[cname] = literal_value(literal)
+            value = literal_value(literal)
+            constants[cname] = TextVal(value.text, charset) if isinstance(value, TextVal) else value
             self.constants[cname] = EnumVal(decl.name, cname)
         return EnumDef(decl.name, base, constants)
 
@@ -438,6 +440,10 @@ class _Resolver:
             limit = 0x80 if rcodec.args.get("encoding", "ascii") == "ascii" else 0x100
             if not terminator or max(map(ord, terminator)) >= limit:
                 raise ResolutionError(f"{where}: terminator {terminator!r} cannot be coded")
+            # a text could end in the start of a terminator that also ends
+            # it, so its first terminator would come early: 'a' + 'aa'
+            if any(terminator[:k] == terminator[-k:] for k in range(1, len(terminator))):
+                raise ResolutionError(f"{where}: terminator {terminator!r} overlaps itself")
         if rcodec.base == "FixedCountText" and not {"max_count", "value"} & set(rtype.args):
             raise ResolutionError(f"{where}: FixedCountText needs the type's max_count or value")
         if rcodec.base == "CountPrefixList":

@@ -8,18 +8,18 @@ plain dict of the field and parameter values known so far; the function
 computes on plain ints and bools and wraps its result once, or, for an
 integer or boolean argument, returns it plain.  :class:`Source`, the
 compiler behind it, also inlines expressions into the functions that
-:mod:`wirespec.codec` generates, over names held in locals.
-:func:`compile_arg` also computes an argument that needs none of them
-once, up front.  Random draws elsewhere (``wirespec.patterns``) use
-``getrandbits`` with rejection, as ``randrange`` does, so a seed draws
-the same values."""
+:mod:`wirespec.codec` generates, over names held in locals, and those
+functions compute an argument that the names they know fix once, into a
+literal.  Random draws elsewhere (``wirespec.codec`` and
+``wirespec.patterns``) use ``getrandbits`` with rejection, as
+``randrange`` does, so a seed draws the same values."""
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
 from .bits import BitString
-from .errors import DivisionByZero, EvalError, TypeMismatch, UnboundName, Unrepresentable
+from .errors import DivisionByZero, TypeMismatch, UnboundName
 from . import syntax
 
 
@@ -269,26 +269,6 @@ def as_bits(value) -> BitString:
     if not isinstance(value, BitsVal):
         raise TypeMismatch(f"expected bits, got {value!r}")
     return value.bits
-
-
-def fold(fn):
-    """``fn`` (``env -> value``) computed once when it needs no field or
-    parameter, else ``fn`` itself: an error then surfaces at run time, where
-    it always did."""
-    try:
-        value = fn({})
-    except (EvalError, Unrepresentable):  # Unrepresentable: a constant width no integer has
-        return fn
-    return lambda env: value
-
-
-def compile_arg(args: dict, name: str, constants: dict, convert=None):
-    """The type or codec argument ``name`` as a folded ``env -> value``,
-    passed through ``convert``, the converter of its kind (such as ``as_int``);
-    None when the argument is not given."""
-    if name not in args:
-        return None
-    return fold(compile_expr(args[name], constants, convert))
 
 
 # --- value literals (CLI surface) -------------------------------------------------

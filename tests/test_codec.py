@@ -1,4 +1,5 @@
 import hashlib
+import re
 
 import pytest
 from hypothesis import given, settings
@@ -971,6 +972,30 @@ def test_generated_code_shows_in_tracebacks(myp_spec):
     assert message_plan(myp_spec, "Ask").decode.__name__ == "<decode Ask>"
 
 
+def test_generated_generate_shows_in_tracebacks(myp_spec):
+    import traceback
+
+    plan = message_plan(myp_spec, "Data")
+    with pytest.raises(AttributeError) as e:
+        plan.generate(None, {})  # an rng with no getrandbits
+    frame = traceback.extract_tb(e.value.__traceback__)[-1]
+    assert frame.name == "<generate Data>" == plan.generate.__code__.co_name
+    assert frame.filename == plan.generate.__code__.co_filename
+    assert frame.line == "getrandbits = rng.getrandbits"
+    assert message_plan(myp_spec, "Ask").generate.__name__ == "<generate Ask>"
+
+
+def test_enum_of_latin1_text_roundtrips():
+    spec = resolve(parse_spec(
+        "message module M enum E of Text(charset='latin-1') with a as 'A' acute as '\u00e9' end "
+        "message X with e is E as TerminatedText(encoding='latin-1', terminator=' ') end end"
+    ))
+    for constant, wire in (("a", b"A "), ("acute", b"\xe9 ")):
+        value = RecordVal("X", (("e", EnumVal("E", constant)),))
+        assert encode_message("X", value, spec) == wire
+        assert decode_message(wire, ["X"], spec) == Classified("X", value, len(wire))
+
+
 CHAIN_SPEC = """
 message module M
   record Link with
@@ -1004,6 +1029,32 @@ def test_record_that_contains_itself():
     out = decode_message(b"\x01\x01\x01\x02\x00\x0a", ["Chain"], spec)
     assert out.diagnostics == {"Chain": "10 above maximum 9"}
     assert decode_message(b"\x01\x01\x01\x02\x01", ["Chain"], spec) is NEED_MORE
+
+
+def test_record_that_contains_itself_generates_through_its_own_function():
+    spec = resolve(parse_spec(CHAIN_SPEC.replace(
+        "rest is", "pad is Binary(length=8*tag, char8_pattern=/(\\1\\1)?/)\n    rest is"
+    )))
+    # Chain inlines its first Link; each deeper one is a call of that Link's function
+    link = message_plan(spec, "Chain").fields[0][1]
+    assert link.generate.__name__ == "<generate Link>"
+    calls, generate = [], link.generate
+    link.generate = lambda rng, env: calls.append(env) or generate(rng, env)
+    # only tag 0 draws a pad: a link with any other tag fails
+    failures, depths = set(), set()
+    for seed in range(300):
+        calls.clear()
+        try:
+            value = Generator(spec, GenConfig(seed=seed)).message("Chain")
+        except UnsatisfiableConstraint as e:
+            failures.add(str(e).split(":")[0])
+            assert re.fullmatch(r"Chain\.first(\.rest)*\.pad: no [1-9]\d*-bit string matches /\(\\1\\1\)\?/", str(e))
+            continue
+        depth = len(encode_message("Chain", value, spec)) // 2
+        assert len(calls) == depth - 1
+        depths.add(depth)
+    assert {"Chain.first.pad", "Chain.first.rest.pad", "Chain.first.rest.rest.pad"} <= failures
+    assert max(depths) >= 2
 
 
 def test_deeply_nested_lists():

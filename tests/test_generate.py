@@ -103,6 +103,39 @@ def test_unsatisfiable_pattern_reports_field_path():
     assert "X.b" in str(exc.value)
 
 
+def test_unsatisfiable_draw_in_a_list_element_reports_its_path():
+    spec = resolve(
+        parse_spec(
+            "message module M "
+            "record R(k) with b is Binary(length=8*k, char8_pattern=/(\\1\\1)?/) end "
+            "record E with n is Integer(min=0, max=1) as BigEndian(length=8) r is R(k=n) end "
+            "message L with xs is List(elem=E, max_length=3) "
+            "as CountPrefixList(count_codec=BigEndian(length=8)) end end"
+        )
+    )
+    # an element fails when it draws n = 1, and only the first failure is reported
+    failures = set()
+    for seed in range(40):
+        try:
+            Generator(spec, GenConfig(seed=seed)).message("L")
+        except UnsatisfiableConstraint as e:
+            failures.add(str(e))
+    assert failures == {
+        f"L.xs[{i}].r.b: no 8-bit string matches /(\\1\\1)?/" for i in range(3)
+    }
+
+
+def test_enum_without_constants_is_unsatisfiable():
+    spec = resolve(
+        parse_spec(
+            "message module M enum E of Integer with end "
+            "message X with e is E as BigEndian(length=8) end end"
+        )
+    )
+    with pytest.raises(UnsatisfiableConstraint, match=r"^X\.e: enum E has no constants$"):
+        Generator(spec, GenConfig(seed=0)).message("X")
+
+
 def test_unsatisfiable_range():
     spec = resolve(
         parse_spec(

@@ -1,3 +1,4 @@
+import re
 import time
 
 import pytest
@@ -196,6 +197,19 @@ def test_terminator_must_be_codable():
                 f"TerminatedText(encoding='{encoding}', terminator='{terminator}') end"
             )
     rs("message X with t is Text as TerminatedText(encoding='latin1', terminator='\u00e9') end")
+
+
+@pytest.mark.parametrize("terminator", ["aa", "aba", "abcab", "\\r\\n\\r"])
+def test_terminator_must_not_overlap_itself(terminator):
+    # the text 'a' before 'aa' would encode to 'aaa', which decodes as ''
+    shown = repr(terminator.replace("\\r", "\r").replace("\\n", "\n"))
+    with pytest.raises(ResolutionError, match=rf"^X\.t: terminator {re.escape(shown)} overlaps itself$"):
+        rs(f"message X with t is Text as TerminatedText(terminator='{terminator}') end")
+
+
+@pytest.mark.parametrize("terminator", ["\\r\\n", "\\n", " ", "ab", "aab"])
+def test_terminator_that_overlaps_no_text_is_allowed(terminator):
+    rs(f"message X with t is Text as TerminatedText(terminator='{terminator}') end")
 
 
 @pytest.mark.parametrize(

@@ -1,12 +1,21 @@
 import operator
 import re
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from wirespec.bits import BitString
-from wirespec.codec import Classified, compile_node, decode_message, encode_message, message_plan
+from wirespec.codec import (
+    _UNKNOWN,
+    Classified,
+    _Function,
+    compile_node,
+    decode_message,
+    encode_message,
+    message_plan,
+)
 from wirespec.errors import (
     ConstraintViolation,
     DivisionByZero,
@@ -30,7 +39,6 @@ from wirespec.values import (
     as_bool,
     as_int,
     as_text,
-    compile_arg,
     compile_expr,
     format_value,
     parse_value_text,
@@ -159,12 +167,15 @@ def test_compiled_expression_matches_python(tree):
     constants = {"ok": OK}
     env = {"n": N}
     assert _outcome(compile_expr(expr(text), constants), env) == expected
-    # a folded argument gives the same outcome; one that names no field
-    # needs no environment at all
-    folded = compile_arg({"x": expr(text)}, "x", constants)
-    assert _outcome(folded, env) == expected
-    if not re.search(r"\bn\b", text):
-        assert _outcome(folded, {}) == expected
+    # folded when generated code is emitted: the value where the known
+    # names fix it, _UNKNOWN where they do not or evaluation fails
+    fn = _Function(SimpleNamespace(constants=constants), "generate")
+    folds = _UNKNOWN if _failed(expected) else expected
+    fn.known = env
+    assert fn.static({"x": expr(text)}, "x") == folds
+    fn.known = {}
+    names_n = re.search(r"\bn\b", text)
+    assert fn.static({"x": expr(text)}, "x") == (_UNKNOWN if names_n else folds)
 
 
 @pytest.mark.parametrize("name", ["class", "None", "lambda", "env", "IntVal"])
