@@ -66,9 +66,7 @@ def cmd_graph(args) -> int:
     spec = _load(args.spec)
     names = [args.actor] if args.actor else list(spec.actors)
     for name in names:
-        if name not in spec.actors:
-            raise WirespecError(f"no actor named {name!r}")
-        print(spec.actors[name].dump())
+        print(spec.actor(name).dump())
     return 0
 
 
@@ -128,6 +126,7 @@ def _engine_config(args) -> EngineConfig:
 
 def cmd_test(args) -> int:
     spec = _load(args.spec)
+    spec.actor(args.actor)  # before any channel opens
     if args.connect is not None:
         host, _, port = args.connect.rpartition(":")
         if not (port.isascii() and port.isdigit()):

@@ -17,7 +17,8 @@ the value before it writes it, into one integer; decode reads each part,
 then checks it.  Decoding reads from the bytes under a
 :class:`~wirespec.bits.Cursor`, so a field costs time in its own size, not
 the buffer's; a terminated text is one ``bytes.find`` and a pinned field
-one comparison.  Decoding is incremental: running out of input raises an
+one comparison; a record whose fields are all such decodes to one
+prebuilt constant.  Decoding is incremental: running out of input raises an
 :class:`IncompleteInput` subclass so that callers feeding a growing stream
 buffer can distinguish "wait for more bytes" from a malformed message, and
 a terminated text that has already run past its ``max_count`` is rejected
@@ -39,13 +40,18 @@ node states the static facts about the leading bits of its wire form
 encoding; "skip through terminator T", for an unpinned terminated text at
 a byte boundary, with the first bytes its pattern allows; and nothing past
 anything else.  One :class:`Classifier` per candidate list, a list of one
-included, is built on first use and cached on the spec; its tree walks
-every candidate's facts over the buffer at once, a whole byte at a time.
-It rules a candidate out when bytes already present contradict a literal
-or a skipped text's first byte; a short buffer or a missing terminator
-keeps it.  :func:`decode_message` takes its outcome from the candidates
-kept alone, so a buffer that rules out every candidate is InvalidFormat at
-once, even where a candidate's own decode would still wait for bytes; the
+included, is built on first use and cached on the spec.  It merges the
+candidates' facts into one tree and compiles the tree to one generated
+function, ``<classify OkResp,…>``, that walks every candidate's facts over
+the buffer at once and returns the mask of those left: a run of literal
+bytes is one ``startswith``, a branch point one byte, a skip one
+``bytes.find``.  It rules a candidate out when bytes already present
+contradict a literal or a skipped text's first byte; a short buffer or a
+missing terminator keeps it.  :func:`decode_message` decodes the
+candidates left, and only them, through a table of their plans' decode
+functions that the mask's set bits index, and takes its outcome from
+them, so a buffer that rules out every candidate is InvalidFormat at once,
+even where a candidate's own decode would still wait for bytes; the
 ruled-out candidates are decoded only for their diagnostics.
 """
 
@@ -101,7 +107,8 @@ REGEX_EXPANSION_CAP = 8
 MAX_TEXT_LEN = 12
 MAX_LIST_LEN = 4
 
-# Blocks a generated function nests before a record calls its own function.
+# Blocks a generated function nests before a record calls its own function,
+# or a subtree of a classifier's walk becomes a function of its own.
 MAX_INLINED_DEPTH = 12
 
 
@@ -205,7 +212,31 @@ def _register(title: str, source: str) -> str:
     return filename
 
 
-class _Function(Source):
+class _Emitter(Source):
+    """The body of one generated function ``kind``, in indented blocks."""
+
+    def __init__(self, constants: dict, kind: str):
+        super().__init__(constants)
+        self.kind = kind
+        self.indent = "    "
+
+    @contextmanager
+    def block(self, header: str):
+        self.emit(header)
+        self.indent += "    "
+        yield
+        self.indent = self.indent[:-4]
+
+    def finish(self, title: str, params: str):
+        source = f"def {self.kind}({params}):\n" + "".join(f"{line}\n" for line in self.lines)
+        exec(compile(source, _register(title, source), "exec"), self.namespace)
+        function = self.namespace[self.kind]
+        function.__code__ = function.__code__.replace(co_name=f"<{title}>")
+        function.__name__ = function.__qualname__ = f"<{title}>"
+        return function
+
+
+class _Function(_Emitter):
     """The source of one generated function of a node: ``encode(value,
     env)``, which checks the value, writes it into ``acc`` (``size`` bits)
     and returns a BitString; ``decode(cur, env)``, which reads ``data``
@@ -224,10 +255,8 @@ class _Function(Source):
     is never compiled."""
 
     def __init__(self, node: "Node", kind: str):
-        super().__init__(node.constants)
-        self.kind = kind
+        super().__init__(node.constants, kind)
         self.namespace.update(_RUNTIME)
-        self.indent = "    "
         self.names = {}
         self.known = {}
         self.from_env = True
@@ -291,13 +320,6 @@ class _Function(Source):
 
     def require(self, failed: str, message: str, path=None):
         self.emit(f"if {failed}: {self.fail(message, path)}")
-
-    @contextmanager
-    def block(self, header: str):
-        self.emit(header)
-        self.indent += "    "
-        yield
-        self.indent = self.indent[:-4]
 
     @contextmanager
     def record(self, node: "RecordNode"):
@@ -364,14 +386,6 @@ class _Function(Source):
             for name, (code, kind) in self.names.items()
         )
         return "{" + ", ".join(items) + "}"
-
-    def finish(self, title: str, params: str):
-        source = f"def {self.kind}({params}):\n" + "".join(f"{line}\n" for line in self.lines)
-        exec(compile(source, _register(title, source), "exec"), self.namespace)
-        function = self.namespace[self.kind]
-        function.__code__ = function.__code__.replace(co_name=f"<{title}>")
-        function.__name__ = function.__qualname__ = f"<{title}>"
-        return function
 
 
 def _generate(node: "Node", kind: str):
@@ -826,10 +840,10 @@ class TextNode(Node):
             fn.require(f"len({text}) > {count}",
                        _message(_said(f"len({text})"), " characters exceeds max_count"), path)
         if self.pattern is not None:
-            fn.require(f"not {fn.ref(self.pattern.fullmatch)}({text})",
+            fn.require(f"{fn.ref(self.pattern.regex.fullmatch)}({text}) is None",
                        _message(_shown(text), f" does not match {self.pattern!r}"), path)
         if self.exclude is not None:
-            fn.require(f"{fn.ref(self.exclude.search)}({text})",
+            fn.require(f"{fn.ref(self.exclude.regex.search)}({text}) is not None",
                        _message(_shown(text), f" contains a substring matching {self.exclude!r}"), path)
 
     def emit_bytes(self, fn, text: str) -> str:
@@ -994,7 +1008,7 @@ class BinaryNode(Node):
                     "length ", _said(f"{bits}.length"), " bits, expected ", _said(length)
                 ), path)
         if self.pattern is not None:
-            fn.require(f"not {fn.ref(self.pattern.fullmatch)}({bits}.to_bits())", _message(
+            fn.require(f"{fn.ref(self.pattern.regex.fullmatch)}({bits}.to_bits()) is None", _message(
                 "bits ", _shown(f"{bits}.to_bits()"), f" do not match {self.pattern!r}"
             ), path)
 
@@ -1302,8 +1316,16 @@ class RecordNode(Node):
             for name, node in self.fields:
                 value, entry = node.emit_decode(fn)
                 fn.bind(name, *entry)
-                values.append(value)
-        entries = "".join(f"({name!r}, {value}), " for name, value in zip(self.names, values))
+                values.append((value, entry[2]))
+        return self.emit_value(fn, values)
+
+    def emit_value(self, fn, values: list) -> tuple:
+        """The record of the fields' ``(code, known)`` pairs: one constant
+        when every field is fixed."""
+        if all(known is not _UNKNOWN for _, known in values):
+            record = RecordVal(self.name, tuple((name, known) for name, (_, known) in zip(self.names, values)))
+            return fn.ref(record), (fn.ref(record), None, record)
+        entries = "".join(f"({name!r}, {value}), " for name, (value, _) in zip(self.names, values))
         value = fn.temp(f"RecordVal({self.name!r}, ({entries}))")
         return value, (value, None, _UNKNOWN)
 
@@ -1322,13 +1344,7 @@ class RecordNode(Node):
                 value, entry = node.emit_generate(fn, (*path, f".{name}"))
                 fn.bind(name, *entry)
                 values.append((value, entry[2]))
-        if all(known is not _UNKNOWN for _, known in values):
-            # every field is fixed: the record is one constant
-            record = RecordVal(self.name, tuple((name, known) for name, (_, known) in zip(self.names, values)))
-            return fn.ref(record), (fn.ref(record), None, record)
-        entries = "".join(f"({name!r}, {value}), " for name, (value, _) in zip(self.names, values))
-        value = fn.temp(f"RecordVal({self.name!r}, ({entries}))")
-        return value, (value, None, _UNKNOWN)
+        return self.emit_value(fn, values)
 
     def wire_prefix(self, fn, facts):
         with fn.record(self):
@@ -1452,39 +1468,93 @@ class _Branch:
                 return
         node.ends |= bit
 
-    def alive(self, buf: bytes) -> int:
-        """The candidates whose facts ``buf`` does not contradict.  A missing
-        terminator or a read past the end of ``buf`` keeps them."""
-        alive = 0
-        size = len(buf)
-        stack = [(self, 0)]
-        while stack:
-            node, at = stack.pop()
-            if at == size:
-                alive |= node.below
-                continue
-            alive |= node.ends
-            byte = buf[at]
-            child = node.children.get(byte)
-            if child is not None:
-                stack.append((child, at + 1))
+
+def _at(base: str | None, offset: int) -> str:
+    """The code of the byte position ``offset`` past ``base``, a local
+    holding a position, or past 0 when it is None."""
+    if base is None:
+        return repr(offset)
+    return base if offset == 0 else f"{base} + {offset}"
+
+
+class _Walk(_Emitter):
+    """The source of a walk of a :class:`_Branch` over a buffer: the mask
+    of the candidates whose facts the bytes of ``buf`` do not contradict.
+    A missing terminator or a read past the end of ``buf`` keeps them.
+    The whole tree is ``classify(buf)``; a subtree nested deeper than
+    MAX_INLINED_DEPTH blocks is its own ``classify(buf, size, at)``, from
+    byte ``at`` of ``buf`` of ``size`` bytes.
+
+    A run of bytes that every candidate under a node reads in turn is one
+    ``startswith``, and a buffer that ends inside it keeps them; at a
+    branch point, the byte there, in a local of its own, picks the child,
+    ends tails and guards skips, each one ``bytes.find``."""
+
+    def __init__(self, title: str, tree: _Branch, base: str | None):
+        super().__init__({}, "classify")
+        self.title = title
+        if base is None:
+            self.emit("size = len(buf)")
+        self.emit("alive = 0")
+        self.visit(tree, base, 0)
+        self.emit("return alive")
+
+    def visit(self, node: _Branch, base: str | None, offset: int):
+        if node.below == node.ends:  # the facts of every candidate here end here
+            self.emit(f"alive |= {node.below}")
+            return
+        if len(self.indent) > 4 * MAX_INLINED_DEPTH:
+            part = _Walk(self.title, node, "at").finish(self.title, "buf, size, at")
+            self.emit(f"alive |= {self.ref(part)}(buf, size, {_at(base, offset)})")
+            return
+        at = _at(base, offset)
+        run, past = bytearray(), node
+        while len(past.children) == 1 and not (past.ends or past.tails or past.skips):
+            ((byte, past),) = past.children.items()
+            run.append(byte)
+        if run:
+            run = bytes(run)
+            short = f"size < {_at(base, offset + len(run))} and {run!r}.startswith(buf[{at}:])"
+            if past.below == past.ends:
+                self.emit(f"if buf.startswith({run!r}, {at}) or {short}: alive |= {node.below}")
+                return
+            with self.block(f"if buf.startswith({run!r}, {at}):"):
+                self.visit(past, base, offset + len(run))
+            self.emit(f"elif {short}: alive |= {node.below}")
+            return
+        self.emit(f"if size <= {at}: alive |= {node.below}")
+        with self.block("else:"):
+            if node.ends:
+                self.emit(f"alive |= {node.ends}")
+            byte = None
+            if node.children or node.tails or any(first is not None for _, first, _ in node.skips):
+                byte = self.temp(f"buf[{at}]")
+            keyword = "if"
+            for value, child in node.children.items():
+                with self.block(f"{keyword} {byte} == {value}:"):
+                    self.visit(child, base, offset + 1)
+                keyword = "elif"
             for shift, value, bit in node.tails:
-                if byte >> shift == value:
-                    alive |= bit
+                self.emit(f"if {byte} >> {shift} == {value}: alive |= {bit}")
             for terminator, first, child in node.skips:
-                if first is not None and byte not in first:
-                    continue
-                end = buf.find(terminator, at)
-                if end < 0:
-                    alive |= child.below
+                if first is None:
+                    self.skip(terminator, child, at)
                 else:
-                    stack.append((child, end + len(terminator)))
-        return alive
+                    with self.block(f"if {byte} in {self.ref(first)}:"):
+                        self.skip(terminator, child, at)
+
+    def skip(self, terminator: bytes, child: _Branch, at: str):
+        end = self.temp(f"buf.find({terminator!r}, {at})")
+        self.emit(f"if {end} < 0: alive |= {child.below}")
+        with self.block("else:"):
+            self.visit(child, end, len(terminator))
 
 
 class Classifier:
     """One candidate list in declaration order (``ordered``; candidate ``i``
-    is bit ``1 << i``) and the tree of its candidates' wire-prefix facts."""
+    is bit ``1 << i``), the tree of its candidates' wire-prefix facts, and
+    ``alive(buf)``, the tree's generated walk (see :class:`_Walk`): the
+    mask of the candidates whose facts ``buf`` does not contradict."""
 
     def __init__(self, spec: ResolvedSpec, candidates: tuple):
         for name in candidates:
@@ -1493,9 +1563,17 @@ class Classifier:
         self.ordered = [m for m in spec.message_types if m in wanted]
         if not self.ordered:
             raise ValueError("no candidate message types")
+        self.spec = spec
         self.tree = _Branch()
         for i, name in enumerate(self.ordered):
             self.tree.add(1 << i, wire_prefix(spec, name))
+        title = f"classify {self.ordered[0]}{',…' if len(self.ordered) > 1 else ''}"
+        self.alive = _Walk(title, self.tree, None).finish(title, "buf")
+
+    @cached_property
+    def decoders(self) -> list:
+        """Each candidate's name and the decode function of its plan, by bit index."""
+        return [(name, message_plan(self.spec, name).decode) for name in self.ordered]
 
 
 def classifier(spec: ResolvedSpec, candidates) -> Classifier:
@@ -1508,12 +1586,13 @@ def classifier(spec: ResolvedSpec, candidates) -> Classifier:
     return found
 
 
-def _attempt(buf: bytes, spec: ResolvedSpec, msg_type: str):
-    """The message decoded in full from the front of ``buf``, else why not:
-    (whether more bytes may help, the reason)."""
+def _attempt(cur: Cursor, msg_type: str, decode):
+    """The message decoded in full by ``decode`` from the front of the
+    buffer under ``cur``, else why not: (whether more bytes may help, the
+    reason)."""
     try:
-        cur = Cursor(buf)
-        value = message_plan(spec, msg_type).decode(cur, {})
+        cur.pos = 0
+        value = decode(cur, {})
         if cur.pos % 8:
             raise ConstraintViolation("message does not end on a byte boundary")
         return Classified(msg_type, value, cur.pos // 8)
@@ -1544,12 +1623,15 @@ def decode_message(
     is an UnknownName error.
     """
     classify = classifier(spec, candidates)
-    alive = classify.tree.alive(buf)
+    alive = classify.alive(buf)
+    decoders = classify.decoders
+    cur = Cursor(buf)
     diagnostics, matched, incomplete = {}, [], False
-    for i, name in enumerate(classify.ordered):
-        if not alive >> i & 1:
-            continue
-        out = _attempt(buf, spec, name)
+    while alive:
+        bit = alive & -alive
+        alive ^= bit
+        name, decode = decoders[bit.bit_length() - 1]
+        out = _attempt(cur, name, decode)
         if not isinstance(out, Classified):
             incomplete |= out[0]
             diagnostics[name] = out[1]
@@ -1562,9 +1644,9 @@ def decode_message(
         return matched[0]
     if incomplete:
         return NEED_MORE
-    for name in classify.ordered:
+    for name, decode in decoders:
         if name not in diagnostics:
             # the facts rule out no candidate that decodes, so this one fails
-            more, reason = _attempt(buf, spec, name)
+            more, reason = _attempt(cur, name, decode)
             diagnostics[name] = f"ruled out by its wire prefix, {reason}" if more else reason
     return InvalidFormat({name: diagnostics[name] for name in classify.ordered})

@@ -96,7 +96,7 @@ def run_test(
     strategy=default_strategy,
     role: Role = Role.TESTER,
 ) -> TestReport:
-    lts = spec.actors[actor]
+    lts = spec.actor(actor)
     rng = Random(cfg.seed)
     gen = Generator(spec, cfg.gen or GenConfig(), rng=rng)
     cov = Coverage(spec, lts)
@@ -257,6 +257,8 @@ def selfplay(
     """
     import threading
 
+    for name in (actor_a, actor_b):
+        spec.actor(name)  # an unknown actor fails before any thread starts
     ch_a, ch_b = chan.in_process_pair()
     cfg_b = EngineConfig(
         max_steps=cfg.max_steps * 2 + 10,

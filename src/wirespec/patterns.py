@@ -237,13 +237,7 @@ class Pattern:
     def __init__(self, source: str):
         self.source = source
         self.ast = _Parser(source).parse()
-        self._full = re.compile(_to_python(self.ast))
-
-    def fullmatch(self, text: str) -> bool:
-        return self._full.fullmatch(text) is not None
-
-    def search(self, text: str) -> bool:
-        return self._full.search(text) is not None
+        self.regex = re.compile(_to_python(self.ast))  # what it matches, as a Python ``re`` pattern
 
     def __repr__(self) -> str:
         return f"/{self.source}/"

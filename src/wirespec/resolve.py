@@ -126,6 +126,13 @@ class ResolvedSpec:
             raise UnknownName(f"no message type named {name!r}")
         return rec
 
+    def actor(self, name: str):
+        """The IOLTS of an actor."""
+        lts = self.actors.get(name)
+        if lts is None:
+            raise UnknownName(f"no actor named {name!r}")
+        return lts
+
 
 def resolve(ast: syntax.SpecAST) -> ResolvedSpec:
     return _Resolver(ast).run()

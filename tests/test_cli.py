@@ -62,6 +62,37 @@ def test_graph_unknown_actor():
     assert err == "error: no actor named 'Nope'\n"
 
 
+def test_test_unknown_actor_fails_before_connecting():
+    with socket.socket() as listener:
+        listener.bind(("127.0.0.1", 0))
+        listener.listen(1)
+        port = listener.getsockname()[1]
+        code, out, err = run_cli("test", MYP, "Nope", "--connect", f"127.0.0.1:{port}", "--timeout-ms", "50")
+        listener.setblocking(False)
+        with pytest.raises(BlockingIOError):
+            listener.accept()  # no connection was made
+    assert (code, out, err) == (1, "", "error: no actor named 'Nope'\n")
+    code, out, err = run_cli("test", MYP, "Nope", "--listen", "0")
+    assert (code, out, err) == (1, "", "error: no actor named 'Nope'\n")
+
+
+@pytest.mark.parametrize("actors", [("Nope", "Server"), ("Client", "Nope")])
+def test_selfplay_unknown_actor(actors):
+    code, out, err = run_cli("selfplay", MYP, *actors)
+    assert (code, out, err) == (1, "", "error: no actor named 'Nope'\n")
+
+
+def test_run_test_unknown_actor_is_an_unknown_name():
+    from wirespec.channel import in_process_pair
+    from wirespec.cli import _load
+    from wirespec.engine import EngineConfig, run_test
+    from wirespec.errors import UnknownName
+
+    ours, theirs = in_process_pair()
+    with ours, theirs, pytest.raises(UnknownName, match="^no actor named 'Nope'$"):
+        run_test(_load(MYP), "Nope", ours, EngineConfig(max_steps=1))
+
+
 def test_encode_ask_defaults():
     code, out, _ = run_cli("encode", MYP, "Ask")
     assert code == 0

@@ -1,3 +1,4 @@
+import functools
 import hashlib
 import re
 
@@ -6,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from wirespec.bits import BitString, Cursor
+from wirespec.cli import bundled_spec_path
 from wirespec.codec import (
     Classified,
     InvalidFormat,
@@ -658,7 +660,7 @@ def _contradicted(segments, buf) -> bool:
     match, and a skipped text must start with an allowed byte."""
     at = 0
     for segment in segments:
-        if at == len(buf):
+        if at >= len(buf):  # past a literal that the buffer ends inside
             return False
         if segment[0] == "skip":
             _, terminator, first = segment
@@ -792,7 +794,7 @@ def test_sub_byte_literals_merge_into_whole_bytes():
     # a text three bits into a byte is no skip: the facts end before it
     assert wire_prefix(spec, "F") == [("lit", BitString.from_bits("101"))]
     # of P and Q (bits 0 and 1), the buffer keeps Q alone
-    assert classifier(spec, ["P", "Q"]).tree.alive(b"\xa1ab L") == 0b10
+    assert classifier(spec, ["P", "Q"]).alive(b"\xa1ab L") == 0b10
     out = decode_message(b"\xa1ab L", ["P", "Q"], spec)
     assert isinstance(out, Classified) and out.msg_type == "Q"
 
@@ -804,7 +806,7 @@ def test_sub_byte_prefilter_changes_no_outcome():
 
     spec = resolve(parse_spec(SUB_BYTE_SPEC))
     names = spec.message_types
-    tree = classifier(spec, names).tree
+    alive_of = classifier(spec, names).alive
     for seed in range(12):
         gen = Generator(spec, GenConfig(seed=seed))
         rng = random.Random(seed)
@@ -812,7 +814,7 @@ def test_sub_byte_prefilter_changes_no_outcome():
         for i, wire in enumerate(wires):
             for buf in _variants(wire, wires[i - 1], rng) + [wire[:1] + b"ab " + wire[-1:]]:
                 # a ruled-out candidate never decodes, nor waits for more bytes
-                alive = tree.alive(buf)
+                alive = alive_of(buf)
                 for j, m in enumerate(names):
                     if not alive >> j & 1:
                         assert isinstance(decode_message(buf, [m], spec), InvalidFormat), (m, buf)
@@ -822,6 +824,113 @@ def test_sub_byte_prefilter_changes_no_outcome():
                     assert list(out.diagnostics.items()) == expected, buf
                 else:
                     assert out == expected, buf
+
+
+@functools.lru_cache(maxsize=None)
+def _oracle_corpus(which: str):
+    """A spec, each type's wire-prefix segments, encodings of every type
+    from three seeds, and the bytes that its literals and terminators use."""
+    text = SUB_BYTE_SPEC if which == "sub_byte" else bundled_spec_path(which).read_text()
+    spec = resolve(parse_spec(text))
+    prefixes = [wire_prefix(spec, m) for m in spec.message_types]
+    wires = []
+    for seed in range(3):
+        gen = Generator(spec, GenConfig(seed=seed))
+        wires += [encode_message(m, gen.message(m), spec) for m in spec.message_types]
+    alphabet = set()
+    for segments in prefixes:
+        for segment in segments:
+            if segment[0] == "skip":
+                alphabet.update(segment[1])
+            else:
+                bits = segment[1]
+                alphabet.update((bits.value << (-bits.length % 8)).to_bytes((bits.length + 7) // 8, "big"))
+    return spec, prefixes, wires, sorted(alphabet)
+
+
+@st.composite
+def _oracle_buffer(draw, which: str) -> bytes:
+    """A cut, a bit flip or a splice of generated encodings, or a short
+    string of the spec's literal bytes."""
+    _, _, wires, alphabet = _oracle_corpus(which)
+    wire = draw(st.sampled_from(wires))
+    kind = draw(st.sampled_from(("cut", "flip", "splice", "literal")))
+    if kind == "cut":
+        return wire[: draw(st.integers(0, len(wire)))]
+    if kind == "flip":
+        pos = draw(st.integers(0, 8 * len(wire) - 1))
+        flipped = bytearray(wire)
+        flipped[pos // 8] ^= 0x80 >> (pos % 8)
+        return bytes(flipped)
+    if kind == "splice":
+        other = draw(st.sampled_from(wires))
+        return wire[: draw(st.integers(0, len(wire)))] + other[draw(st.integers(0, len(other))):]
+    return bytes(draw(st.lists(st.sampled_from(alphabet), max_size=12)))
+
+
+@pytest.mark.parametrize("which", ["myp", "imap_subset", "sub_byte"])
+@given(data=st.data())
+@settings(max_examples=150, deadline=None)
+def test_compiled_classifier_matches_the_facts(which, data):
+    # the generated walk against one candidate's facts at a time
+    spec, prefixes, _, _ = _oracle_corpus(which)
+    buf = data.draw(_oracle_buffer(which), label="buf")
+    alive = classifier(spec, spec.message_types).alive(buf)
+    for j, segments in enumerate(prefixes):
+        assert alive >> j & 1 == (not _contradicted(segments, buf)), (spec.message_types[j], buf)
+
+
+def _deep_spec(skips: int) -> str:
+    """Two types that share a 60-byte literal and then ``skips`` terminated
+    texts, each behind a literal byte, and differ only in their last byte."""
+    fields = "".join(
+        f"    s{i} is Text(value='-') as FixedCountText()\n"
+        f"    t{i} is Text(pattern=/[a-z]*/) as TerminatedText(terminator=' ')\n"
+        for i in range(skips)
+    )
+    return "message module D\n" + "".join(
+        f"  message {name} with\n"
+        f"    head is Text(value='{'h' * 60}') as FixedCountText()\n"
+        f"{fields}"
+        f"    last is Text(value='{name}') as FixedCountText()\n"
+        "  end\n"
+        for name in "XY"
+    ) + "end\n"
+
+
+def test_deep_classifier_compiles_and_classifies():
+    spec = resolve(parse_spec(_deep_spec(40)))
+    skip = ("skip", b" ", frozenset(b"abcdefghijklmnopqrstuvwxyz "))
+    assert wire_prefix(spec, "X")[:3] == [("lit", BitString.from_bytes(b"h" * 60 + b"-")), skip,
+                                          ("lit", BitString.from_bytes(b"-"))]
+    alive = classifier(spec, ["X", "Y"]).alive  # neither SyntaxError nor RecursionError
+    body = b"h" * 60 + b"-ab " * 40
+    for buf, mask in (
+        (body + b"X", 0b01), (body + b"Y", 0b10), (body, 0b11), (body + b"Z", 0),
+        (body[:30], 0b11), (b"h" * 59 + b"x", 0), (body[:-3] + b"A", 0), (body[:-2], 0b11),
+    ):
+        assert alive(buf) == mask, buf
+        assert alive(buf) == sum(1 << j for j, m in enumerate("XY")
+                                 if not _contradicted(wire_prefix(spec, m), buf)), buf
+    out = decode_message(body + b"Y", ["X", "Y"], spec)
+    assert isinstance(out, Classified) and (out.msg_type, out.consumed) == ("Y", len(body) + 1)
+
+
+def test_generated_classifier_shows_in_tracebacks(imap_spec):
+    import linecache
+    import traceback
+
+    alive = classifier(imap_spec, imap_spec.message_types).alive
+    assert alive.__name__ == "<classify OkResp,…>" == alive.__code__.co_name
+    source = "".join(linecache.getlines(alive.__code__.co_filename))
+    assert source.startswith("def classify(buf):\n") and "buf.startswith(b'XAMINE '" in source
+    with pytest.raises(TypeError) as e:
+        alive(None)  # no buffer
+    frame = traceback.extract_tb(e.value.__traceback__)[-1]
+    assert (frame.name, frame.filename, frame.line) == (
+        "<classify OkResp,…>", alive.__code__.co_filename, "size = len(buf)"
+    )
+    assert classifier(imap_spec, ["LoginCmd"]).alive.__name__ == "<classify LoginCmd>"
 
 
 def _wrong_and_out_of_range(value):

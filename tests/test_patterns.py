@@ -146,16 +146,16 @@ def test_universal_language():
 def test_fullmatch_against_re_semantics(source, matches, rejects):
     pat = compile_pattern(source)
     for text in matches:
-        assert pat.fullmatch(text), (source, text)
+        assert pat.regex.fullmatch(text), (source, text)
     for text in rejects:
-        assert not pat.fullmatch(text), (source, text)
+        assert not pat.regex.fullmatch(text), (source, text)
 
 
 def test_search_is_substring_semantics():
     pat = compile_pattern(" |\\r\\n|\\*")
-    assert pat.search("a b")
-    assert pat.search("x*y")
-    assert not pat.search("clean")
+    assert pat.regex.search("a b")
+    assert pat.regex.search("x*y")
+    assert not pat.regex.search("clean")
 
 
 def test_sampler_agrees_with_re_on_dialect_corpus():
@@ -172,7 +172,7 @@ def test_sampler_agrees_with_re_on_dialect_corpus():
     for source, cap in corpus:
         pat = compile_pattern(source)
         sampler = LanguageSampler(pat, ASCII)
-        pyre = re.compile(pat._full.pattern)
+        pyre = re.compile(pat.regex.pattern)
         for _ in range(40):
             text = sampler.sample(rng, cap)
             assert pyre.fullmatch(text), (source, text)
@@ -200,7 +200,7 @@ def test_sampler_counts_agree_with_brute_force(source, exclusions, cap):
         text
         for ln in range(cap + 1)
         for text in map("".join, product("ab", repeat=ln))
-        if pat.fullmatch(text) and not any(ex.search(text) for ex in excludes)
+        if pat.regex.fullmatch(text) and not any(ex.regex.search(text) for ex in excludes)
     }
     counts = [sum(len(text) == ln for text in accepted) for ln in range(cap + 1)]
     sampler = LanguageSampler(pat, "ab", excludes)
