@@ -1,16 +1,16 @@
-"""Bit-granular binary buffers.
+"""Bit-granular binary values.
 
 Everything the codec layer writes, and every ``Binary`` value, is a
 :class:`BitString`: an immutable sequence of bits of arbitrary length,
 packed MSB-first when converted to bytes (the first bit of the string
-becomes the high bit of the first byte).  The codec reads through a
-:class:`Cursor`: a bit position over immutable bytes, where each read
-copies only the bytes it returns.
+becomes the high bit of the first byte).  Reading is not done here: the
+codec's generated decode functions read the bytes themselves, at a bit
+position counted from the high bit of the first byte.
 """
 
 from __future__ import annotations
 
-from .errors import NotByteAligned, Underrun
+from .errors import NotByteAligned
 
 
 class BitString:
@@ -42,15 +42,6 @@ class BitString:
         if len(hexdigits) % 2:
             raise ValueError(f"odd-length hex literal: {hexdigits!r}")
         return cls.from_bytes(bytes.fromhex(hexdigits))
-
-    @classmethod
-    def concat(cls, parts: list["BitString"]) -> "BitString":
-        value = 0
-        length = 0
-        for p in parts:
-            value = (value << p._length) | p._value
-            length += p._length
-        return cls(value, length)
 
     @property
     def length(self) -> int:
@@ -95,34 +86,3 @@ class BitString:
 
 EMPTY = BitString()
 
-
-class Cursor:
-    """A read position over immutable bytes, counted in bits from the high
-    bit of the first byte.  Reads advance ``pos``; one that needs more bits
-    than remain raises Underrun and leaves ``pos`` where it was."""
-
-    __slots__ = ("data", "pos", "end")
-
-    def __init__(self, data: bytes, pos: int = 0):
-        self.data = data
-        self.pos = pos
-        self.end = 8 * len(data)
-
-    @property
-    def remaining(self) -> int:
-        return self.end - self.pos
-
-    def uint(self, n: int) -> int:
-        """The next n bits read as an unsigned big-endian integer."""
-        if n < 0:
-            raise ValueError("negative read")
-        pos = self.pos
-        end = pos + n
-        if end > self.end:
-            raise Underrun(f"need {n} bits, have {self.end - pos}")
-        self.pos = end
-        chunk = int.from_bytes(self.data[pos >> 3 : (end + 7) >> 3], "big")
-        return (chunk >> (-end & 7)) & ((1 << n) - 1)
-
-    def bits(self, n: int) -> BitString:
-        return BitString(self.uint(n), n)

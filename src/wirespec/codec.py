@@ -5,20 +5,23 @@ Each field pairs a (dependent) type with a codec.  :func:`compile_node`
 turns the pair into a node, and each node emits the Python source of its
 own part of a codec and of a generator: checks, reads, writes and draws,
 with its argument expressions inlined through
-:class:`~wirespec.values.Source`.  A node's ``encode(value, env)``,
-``decode(cur, env)`` and ``generate(rng, env)`` are one generated function
-each, compiled on first use: a record inlines its fields in declaration
-order, with the values of its parameters and earlier fields in locals, so
-a whole message type, its plan, encodes, decodes or is drawn in one
-function call.  A record that can contain itself calls its own function
-where it recurs, as does one nested deep in the source.  A message plan
-is built on first use and cached on the spec.  Encode checks each part of
-the value before it writes it, into one integer; decode reads each part,
-then checks it.  Decoding reads from the bytes under a
-:class:`~wirespec.bits.Cursor`, so a field costs time in its own size, not
-the buffer's; a terminated text is one ``bytes.find`` and a pinned field
-one comparison; a record whose fields are all such decodes to one
-prebuilt constant.  Decoding is incremental: running out of input raises an
+:class:`~wirespec.values.Source`, which builds every generated function.
+A node's ``encode(value, env)``, ``decode(data, pos, env)`` and
+``generate(rng, env)`` are one generated function each, and the whole
+codec: they are compiled on first use, and a record inlines its fields in
+declaration order, with the values of its parameters and earlier fields in
+locals, so a whole message type, its plan, encodes, decodes or is drawn in
+one function call.  A record that can contain itself calls its own
+function where it recurs, as does one nested deep in the source.  A
+message plan is built on first use and cached on the spec.  Encode checks
+each part of the value before it writes it, into one integer; decode reads
+each part, then checks it.  Decoding reads the bytes themselves from bit
+``pos`` and returns the value with the bit position past it, so a field
+costs time in its own size, not the buffer's; a terminated text is one
+``bytes.find``.  A known pin is its encoding, the bits its node's own
+``encode`` writes for it: it decodes by one guarded comparison with them,
+and a record whose fields are all such decodes to one prebuilt constant.
+Decoding is incremental: running out of input raises an
 :class:`IncompleteInput` subclass so that callers feeding a growing stream
 buffer can distinguish "wait for more bytes" from a malformed message, and
 a terminated text that has already run past its ``max_count`` is rejected
@@ -36,34 +39,32 @@ so tracebacks and debuggers show the emitted lines.
 
 Classification lets only candidates that can still match decide.  Each
 node states the static facts about the leading bits of its wire form
-(:class:`WirePrefix`): literal bits, where a pinned field has only one
-encoding; "skip through terminator T", for an unpinned terminated text at
-a byte boundary, with the first bytes its pattern allows; and nothing past
-anything else.  One :class:`Classifier` per candidate list, a list of one
-included, is built on first use and cached on the spec.  It merges the
-candidates' facts into one tree and compiles the tree to one generated
-function, ``<classify OkResp,…>``, that walks every candidate's facts over
-the buffer at once and returns the mask of those left: a run of literal
-bytes is one ``startswith``, a branch point one byte, a skip one
-``bytes.find``.  It rules a candidate out when bytes already present
-contradict a literal or a skipped text's first byte; a short buffer or a
-missing terminator keeps it.  :func:`decode_message` decodes the
-candidates left, and only them, through a table of their plans' decode
-functions that the mask's set bits index, and takes its outcome from
-them, so a buffer that rules out every candidate is InvalidFormat at once,
-even where a candidate's own decode would still wait for bytes; the
-ruled-out candidates are decoded only for their diagnostics.
+(:class:`WirePrefix`): literal bits, a known pin's encoding; "skip through
+terminator T", for an unpinned terminated text at a byte boundary, with
+the first bytes its pattern allows; and nothing past anything else.  One
+:class:`Classifier` per candidate list, a list of one included, is built
+on first use and cached on the spec.  It merges the candidates' facts into
+one tree and compiles the tree to one generated function, ``<classify
+OkResp,…>``, that walks every candidate's facts over the buffer at once
+and returns the mask of those left: a run of literal bytes is one
+``startswith``, a branch point one byte, a skip one ``bytes.find``.  It
+rules a candidate out when bytes already present contradict a literal or a
+skipped text's first byte; a short buffer or a missing terminator keeps
+it.  :func:`decode_message` decodes the candidates left, and only them,
+through a table of their plans' decode functions that the mask's set bits
+index, and takes its outcome from them, so a buffer that rules out every
+candidate is InvalidFormat at once, even where a candidate's own decode
+would still wait for bytes; the ruled-out candidates are decoded only for
+their diagnostics.
 """
 
 from __future__ import annotations
 
-import hashlib
-import linecache
 from contextlib import contextmanager
 from dataclasses import dataclass
 from functools import cached_property
 
-from .bits import BitString, Cursor
+from .bits import BitString
 from .errors import (
     ConstraintViolation,
     EvalError,
@@ -72,7 +73,6 @@ from .errors import (
     NotByteAligned,
     TerminatorInPayload,
     TypeMismatch,
-    UnboundName,
     Underrun,
     UnsatisfiableConstraint,
     Unrepresentable,
@@ -131,13 +131,6 @@ def _literal_pattern(text: str) -> Pattern:
 
 # --- what generated code calls ----------------------------------------------------
 
-def _lookup(env: dict, name: str):
-    try:
-        return env[name]
-    except KeyError:
-        raise UnboundName(f"unbound name {name!r}") from None
-
-
 def _read_range(width: int, signed: bool) -> tuple[int, int]:
     """:func:`signed_range` for a read: a width no integer has makes the
     message malformed."""
@@ -165,10 +158,11 @@ def _scan_terminated(data: bytes, pos: int, terminator: bytes) -> tuple[bytes, i
         stop = data.find(terminator, start)
         stop = len(data) if stop < 0 else stop + len(terminator)
         return data[start:stop], stop << 3
-    cur, scanned = Cursor(data, pos), bytearray()
-    while not scanned.endswith(terminator) and cur.remaining >= 8:
-        scanned.append(cur.uint(8))
-    return bytes(scanned), cur.pos
+    scanned, end = bytearray(), len(data) << 3
+    while not scanned.endswith(terminator) and pos + 8 <= end:
+        pos += 8  # the byte that ends here, read as _Function.read reads it
+        scanned.append(int.from_bytes(data[(pos - 8) >> 3:(pos + 7) >> 3], "big") >> (-pos & 7) & 255)
+    return bytes(scanned), pos
 
 
 _RUNTIME = {
@@ -176,7 +170,7 @@ _RUNTIME = {
     for f in (
         BitString, BitsVal, ConstraintViolation, EnumVal, ListVal,
         MissingTerminator, RecordVal, TerminatorInPayload, TextVal, Underrun,
-        Unrepresentable, UnsatisfiableConstraint, _lookup, _not_ascii, _outside,
+        Unrepresentable, UnsatisfiableConstraint, _not_ascii, _outside,
         _read_range, _scan_terminated, signed_range,
     )
 }
@@ -202,48 +196,13 @@ def _message(*parts) -> str:
     return " + ".join(p if isinstance(p, _Code) else repr(p) for p in parts if p)
 
 
-def _register(title: str, source: str) -> str:
-    """A file name for generated source, registered with :mod:`linecache`.
-    The name holds a hash of the source, so equal sources share one entry;
-    each distinct source stays registered for the life of the process, as
-    :func:`linecache.checkcache` keeps entries without a modification time."""
-    filename = f"<{title} {hashlib.blake2b(source.encode(), digest_size=6).hexdigest()}>"
-    linecache.cache[filename] = (len(source), None, source.splitlines(True), filename)
-    return filename
-
-
-class _Emitter(Source):
-    """The body of one generated function ``kind``, in indented blocks."""
-
-    def __init__(self, constants: dict, kind: str):
-        super().__init__(constants)
-        self.kind = kind
-        self.indent = "    "
-
-    @contextmanager
-    def block(self, header: str):
-        self.emit(header)
-        self.indent += "    "
-        yield
-        self.indent = self.indent[:-4]
-
-    def finish(self, title: str, params: str):
-        source = f"def {self.kind}({params}):\n" + "".join(f"{line}\n" for line in self.lines)
-        exec(compile(source, _register(title, source), "exec"), self.namespace)
-        function = self.namespace[self.kind]
-        function.__code__ = function.__code__.replace(co_name=f"<{title}>")
-        function.__name__ = function.__qualname__ = f"<{title}>"
-        return function
-
-
-class _Function(_Emitter):
+class _Function(Source):
     """The source of one generated function of a node: ``encode(value,
     env)``, which checks the value, writes it into ``acc`` (``size`` bits)
-    and returns a BitString; ``decode(cur, env)``, which reads ``data``
-    from ``pos`` to ``end`` and returns the value; ``generate(rng, env)``,
-    which draws a value with the ``random.Random`` ``rng``; or
-    ``check(value, env)``, which returns the first reason the value breaks
-    the type, or None.
+    and returns a BitString; ``decode(data, pos, env)``, which reads the
+    bytes ``data`` from bit ``pos`` up to bit ``end``, their length, and
+    returns the value and the bit position past it; or ``generate(rng,
+    env)``, which draws a value with the ``random.Random`` ``rng``.
 
     ``names`` holds the spec names in scope, as the code and kind of what
     holds their values (see :class:`~wirespec.values.Source`), and
@@ -313,13 +272,8 @@ class _Function(_Emitter):
         else:
             self.known[name] = value
 
-    def fail(self, message: str, path) -> str:
-        if self.kind == "check":
-            return f"return {message}"
-        return f"raise ConstraintViolation({message if path is None else f'{path} + {message}'})"
-
     def require(self, failed: str, message: str, path=None):
-        self.emit(f"if {failed}: {self.fail(message, path)}")
+        self.emit(f"if {failed}: raise ConstraintViolation({_within(path, message)})")
 
     @contextmanager
     def record(self, node: "RecordNode"):
@@ -356,6 +310,16 @@ class _Function(_Emitter):
         self.emit(f"pos = {stop}")
         return raw
 
+    @contextmanager
+    def unless_next(self, bits: BitString):
+        """A block that runs unless the next bits, read as :meth:`read`
+        reads them, are ``bits``: then it steps past them."""
+        n = bits.length
+        self.emit(f"if pos + {n} <= end and int.from_bytes(data[pos >> 3:(pos + {n + 7}) >> 3], 'big')"
+                  f" >> (-(pos + {n}) & 7) & {(1 << n) - 1} == {bits.value}: pos += {n}")
+        with self.block("else:"):
+            yield
+
     def write(self, bits: str, width: str):
         self.emit(f"acc = acc << {width} | {bits}")
         self.emit(f"size += {width}")
@@ -389,8 +353,8 @@ class _Function(_Emitter):
 
 
 def _generate(node: "Node", kind: str):
-    """The generated function ``kind`` of ``node``: ``encode``, ``decode``,
-    ``generate`` or ``check``."""
+    """The generated function ``kind`` of ``node``: ``encode``, ``decode``
+    or ``generate``."""
     fn = _Function(node, kind)
     if kind == "encode":
         fn.emit("acc = size = 0")
@@ -398,21 +362,14 @@ def _generate(node: "Node", kind: str):
         fn.emit("return BitString(acc, size)")
         return fn.finish(f"encode {node.title}", "value, env")
     if kind == "decode":
-        fn.emit("data = cur.data")
-        fn.emit("end = cur.end")
-        fn.emit("pos = cur.pos")
+        fn.emit("end = len(data) << 3")
         value, _ = node.emit_decode(fn)
-        fn.emit("cur.pos = pos")
-        fn.emit(f"return {value}")
-        return fn.finish(f"decode {node.title}", "cur, env")
-    if kind == "generate":
-        fn.emit("getrandbits = rng.getrandbits")
-        value, _ = node.emit_generate(fn, ())
-        fn.emit(f"return {value}")
-        return fn.finish(f"generate {node.title}", "rng, env")
-    node.emit_check(fn, "value", None)
-    fn.emit("return None")
-    return fn.finish(f"check {node.title}", "value, env")
+        fn.emit(f"return {value}, pos")
+        return fn.finish(f"decode {node.title}", "data, pos, env")
+    fn.emit("getrandbits = rng.getrandbits")
+    value, _ = node.emit_generate(fn, ())
+    fn.emit(f"return {value}")
+    return fn.finish(f"generate {node.title}", "rng, env")
 
 
 # --- compilation ------------------------------------------------------------------
@@ -483,7 +440,8 @@ def _negative(fn, path: tuple, count: str, name: str):
 
 
 def _within(path, code: str) -> str:
-    """The source of the path prefix of a part inside ``path``."""
+    """The source of the string ``code`` after the path prefix ``path``
+    (source, or None)."""
     return code if path is None else f"{path} + {code}"
 
 
@@ -492,10 +450,10 @@ class Node:
 
     ``encode(value, env)`` returns the value's bits, or raises
     ConstraintViolation with the path to the part that breaks the type.
-    ``decode(cur, env)`` returns the value read at the
-    :class:`~wirespec.bits.Cursor` ``cur`` and advances ``cur`` past it; it
-    raises IncompleteInput subclasses when the buffer may simply be short
-    and ConstraintViolation when the input contradicts the type.  Both are
+    ``decode(data, pos, env)`` returns the value read from the bytes
+    ``data`` at bit ``pos`` and the bit position past it; it raises
+    IncompleteInput subclasses when the buffer may simply be short and
+    ConstraintViolation when the input contradicts the type.  Both are
     generated on first use (see :class:`_Function`) from what the node
     emits: ``emit_encode(fn, v, path)``, which checks and writes the value
     in the local ``v`` and prefixes the path ``path`` (source, or None) to
@@ -508,29 +466,30 @@ class Node:
     ``emit_kind`` (the check that ``v`` is of its kind, which gives the
     payload), ``emit_checks`` (the type's rules on a payload) and its
     codec's ``emit_write`` and ``emit_read``; it encodes by kind, checks
-    and write, and decodes by read and checks.  A pinned field whose pin
-    is known and passes its checks decodes by one comparison.
-    ``check(value, env)``, generated from kind and checks, returns None or
-    the reason.  ``generate(rng, env)``, generated from ``emit_generate(fn,
-    path)``, draws a well-formed value with the ``random.Random`` ``rng``;
-    ``path`` is a tuple of message parts (see :meth:`_Function.unsatisfiable`).
-    A pinned field gives its pin, a literal where the known names fix it;
-    a leaf draws otherwise by ``emit_draw``.  ``env`` maps the enclosing
-    record's parameters and earlier fields to their values.
+    and write, and decodes by read and checks.  ``generate(rng, env)``,
+    generated from ``emit_generate(fn, path)``, draws a well-formed value
+    with the ``random.Random`` ``rng``; ``path`` is a tuple of message
+    parts (see :meth:`_Function.unsatisfiable`).  A pinned field gives its
+    pin, a literal where the known names fix it; a leaf draws otherwise by
+    ``emit_draw``.  ``env`` maps the enclosing record's parameters and
+    earlier fields to their values.
     ``add_goals(cov, key, seen)`` adds the goals of the field ``key``, a
     (record, field) pair, to the :class:`~wirespec.coverage.Coverage` ``cov``;
     ``seen`` holds the records added so far.  ``retype(value)`` fills in the
     record and enum names value literals omit, and keeps a value of another kind.
-    ``wire_prefix(fn, facts)`` appends what the node's wire form starts
-    with to the :class:`WirePrefix` ``facts`` and returns the value that any
-    successful decode yields when the facts fix it, else None; the
-    :class:`_Function` ``fn`` holds the names known so far, and where the
-    facts end it raises EndOfFacts.  A pinned field gives a literal, its
-    generated encoding, only when its node is ``canonical`` (each value has
-    one encoding and decode accepts no other) and its pin is known and
-    passes its checks.  TextInteger is not canonical, as it reads ``05`` and
-    ``-0`` too; an unpinned terminated text gives a skip through its
-    terminator, with the first bytes its pattern allows.
+
+    A known pin is its encoding: :meth:`fixed` gives the pin and the bits
+    that the node's own ``encode`` writes for it, when the node is
+    ``canonical`` (each value has one encoding and decode accepts no
+    other).  Such a pin decodes by one guarded comparison with those bits,
+    and ``wire_prefix(fn, facts)`` appends them to the :class:`WirePrefix`
+    ``facts`` as a literal.  ``wire_prefix`` appends what the node's wire
+    form starts with and returns the value that any successful decode
+    yields when the facts fix it, else None; the :class:`_Function` ``fn``
+    holds the names known so far, and where the facts end it raises
+    EndOfFacts.  TextInteger is not canonical, as it reads ``05`` and ``-0``
+    too; an unpinned terminated text gives a skip through its terminator,
+    with the first bytes its pattern allows.
     Each subclass is named after the type or codec it codes.
     """
 
@@ -565,31 +524,38 @@ class Node:
     def generate(self):
         return _generate(self, "generate")
 
-    @cached_property
-    def check(self):
-        return _generate(self, "check")
-
     def add_goals(self, cov, key, seen):
         pass
 
     def retype(self, value):
         return value
 
+    def fixed(self, fn):
+        """``(value, bits)``: the value every successful decode of a
+        canonical node yields, and its one encoding, written by the node's
+        own ``encode``, which checks it too; _UNKNOWN when the known names
+        do not fix the pin or that ``encode`` rejects it."""
+        pin = fn.static(self.args, "value", self.convert) if self.canonical else _UNKNOWN
+        if pin is _UNKNOWN:
+            return _UNKNOWN
+        value = self.pinned(pin)
+        try:
+            return value, self.encode(value, fn.known)
+        except WirespecError:
+            return _UNKNOWN
+
     def wire_prefix(self, fn, facts):
-        value = self.fixed(fn) if self.canonical else _UNKNOWN
-        if value is _UNKNOWN:
+        fixed = self.fixed(fn)
+        if fixed is _UNKNOWN:
             raise EndOfFacts
-        facts.literal(self.encode(value, fn.known))
-        return value
+        facts.literal(fixed[1])
+        return fixed[0]
 
     # leaves
 
-    def make(self, payload):
-        return self.kind(payload)
-
     def pinned(self, pin):
         """The value a pin's converted value stands for."""
-        return self.make(pin)
+        return self.kind(pin)
 
     def wrap(self, payload: str) -> str:
         return f"{self.kind.__name__}({payload})"
@@ -597,13 +563,14 @@ class Node:
     def entry(self, value: str, payload: str, known=_UNKNOWN) -> tuple:
         return value, None, known
 
+    def known(self, fn, value) -> tuple:
+        """The code of a value that the known names fix, and its entry."""
+        return fn.ref(value), self.entry(fn.ref(value), fn.literal(getattr(value, self.payload)), value)
+
     def emit_kind(self, fn, v, path) -> str:
         fn.require(f"not isinstance({v}, {self.kind.__name__})",
                    _message(f"expected {self.what}, got ", _shown(v)), path)
         return fn.temp(f"{v}.{self.payload}")
-
-    def emit_check(self, fn, v, path):
-        self.emit_checks(fn, self.emit_kind(fn, v, path), path)
 
     def emit_encode(self, fn, v, path):
         payload = self.emit_kind(fn, v, path)
@@ -617,24 +584,10 @@ class Node:
         self.emit_checks(fn, payload, None, read=True)
         return payload
 
-    def fixed(self, fn):
-        """The value every successful decode yields, when the node's pin is
-        known and passes every check; else _UNKNOWN."""
-        pin = fn.static(self.args, "value", self.convert)
-        if pin is _UNKNOWN:
-            return _UNKNOWN
-        value = self.pinned(pin)
-        try:
-            reason = self.check(value, fn.known)
-        except EvalError:
-            return _UNKNOWN
-        return _UNKNOWN if reason else value
-
     def emit_generate(self, fn, path):
         pin = fn.static(self.args, "value", self.convert)
         if pin is not _UNKNOWN:
-            value = self.pinned(pin)
-            return fn.ref(value), self.entry(fn.ref(value), fn.literal(getattr(value, self.payload)), value)
+            return self.known(fn, self.pinned(pin))
         if "value" in self.args:
             payload = fn.temp(self.pin_payload(fn.arg(self.args, "value", self.convert)))
         else:
@@ -648,15 +601,18 @@ class Node:
 
     def emit_decode(self, fn):
         fixed = self.fixed(fn)
-        if fixed is _UNKNOWN:
-            payload = self.emit_payload(fn)
-            value = fn.temp(self.wrap(payload))
-            return value, self.entry(value, payload)
-        # a pinned field: one comparison, and the checks only to say why not
-        payload, known = self.emit_read(fn), fn.literal(getattr(fixed, self.payload))
-        with fn.block(f"if {payload} != {known}:"):
-            self.emit_checks(fn, payload, None, read=True)
-        return fn.ref(fixed), self.entry(fn.ref(fixed), known, fixed)
+        if fixed is not _UNKNOWN:
+            return self.emit_pinned(fn, *fixed)
+        payload = self.emit_payload(fn)
+        value = fn.temp(self.wrap(payload))
+        return value, self.entry(value, payload)
+
+    def emit_pinned(self, fn, value, bits: BitString):
+        """A known pin: one comparison with its bits, and the read and
+        checks only to say why not, as no other bits decode as the pin."""
+        with fn.unless_next(bits):
+            self.emit_payload(fn)
+        return self.known(fn, value)
 
 
 class IntegerNode(Node):
@@ -811,11 +767,8 @@ class TextNode(Node):
             self.python_encoding = "ascii" if self.encoding == "ascii" else "latin-1"
             self.readable = frozenset(alphabet_for_charset(self.python_encoding))
 
-    def make(self, payload):
-        return TextVal(payload, self.charset)
-
     def pinned(self, pin):
-        return self.make(pin.text)
+        return TextVal(pin.text, self.charset)
 
     def pin_payload(self, pin):
         return f"{pin}.text"
@@ -828,13 +781,9 @@ class TextNode(Node):
             alphabet = fn.ref(self.alphabet)
             fn.require(f"not {alphabet}.issuperset({text})",
                        _Code(f"_outside({text}, {alphabet}, {self.charset!r})"), path)
-        pin = fn.static(self.args, "value", as_text)
-        if pin is not _UNKNOWN:
-            fn.require(f"{text} != {pin.text!r}", _message(f"must equal {pin!r}, got ", _shown(text)), path)
-        elif "value" in self.args:
-            expected = fn.temp(fn.result(self.args["value"], as_text))
-            fn.require(f"{text} != {expected}.text",
-                       _message("must equal ", _shown(expected), ", got ", _shown(text)), path)
+        pin = fn.arg(self.args, "value", as_text)
+        if pin is not None:
+            fn.require(f"{text} != {pin}.text", _message("must equal ", _shown(pin), ", got ", _shown(text)), path)
         count = fn.arg(self.args, "max_count", as_int)
         if count is not None:
             fn.require(f"len({text}) > {count}",
@@ -915,8 +864,9 @@ class TerminatedTextNode(TextNode):
 
     @cached_property
     def first_bytes(self) -> frozenset | None:
-        """The bytes a text that passes ``check`` can start its encoding with,
-        the terminator's for the empty text; None when any byte can."""
+        """The bytes a text that passes the type's checks can start its
+        encoding with, the terminator's for the empty text; None when any
+        byte can."""
         if self.pattern is None and self.exclude is None:
             return None
         sampler = language(self.pattern, alphabet_for_charset(self.charset), self.excludes)
@@ -1027,16 +977,6 @@ class BinaryNode(Node):
                 width = fn.temp(width)
                 fn.require(f"{width} < 0", _message("negative bit length ", _said(width)))
         return fn.temp(f"BitString({fn.read(width)}, {width})")
-
-    def emit_decode(self, fn):
-        fixed = self.fixed(fn)
-        if fixed is _UNKNOWN:
-            return super().emit_decode(fn)
-        bits = fixed.bits
-        raw = fn.read(repr(bits.length))
-        with fn.block(f"if {raw} != {bits.value}:"):
-            self.emit_checks(fn, fn.temp(f"BitString({raw}, {bits.length})"), None, read=True)
-        return fn.ref(fixed), self.entry(fn.ref(fixed), fn.ref(bits), fixed)
 
     def emit_draw(self, fn, path):
         length = fn.int_arg(self.args, "length")
@@ -1149,15 +1089,9 @@ class EnumNode(Node):
         return v
 
     def emit_checks(self, fn, v, path, read=False):
-        pin = fn.static(self.args, "value", self.as_constant)
-        if pin is not _UNKNOWN:
-            # both are constants of this enum
-            fn.require(f"{v}.constant != {pin.constant!r}",
-                       _message(f"must be {pin!r}, got ", _said(f"{v}.constant")), path)
-        elif "value" in self.args:
-            expected = fn.temp(fn.result(self.args["value"], self.as_constant))
-            fn.require(f"{expected} != {v}",
-                       _message("must be ", _shown(expected), ", got ", _said(f"{v}.constant")), path)
+        pin = fn.arg(self.args, "value", self.as_constant)
+        if pin is not None:
+            fn.require(f"{v} != {pin}", _message("must be ", _shown(pin), ", got ", _said(f"{v}.constant")), path)
 
     def emit_write(self, fn, v):
         self.base.emit_write(fn, fn.temp(f"{fn.ref(self.payloads)}[{v}.constant]"))
@@ -1169,14 +1103,33 @@ class EnumNode(Node):
                    _message(_shown(self.base.wrap(payload)), f" is not a {self.name} constant"))
         return constant
 
+    def known(self, fn, value):
+        return fn.ref(value), (fn.ref(value), None, value)
+
+    def shadowed(self, fn, pin: EnumVal) -> bool:
+        """Whether a pin's bits decode as something else, or not at all: an
+        earlier constant with its value takes them, or its value breaks the
+        base type's rules, which the enum's own encode does not check."""
+        value = self.values[pin.constant]
+        if self.by_payload[getattr(value, self.base.payload)] != pin:
+            return True
+        try:
+            self.base.encode(value, fn.known)
+        except WirespecError:
+            return True
+        return False
+
     def emit_decode(self, fn):
+        fixed = self.fixed(fn)
+        if fixed is not _UNKNOWN and not self.shadowed(fn, fixed[0]):
+            return self.emit_pinned(fn, *fixed)
         constant = self.emit_payload(fn)
         return constant, (constant, None, _UNKNOWN)
 
     def emit_generate(self, fn, path):
         pin = fn.static(self.args, "value", self.as_constant)
         if pin is not _UNKNOWN:
-            return fn.ref(pin), (fn.ref(pin), None, pin)
+            return self.known(fn, pin)
         if "value" in self.args:
             value = fn.temp(fn.arg(self.args, "value", self.as_constant))
         elif not self.choices:
@@ -1209,22 +1162,22 @@ class OptionalNode(Node):
             self.subject.emit_encode(fn, v, path)
         return v, None, _UNKNOWN
 
-    def emit_decode(self, fn):
+    def emit_guarded(self, fn, emit_subject):
+        """ABSENT where the guard holds, else the subject's value, which
+        ``emit_subject()`` emits."""
         empty = fn.arg(self.args, "is_empty", as_bool)
         value = fn.fresh("o")
         with fn.block(f"if {empty}:"):
             fn.emit(f"{value} = ABSENT")
         with fn.block("else:"):
-            fn.emit(f"{value} = {self.subject.emit_decode(fn)[0]}")
+            fn.emit(f"{value} = {emit_subject()[0]}")
         return value, (value, None, _UNKNOWN)
 
+    def emit_decode(self, fn):
+        return self.emit_guarded(fn, lambda: self.subject.emit_decode(fn))
+
     def emit_generate(self, fn, path):
-        value = fn.fresh("o")
-        with fn.block(f"if {fn.arg(self.args, 'is_empty', as_bool)}:"):
-            fn.emit(f"{value} = ABSENT")
-        with fn.block("else:"):
-            fn.emit(f"{value} = {self.subject.emit_generate(fn, path)[0]}")
-        return value, (value, None, _UNKNOWN)
+        return self.emit_guarded(fn, lambda: self.subject.emit_generate(fn, path))
 
     def add_goals(self, cov, key, seen):
         cov.optional.setdefault(key, [0, 0])
@@ -1307,21 +1260,21 @@ class RecordNode(Node):
     def emit_decode(self, fn):
         target = self.recurs(fn)
         if target is not None:
-            fn.emit("cur.pos = pos")
-            value = fn.temp(f"{fn.ref(target)}.decode(cur, {fn.env()})")
-            fn.emit("pos = cur.pos")
+            value = fn.fresh()
+            fn.emit(f"{value}, pos = {fn.ref(target)}.decode(data, pos, {fn.env()})")
             return value, (value, None, _UNKNOWN)
+        return self.emit_fields(fn, lambda name, node: node.emit_decode(fn))
+
+    def emit_fields(self, fn, emit) -> tuple:
+        """The record of the values that ``emit(name, node)`` emits for each
+        field in turn, each bound for the later ones: one constant when
+        every field is fixed."""
         values = []
         with fn.record(self):
             for name, node in self.fields:
-                value, entry = node.emit_decode(fn)
+                value, entry = emit(name, node)
                 fn.bind(name, *entry)
                 values.append((value, entry[2]))
-        return self.emit_value(fn, values)
-
-    def emit_value(self, fn, values: list) -> tuple:
-        """The record of the fields' ``(code, known)`` pairs: one constant
-        when every field is fixed."""
         if all(known is not _UNKNOWN for _, known in values):
             record = RecordVal(self.name, tuple((name, known) for name, (_, known) in zip(self.names, values)))
             return fn.ref(record), (fn.ref(record), None, record)
@@ -1338,13 +1291,7 @@ class RecordNode(Node):
             with fn.block("except UnsatisfiableConstraint as inner:"):
                 fn.emit(f"raise UnsatisfiableConstraint({_message(*path, _said('inner'))}) from None")
             return value, (value, None, _UNKNOWN)
-        values = []
-        with fn.record(self):
-            for name, node in self.fields:
-                value, entry = node.emit_generate(fn, (*path, f".{name}"))
-                fn.bind(name, *entry)
-                values.append((value, entry[2]))
-        return self.emit_value(fn, values)
+        return self.emit_fields(fn, lambda name, node: node.emit_generate(fn, (*path, f".{name}")))
 
     def wire_prefix(self, fn, facts):
         with fn.record(self):
@@ -1477,7 +1424,7 @@ def _at(base: str | None, offset: int) -> str:
     return base if offset == 0 else f"{base} + {offset}"
 
 
-class _Walk(_Emitter):
+class _Walk(Source):
     """The source of a walk of a :class:`_Branch` over a buffer: the mask
     of the candidates whose facts the bytes of ``buf`` do not contradict.
     A missing terminator or a read past the end of ``buf`` keeps them.
@@ -1586,16 +1533,14 @@ def classifier(spec: ResolvedSpec, candidates) -> Classifier:
     return found
 
 
-def _attempt(cur: Cursor, msg_type: str, decode):
-    """The message decoded in full by ``decode`` from the front of the
-    buffer under ``cur``, else why not: (whether more bytes may help, the
-    reason)."""
+def _attempt(buf: bytes, msg_type: str, decode):
+    """The message decoded in full by ``decode`` from the front of
+    ``buf``, else why not: (whether more bytes may help, the reason)."""
     try:
-        cur.pos = 0
-        value = decode(cur, {})
-        if cur.pos % 8:
+        value, pos = decode(buf, 0, {})
+        if pos % 8:
             raise ConstraintViolation("message does not end on a byte boundary")
-        return Classified(msg_type, value, cur.pos // 8)
+        return Classified(msg_type, value, pos // 8)
     except IncompleteInput as e:
         return True, f"incomplete: {e}"
     except (ConstraintViolation, EvalError) as e:
@@ -1625,13 +1570,12 @@ def decode_message(
     classify = classifier(spec, candidates)
     alive = classify.alive(buf)
     decoders = classify.decoders
-    cur = Cursor(buf)
     diagnostics, matched, incomplete = {}, [], False
     while alive:
         bit = alive & -alive
         alive ^= bit
         name, decode = decoders[bit.bit_length() - 1]
-        out = _attempt(cur, name, decode)
+        out = _attempt(buf, name, decode)
         if not isinstance(out, Classified):
             incomplete |= out[0]
             diagnostics[name] = out[1]
@@ -1647,6 +1591,6 @@ def decode_message(
     for name, decode in decoders:
         if name not in diagnostics:
             # the facts rule out no candidate that decodes, so this one fails
-            more, reason = _attempt(cur, name, decode)
+            more, reason = _attempt(buf, name, decode)
             diagnostics[name] = f"ruled out by its wire prefix, {reason}" if more else reason
     return InvalidFormat({name: diagnostics[name] for name in classify.ordered})

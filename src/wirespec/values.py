@@ -3,19 +3,24 @@
 Values are what the generator produces, the codec serializes, and the
 checker validates.  Field types are dependent: their arguments are
 expressions over earlier fields of the same record.  :func:`compile_expr`
-turns each expression once into the source of one Python function over a
-plain dict of the field and parameter values known so far; the function
+turns an expression into the source of one Python function over a plain
+dict of the field and parameter values known so far; the function
 computes on plain ints and bools and wraps its result once, or, for an
-integer or boolean argument, returns it plain.  :class:`Source`, the
-compiler behind it, also inlines expressions into the functions that
-:mod:`wirespec.codec` generates, over names held in locals, and those
-functions compute an argument that the names they know fix once, into a
-literal.  Random draws elsewhere (``wirespec.codec`` and
-``wirespec.patterns``) use ``getrandbits`` with rejection, as
-``randrange`` does, so a seed draws the same values."""
+integer or boolean argument, returns it plain.  It runs when code is
+generated or the resolver folds a constant, never once per message.
+:class:`Source`, the compiler behind it, builds every function that
+wirespec generates: it also inlines expressions into the functions of
+:mod:`wirespec.codec`, over names held in locals, and those functions
+compute an argument that the names they know fix once, into a literal.
+Random draws elsewhere (``wirespec.codec`` and ``wirespec.patterns``) use
+``getrandbits`` with rejection, as ``randrange`` does, so a seed draws the
+same values."""
 
 from __future__ import annotations
 
+import hashlib
+import linecache
+from contextlib import contextmanager
 from dataclasses import dataclass
 
 from .bits import BitString
@@ -68,9 +73,6 @@ class RecordVal:
                 return v
         raise KeyError(name)
 
-    def names(self):
-        return [k for k, _ in self.entries]
-
 
 class _Absent:
     _instance = None
@@ -108,37 +110,69 @@ def _applied(label: str, *operands) -> TypeMismatch:
     return TypeMismatch(f"{label} applied to {' and '.join(map(repr, operands))}")
 
 
-def _unbound(missing: KeyError) -> UnboundName:
-    return UnboundName(f"unbound name {missing.args[0]!r}")
+def _lookup(env: dict, name: str):
+    try:
+        return env[name]
+    except KeyError:
+        raise UnboundName(f"unbound name {name!r}") from None
+
+
+def _register(title: str, source: str) -> str:
+    """A file name for generated source, registered with :mod:`linecache`.
+    The name holds a hash of the source, so equal sources share one entry;
+    each distinct source stays registered for the life of the process, as
+    :func:`linecache.checkcache` keeps entries without a modification time."""
+    filename = f"<{title} {hashlib.blake2b(source.encode(), digest_size=6).hexdigest()}>"
+    linecache.cache[filename] = (len(source), None, source.splitlines(True), filename)
+    return filename
 
 
 class Source:
-    """The body of one compiled function.  Each operand compiles to Python
-    source and its kind: ``IntVal`` or ``BoolVal`` when the source computes
-    the plain int or bool inside, None when it computes a value of a kind
-    known only at run time.  Lookups and checks, the only steps that can
-    fail, become statements in evaluation order; what they guard stays an
-    expression on plain ints and bools that cannot fail.  Objects other
-    than ints, bools and strings reach the source only as names bound in
-    ``namespace``, and spec names only as string literals."""
+    """The body of one generated function ``kind``, in indented blocks, and
+    :meth:`finish`, which compiles it: every function that wirespec
+    generates is built here.  Each operand compiles to Python source and
+    its kind: ``IntVal`` or ``BoolVal`` when the source computes the plain
+    int or bool inside, None when it computes a value of a kind known only
+    at run time.  Lookups and checks, the only steps that can fail, become
+    statements in evaluation order; what they guard stays an expression on
+    plain ints and bools that cannot fail.  Objects other than ints, bools
+    and strings reach the source only as names bound in ``namespace``, and
+    spec names only as string literals."""
 
-    def __init__(self, constants: dict):
+    def __init__(self, constants: dict, kind: str):
         self.constants = constants
+        self.kind = kind
         self.lines = []
-        self.indent = ""
+        self.indent = "    "
         self.namespace = {
             "IntVal": IntVal,
             "BoolVal": BoolVal,
             "DivisionByZero": DivisionByZero,
             "_applied": _applied,
-            "_unbound": _unbound,
+            "_lookup": _lookup,
         }
         self.refs = {}  # id of an object -> its name in namespace
         self.temps = 0
-        self.looks_up = False
 
     def emit(self, line: str):
         self.lines.append(self.indent + line)
+
+    @contextmanager
+    def block(self, header: str):
+        self.emit(header)
+        self.indent += "    "
+        yield
+        self.indent = self.indent[:-4]
+
+    def finish(self, title: str, params: str):
+        """The function ``<title>(params)``, whose source :mod:`linecache`
+        holds, so tracebacks and debuggers show its lines."""
+        source = f"def {self.kind}({params}):\n" + "".join(f"{line}\n" for line in self.lines)
+        exec(compile(source, _register(title, source), "exec"), self.namespace)
+        function = self.namespace[self.kind]
+        function.__code__ = function.__code__.replace(co_name=f"<{title}>")
+        function.__name__ = function.__qualname__ = f"<{title}>"
+        return function
 
     def fresh(self, prefix: str = "v") -> str:
         name = f"{prefix}{self.temps}"
@@ -165,8 +199,7 @@ class Source:
 
     def lookup(self, name: str):
         """The code and kind of the value bound to a field or parameter."""
-        self.looks_up = True
-        return self.temp(f"env[{name!r}]"), None
+        return self.temp(f"_lookup(env, {name!r})"), None
 
     def operand(self, code: str, kind, want):
         """The plain value of an operand that must be a ``want``, the test
@@ -235,15 +268,9 @@ def compile_expr(expr, constants: dict, convert=None):
     ``convert``, it returns the plain result, and checks its kind inline.
     Errors surface when the function runs, in the order in which the
     operands are evaluated, left to right."""
-    src = Source(constants)
+    src = Source(constants, "evaluate")
     src.emit(f"return {src.result(expr, convert)}")
-    lines = src.lines
-    if src.looks_up:
-        lines = ["try:", *("    " + line for line in lines),
-                 "except KeyError as missing:", "    raise _unbound(missing) from None"]
-    source = "def evaluate(env):\n" + "".join(f"    {line}\n" for line in lines)
-    exec(compile(source, f"<{syntax.format_expr(expr)}>", "exec"), src.namespace)
-    return src.namespace["evaluate"]
+    return src.finish(syntax.format_expr(expr), "env")
 
 
 def as_int(value) -> int:

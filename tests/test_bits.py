@@ -2,12 +2,30 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from wirespec.bits import EMPTY, BitString, Cursor
+from wirespec.bits import EMPTY, BitString
+from wirespec.codec import compile_node
 from wirespec.errors import NotByteAligned, Underrun
+from wirespec.resolve import RType, resolve
+from wirespec.syntax import NameRef, parse_spec
+from wirespec.values import IntVal
 
 
 def bs(bits):
     return BitString.from_bits(bits)
+
+
+# Reading is done by the codec's generated decode functions; the cursor
+# tests below drive the generated read of ``Binary(length=n)``.
+BITS_OF_N = compile_node(
+    RType("Binary", {"length": NameRef("n")}), None, resolve(parse_spec("message module E end"))
+)
+
+
+def read_bits(raw: bytes, pos: int, n: int):
+    """``Binary(length=n)`` decoded from ``raw`` at bit ``pos``: its bits
+    and the bit position past them."""
+    value, past = BITS_OF_N.decode(raw, pos, {"n": IntVal(n)})
+    return value.bits, past
 
 
 def test_append_concatenates():
@@ -17,19 +35,15 @@ def test_append_concatenates():
 
 
 def test_cursor_bits_split():
-    cur = Cursor(bytes([0x40]))
-    assert cur.bits(2) == bs("01") and cur.pos == 2
-    assert cur.bits(6) == bs("000000") and cur.pos == 8
-    cur = Cursor(bytes([0xA0]))  # 101 00000
-    assert cur.bits(0) == EMPTY and cur.pos == 0
-    assert cur.bits(3) == bs("101") and cur.pos == 3
+    assert read_bits(b"\x40", 0, 2) == (bs("01"), 2)
+    assert read_bits(b"\x40", 2, 6) == (bs("000000"), 8)
+    assert read_bits(b"\xa0", 0, 0) == (EMPTY, 0)  # 101 00000
+    assert read_bits(b"\xa0", 0, 3) == (bs("101"), 3)
 
 
 def test_cursor_underrun():
-    cur = Cursor(bytes([0x80]), 7)
-    with pytest.raises(Underrun, match="need 2 bits, have 1"):
-        cur.bits(2)
-    assert cur.pos == 7
+    with pytest.raises(Underrun, match="^need 2 bits, have 1$"):
+        read_bits(b"\x80", 7, 2)
 
 
 def test_to_bytes_msb_first():
@@ -49,14 +63,6 @@ def test_hex_and_repr():
     assert repr(bs("0101")) == "b'0101'"
 
 
-def test_concat_matches_fold():
-    parts = [bs("1"), bs(""), bs("0011"), bs("000")]
-    folded = EMPTY
-    for p in parts:
-        folded = folded.append(p)
-    assert BitString.concat(parts) == folded
-
-
 bitstrings = st.text(alphabet="01", max_size=64).map(BitString.from_bits)
 
 
@@ -74,24 +80,22 @@ def test_bytes_roundtrip(data):
 def test_cursor_bits_then_append_restores(raw, data):
     whole = BitString.from_bytes(raw)
     n = data.draw(st.integers(min_value=0, max_value=whole.length))
-    cur = Cursor(raw)
-    head = cur.bits(n)
-    rest = cur.bits(cur.remaining)
+    head, past = read_bits(raw, 0, n)
+    rest, end = read_bits(raw, past, whole.length - past)
     assert head.append(rest) == whole
-    assert head.length == n and cur.pos == whole.length
+    assert head.length == n and past == n and end == whole.length
 
 
 @given(st.binary(max_size=12), st.data())
 def test_cursor_uint_matches_bit_string(raw, data):
-    # oracle: the '0'/'1' rendering of the same bytes
+    # oracle: the '0'/'1' rendering of the same bytes, read at every bit offset
     bits = BitString.from_bytes(raw).to_bits()
-    pos = data.draw(st.integers(min_value=0, max_value=len(bits)))
-    n = data.draw(st.integers(min_value=0, max_value=len(bits) - pos + 9))
-    cur = Cursor(raw, pos)
-    if n > len(bits) - pos:
-        with pytest.raises(Underrun):
-            cur.uint(n)
-        assert cur.pos == pos
-    else:
-        assert cur.uint(n) == int(bits[pos : pos + n] or "0", 2)
-        assert cur.pos == pos + n
+    n = data.draw(st.integers(min_value=0, max_value=len(bits) + 9))
+    for pos in range(len(bits) + 1):
+        if n > len(bits) - pos:
+            with pytest.raises(Underrun, match=f"^need {n} bits, have {len(bits) - pos}$"):
+                read_bits(raw, pos, n)
+            continue
+        head, past = read_bits(raw, pos, n)
+        assert head.value == int(bits[pos:pos + n] or "0", 2)
+        assert head.to_bits() == bits[pos:pos + n] and past == pos + n

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from wirespec.bits import BitString, Cursor
+from wirespec.bits import BitString
 from wirespec.cli import bundled_spec_path
 from wirespec.codec import (
     Classified,
@@ -37,7 +37,7 @@ from wirespec.errors import (
 )
 from wirespec.generate import GenConfig, Generator
 from wirespec.resolve import CODEC_SIGNATURES, TYPE_SIGNATURES, RCodec, RType, resolve
-from wirespec.syntax import parse_spec
+from wirespec.syntax import NameRef, parse_spec
 from wirespec.values import (
     ABSENT,
     BitsVal,
@@ -75,8 +75,6 @@ def _lit(n):
 
 
 def _true():
-    from wirespec.syntax import NameRef
-
     return NameRef("true")
 
 
@@ -86,9 +84,7 @@ def test_bigendian_signed_two_complement():
     node = compile_node(INT, codec, SPEC)
     assert node.encode(IntVal(-1), {}).to_bytes() == b"\xff"
     assert node.encode(IntVal(-128), {}).to_bytes() == b"\x80"
-    cur = Cursor(b"\x80")
-    v = node.decode(cur, {})
-    assert v == IntVal(-128) and cur.pos == 8
+    assert node.decode(b"\x80", 0, {}) == (IntVal(-128), 8)
 
 
 def test_bigendian_width_enforced():
@@ -106,9 +102,7 @@ def test_bigendian_roundtrip_signed_32(n):
     node = compile_node(INT, codec, SPEC)
     bits = node.encode(IntVal(n), {})
     assert bits.to_bytes() == n.to_bytes(4, "big", signed=True)  # stdlib oracle
-    cur = Cursor(bits.to_bytes())
-    v = node.decode(cur, {})
-    assert v == IntVal(n) and cur.pos == 32
+    assert node.decode(bits.to_bytes(), 0, {}) == (IntVal(n), 32)
 
 
 BOOL = RType("Bool", {})
@@ -123,10 +117,10 @@ def test_boolbits():
     node = compile_node(BOOL, BOOLBITS, SPEC)
     assert node.encode(BoolVal(True), {}).to_bytes() == b"\xff"
     assert node.encode(BoolVal(False), {}).to_bytes() == b"\x00"
-    v = node.decode(Cursor(b"\xff"), {})
+    v, _ = node.decode(b"\xff", 0, {})
     assert v == BoolVal(True)
     with pytest.raises(ConstraintViolation):
-        node.decode(Cursor(b"\x01"), {})
+        node.decode(b"\x01", 0, {})
 
 
 TEXT = RType("Text", {})
@@ -140,10 +134,9 @@ def test_terminated_text_appends_terminator():
 
 def test_terminated_text_first_terminator_wins():
     codec = r_codec("TerminatedText", encoding="ascii", terminator=" ")
-    cur = Cursor(b"A B")
-    v = compile_node(TEXT, codec, SPEC).decode(cur, {})
+    v, pos = compile_node(TEXT, codec, SPEC).decode(b"A B", 0, {})
     assert v == TextVal("A")
-    assert cur.pos == 16
+    assert pos == 16
 
 
 def test_terminator_in_payload_rejected():
@@ -155,7 +148,7 @@ def test_terminator_in_payload_rejected():
 def test_missing_terminator_is_incomplete():
     codec = r_codec("TerminatedText", encoding="ascii", terminator="\r\n")
     with pytest.raises(MissingTerminator):
-        compile_node(TEXT, codec, SPEC).decode(Cursor(b"no line end"), {})
+        compile_node(TEXT, codec, SPEC).decode(b"no line end", 0, {})
 
 
 def test_multichar_terminator_roundtrip():
@@ -163,9 +156,8 @@ def test_multichar_terminator_roundtrip():
     node = compile_node(TEXT, codec, SPEC)
     bits = node.encode(TextVal("a1 OK done"), {})
     assert bits.to_bytes() == b"a1 OK done\r\n"
-    cur = Cursor(bits.to_bytes())
-    v = node.decode(cur, {})
-    assert v == TextVal("a1 OK done") and cur.pos == bits.length
+    v, pos = node.decode(bits.to_bytes(), 0, {})
+    assert v == TextVal("a1 OK done") and pos == bits.length
 
 
 def test_fixed_count_text():
@@ -175,9 +167,8 @@ def test_fixed_count_text():
     assert node.encode(TextVal("ABCD"), {}).to_bytes() == b"ABCD"
     with pytest.raises(Unrepresentable):
         node.encode(TextVal("ABC"), {})
-    cur = Cursor(b"ABCDE")
-    v = node.decode(cur, {})
-    assert v == TextVal("ABCD") and cur.pos == 32
+    v, pos = node.decode(b"ABCDE", 0, {})
+    assert v == TextVal("ABCD") and pos == 32
 
 
 def test_text_integer_decimal():
@@ -185,12 +176,12 @@ def test_text_integer_decimal():
     node = compile_node(INT, codec, SPEC)
     bits = node.encode(IntVal(42), {})
     assert bits.to_bytes() == b"42 "
-    v = node.decode(Cursor(bits.to_bytes()), {})
+    v, _ = node.decode(bits.to_bytes(), 0, {})
     assert v == IntVal(42)
-    v = node.decode(Cursor(b"007 "), {})
+    v, _ = node.decode(b"007 ", 0, {})
     assert v == IntVal(7)  # leading zeros accepted on decode
     with pytest.raises(ConstraintViolation):
-        node.decode(Cursor(b"4x2 "), {})
+        node.decode(b"4x2 ", 0, {})
 
 
 # --- whole messages over the bundled MyP spec --------------------------------------
@@ -204,13 +195,12 @@ def test_count_prefix_empty_list(myp_spec):
 def test_header_decode_golden(myp_spec):
     # 0x40 = bits 01 000000: flag 1, reserved zeros
     rtype = RType("Record", {}, record="Header")
-    cur = Cursor(b"\x40")
-    value = compile_node(rtype, None, myp_spec).decode(cur, {})
+    value, pos = compile_node(rtype, None, myp_spec).decode(b"\x40", 0, {})
     assert value == RecordVal(
         "Header",
         (("flag", IntVal(1)), ("reserved", BitsVal(BitString.from_bits("000000")))),
     )
-    assert cur.pos == 8
+    assert pos == 8
 
 
 def ask_value():
@@ -522,8 +512,7 @@ def test_terminated_text_at_unaligned_position():
     )
 
     def shifted(text):
-        parts = [BitString(0x5, 4), BitString.from_bytes(text), BitString(0xA, 4)]
-        return BitString.concat(parts).to_bytes()
+        return BitString(0x5, 4).append(BitString.from_bytes(text)).append(BitString(0xA, 4)).to_bytes()
 
     out = decode_message(shifted(b"ab\r\n") + b"\x40", ["X"], spec)
     assert isinstance(out, Classified) and out.consumed == 5
@@ -531,6 +520,9 @@ def test_terminated_text_at_unaligned_position():
     assert decode_message(shifted(b"ab\r"), ["X"], spec) is NEED_MORE
     out = decode_message(shifted(b"a\xe9\r\n"), ["X"], spec)
     assert out.diagnostics["X"] == "byte 0xe9 is not ASCII"
+    # the max_count window is exact: four characters and a partial
+    # terminator may still end validly, five may not
+    assert decode_message(shifted(b"abcd\r"), ["X"], spec) is NEED_MORE
     out = decode_message(shifted(b"abcde\r"), ["X"], spec)
     assert out.diagnostics["X"].endswith("exceeds max_count")
 
@@ -688,9 +680,8 @@ def _one_at_a_time(buf, spec):
     for m in spec.message_types:
         ruled_out = _contradicted(wire_prefix(spec, m), buf)
         try:
-            cur = Cursor(buf)
-            value = message_plan(spec, m).decode(cur, {})
-            if cur.pos % 8:
+            value, pos = message_plan(spec, m).decode(buf, 0, {})
+            if pos % 8:
                 raise ConstraintViolation("message does not end on a byte boundary")
         except IncompleteInput as e:
             incomplete |= not ruled_out
@@ -700,7 +691,7 @@ def _one_at_a_time(buf, spec):
             reasons.append((m, str(e)))
         else:
             assert not ruled_out, (m, buf)
-            matched.append(Classified(m, value, cur.pos // 8))
+            matched.append(Classified(m, value, pos // 8))
     if matched:
         return matched[0], [out.msg_type for out in matched[1:]]
     if incomplete:
@@ -744,7 +735,7 @@ def test_one_full_decode_per_classified_message():
         decoded = []
         for m in spec.message_types:
             plan = message_plan(spec, m)
-            plan.decode = lambda cur, env, m=m, decode=plan.decode: decoded.append(m) or decode(cur, env)
+            plan.decode = lambda data, pos, env, m=m, decode=plan.decode: decoded.append(m) or decode(data, pos, env)
         for m, wire in wires.items():
             decoded.clear()
             out = decode_message(wire, spec.message_types, spec)
@@ -1007,6 +998,83 @@ def test_golden_diagnostics(myp_spec, imap_spec):
                             got = f"{type(e).__name__}: {e}"
                         digest.update(f"{path} {got}\n".encode())
     assert digest.hexdigest() == "7877e2f532bad141d7d61d98690168acd01b6bf52e6e2b3476b91d61c106ba1d"
+
+
+# Pins of every shape: sub-byte BigEndian, FixedCountText, Binary and
+# BoolBits pins; a pin whose 16 bits a one-byte buffer matches in value
+# (b'A' reads as 0x41); a TextInteger pin; a pin that its width cannot
+# code; an enum pin that an earlier constant with its value shadows; and
+# an enum pin whose value breaks the enum's base type.
+EDGE_SPEC = """
+message module Edge
+  message S with
+    a   is Integer(value=5) as BigEndian(length=3)
+    k   is Text(value='OK') as FixedCountText()
+    b   is Binary(value=b'10110')
+    c   is Bool(value=false) as BoolBits(truth_string=b'11', falsehood_string=b'01')
+    pad is Binary(length=6)
+  end
+  message T with
+    z is Integer(value=65) as BigEndian(length=16)
+    n is Integer(value=42) as TextInteger(text_codec=Sp)
+    x is Text(max_count=4) as Sp
+  end
+  message W with
+    w is Integer(value=300) as BigEndian(length=8)
+  end
+  message Shadowed with
+    e is Code(value=second) as BigEndian(length=8)
+  end
+  message Coded with
+    f is Code(value=first) as BigEndian(length=8)
+    g is Code as BigEndian(length=8)
+  end
+  message Long with
+    l is Short(value=long) as Sp
+  end
+  enum Code of Integer with first as 1  second as 1  third as 2 end
+  enum Short of Text(max_count=2) with short as 'OK'  long as 'LONG' end
+  codec Sp is TerminatedText(encoding='ascii', terminator=' ')
+end
+"""
+
+
+def test_decode_and_encode_outcomes_are_stable(myp_spec, imap_spec):
+    """Every decode outcome, against all candidates and against one, over
+    cuts, bit flips, byte swaps, insertions and extensions of generated
+    messages and over every one-byte buffer, and every encode outcome of a
+    generated value with one part replaced, is pinned by one digest."""
+    import random
+
+    digest = hashlib.sha256()
+    for spec in (myp_spec, imap_spec, resolve(parse_spec(EDGE_SPEC))):
+        types = spec.message_types
+        rng = random.Random(19)
+        buffers = [bytes([b]) for b in range(256)]
+        for seed in range(10):
+            gen = Generator(spec, GenConfig(seed=seed))
+            for m in types:
+                value = gen.message(m)
+                try:
+                    wire = encode_message(m, value, spec)
+                except WirespecError as e:
+                    digest.update(f"{m} {type(e).__name__}: {e}\n".encode())
+                    wire = b""
+                buffers += _variants(wire, buffers[-1], rng)
+                if len(wire) > 1:
+                    k = rng.randrange(len(wire) - 1)
+                    buffers.append(wire[:k] + wire[k + 1:k + 2] + wire[k:k + 1] + wire[k + 2:])
+                for path, part in _parts(value):
+                    for new in (*_wrong_and_out_of_range(part), ABSENT):
+                        try:
+                            got = encode_message(m, _replaced(value, path, new), spec).hex()
+                        except WirespecError as e:
+                            got = f"{type(e).__name__}: {e}"
+                        digest.update(f"{m} {path} {got}\n".encode())
+        for buf in buffers:
+            digest.update(repr(decode_message(buf, types, spec, report_ambiguity=True)).encode())
+            digest.update(repr(decode_message(buf, [rng.choice(types)], spec)).encode())
+    assert digest.hexdigest() == "1e01728e41577301dffe241332f65bf6ca6e24284d74f6cc6085d91f1d73686a"
 
 
 PYTHON_NAMES_SPEC = r'''

@@ -257,10 +257,6 @@ def spec():
     return resolve(parse_spec(SPEC_SRC))
 
 
-def field_type(spec, name):
-    return next(f.type for f in spec.records["Wrap"].fields if f.name == name)
-
-
 def field_node(spec, name):
     """The node of one field of Wrap, with its codec, which encodes."""
     fld = next(f for f in spec.records["Wrap"].fields if f.name == name)
@@ -277,11 +273,10 @@ def encode_fault(node, value, env):
 
 
 def test_integer_bounds(spec):
-    t = field_type(spec, "n")
-    node = compile_node(t, None, spec)
-    assert node.check(IntVal(500), {}) is None
-    assert "above maximum" in node.check(IntVal(501), {})
-    assert node.check(IntVal(-1), {}) is not None
+    node = field_node(spec, "n")
+    assert encode_fault(node, IntVal(500), {}) is None
+    assert "above maximum" in encode_fault(node, IntVal(501), {})
+    assert encode_fault(node, IntVal(-1), {}) is not None
 
 
 def test_text_pattern_and_count():
@@ -292,12 +287,12 @@ def test_text_pattern_and_count():
         "end"
     )
     wspec = resolve(parse_spec(src))
-    tag_rtype = wspec.records["W"].fields[0].type
-    node = compile_node(tag_rtype, None, wspec)
-    assert node.check(TextVal("ABC12"), {}) is None
-    assert node.check(TextVal(""), {}) is not None
-    assert node.check(TextVal("a" * 21), {}) is not None
-    assert node.check(TextVal("no spaces"), {}) is not None
+    tag = wspec.records["W"].fields[0]
+    node = compile_node(tag.type, tag.codec, wspec)
+    assert encode_fault(node, TextVal("ABC12"), {}) is None
+    assert encode_fault(node, TextVal(""), {}) is not None
+    assert encode_fault(node, TextVal("a" * 21), {}) is not None
+    assert encode_fault(node, TextVal("no spaces"), {}) is not None
 
 
 def test_optional_exclusivity(spec):
@@ -313,11 +308,10 @@ def test_optional_exclusivity(spec):
 
 
 def test_binary_bit_pattern(spec):
-    t = field_type(spec, "pad")
-    node = compile_node(t, None, spec)
-    assert node.check(BitsVal(BitString.from_bits("00000001")), {}) is None
-    assert node.check(BitsVal(BitString.from_bits("00000000")), {}) is not None
-    assert node.check(BitsVal(BitString.from_bits("001")), {}) is not None
+    node = field_node(spec, "pad")
+    assert encode_fault(node, BitsVal(BitString.from_bits("00000001")), {}) is None
+    assert encode_fault(node, BitsVal(BitString.from_bits("00000000")), {}) is not None
+    assert encode_fault(node, BitsVal(BitString.from_bits("001")), {}) is not None
 
 
 def test_list_elements_checked(spec):
@@ -331,10 +325,9 @@ def test_list_elements_checked(spec):
 
 
 def test_enum_constants(spec):
-    t = field_type(spec, "status")
-    node = compile_node(t, None, spec)
-    assert node.check(EnumVal("Status", "ok"), {}) is None
-    assert node.check(EnumVal("Status", "maybe"), {}) is not None
+    node = field_node(spec, "status")
+    assert encode_fault(node, EnumVal("Status", "ok"), {}) is None
+    assert encode_fault(node, EnumVal("Status", "maybe"), {}) is not None
 
 
 def test_value_literals_roundtrip():
