@@ -11,7 +11,8 @@ A node's ``encode(value, env)``, ``decode(data, pos, env)`` and
 codec: they are compiled on first use, and a record inlines its fields in
 declaration order, with the values of its parameters and earlier fields in
 locals, so a whole message type, its plan, encodes, decodes or is drawn in
-one function call.  A record that can contain itself calls its own
+one function call, which builds each value and BitString in one
+``tuple.__new__`` call.  A record that can contain itself calls its own
 function where it recurs, as does one nested deep in the source.  A
 message plan is built on first use and cached on the spec.  Encode checks
 each part of the value before it writes it, into one integer; decode reads
@@ -96,6 +97,7 @@ from .values import (
     as_int,
     as_text,
     compile_expr,
+    construct,
     literal_value,
 )
 
@@ -346,7 +348,7 @@ class _Function(Source):
     def env(self) -> str:
         """The code of a dict of every name in scope, for a call."""
         items = (
-            f"{name!r}: {code if kind is None else f'{kind.__name__}({code})'}"
+            f"{name!r}: {code if kind is None else construct(kind, code)}"
             for name, (code, kind) in self.names.items()
         )
         return "{" + ", ".join(items) + "}"
@@ -359,7 +361,7 @@ def _generate(node: "Node", kind: str):
     if kind == "encode":
         fn.emit("acc = size = 0")
         node.emit_encode(fn, "value", None)
-        fn.emit("return BitString(acc, size)")
+        fn.emit(f"return {construct(BitString, 'acc', 'size')}")
         return fn.finish(f"encode {node.title}", "value, env")
     if kind == "decode":
         fn.emit("end = len(data) << 3")
@@ -558,7 +560,7 @@ class Node:
         return self.kind(pin)
 
     def wrap(self, payload: str) -> str:
-        return f"{self.kind.__name__}({payload})"
+        return construct(self.kind, payload)
 
     def entry(self, value: str, payload: str, known=_UNKNOWN) -> tuple:
         return value, None, known
@@ -774,7 +776,7 @@ class TextNode(Node):
         return f"{pin}.text"
 
     def wrap(self, text):
-        return f"TextVal({text}, {self.charset!r})"
+        return construct(TextVal, text, repr(self.charset))
 
     def emit_checks(self, fn, text, path, read=False):
         if not (read and self.alphabet >= self.readable):
@@ -931,7 +933,7 @@ class BoolBitsNode(BoolNode):
         raw = fn.read(repr(width))
         flag = fn.temp(f"{raw} == {self.truth.value}")
         fn.require(f"not {flag} and {raw} != {self.falsehood.value}", _message(
-            "bits ", _shown(f"BitString({raw}, {width})"), " are neither truth nor falsehood pattern"
+            "bits ", _shown(construct(BitString, raw, repr(width))), " are neither truth nor falsehood pattern"
         ))
         return flag
 
@@ -976,20 +978,20 @@ class BinaryNode(Node):
             if not width.isdigit():
                 width = fn.temp(width)
                 fn.require(f"{width} < 0", _message("negative bit length ", _said(width)))
-        return fn.temp(f"BitString({fn.read(width)}, {width})")
+        return fn.temp(construct(BitString, fn.read(width), width))
 
     def emit_draw(self, fn, path):
         length = fn.int_arg(self.args, "length")
         _negative(fn, path, length, "bit length")
         if self.pattern is None:
-            return fn.temp(f"BitString(getrandbits({length}), {length})")
+            return fn.temp(construct(BitString, f"getrandbits({length})", length))
         bits = fn.fresh()
         with fn.block("try:"):
             sampler = fn.ref(language(self.pattern, "01", ()))
             fn.emit(f"{bits} = {sampler}.sample(rng, {length}, {length})")
         with fn.block("except UnsatisfiableConstraint:"):
             fn.unsatisfiable(path, "no ", _said(length), f"-bit string matches {self.pattern!r}")
-        return fn.temp(f"BitString.from_bits({bits})")
+        return fn.temp(construct(BitString, f"int({bits} or '0', 2)", length))
 
 
 class ListNode(Node):
@@ -1007,7 +1009,7 @@ class ListNode(Node):
         with fn.block(f"for {index} in range({count}):"):
             item, _ = self.elem.emit_generate(fn, (*path, "[", _Code(f"str({index})"), "]"))
             fn.emit(f"{items}.append({item})")
-        value = fn.temp(f"ListVal(tuple({items}))")
+        value = fn.temp(construct(ListVal, f"tuple({items})"))
         return value, (value, None, _UNKNOWN)
 
     def add_goals(self, cov, key, seen):
@@ -1047,7 +1049,7 @@ class CountPrefixListNode(ListNode):
         with fn.block(f"for _ in range({count}):"):
             item, _ = self.elem.emit_decode(fn)
             fn.emit(f"{items}.append({item})")
-        value = fn.temp(f"ListVal(tuple({items}))")
+        value = fn.temp(construct(ListVal, f"tuple({items})"))
         return value, (value, None, _UNKNOWN)
 
 
@@ -1279,7 +1281,7 @@ class RecordNode(Node):
             record = RecordVal(self.name, tuple((name, known) for name, (_, known) in zip(self.names, values)))
             return fn.ref(record), (fn.ref(record), None, record)
         entries = "".join(f"({name!r}, {value}), " for name, (value, _) in zip(self.names, values))
-        value = fn.temp(f"RecordVal({self.name!r}, ({entries}))")
+        value = fn.temp(construct(RecordVal, repr(self.name), f"({entries})"))
         return value, (value, None, _UNKNOWN)
 
     def emit_generate(self, fn, path):

@@ -1,12 +1,18 @@
 """Semantic values and the compiler for value-level expressions.
 
 Values are what the generator produces, the codec serializes, and the
-checker validates.  Field types are dependent: their arguments are
-expressions over earlier fields of the same record.  :func:`compile_expr`
-turns an expression into the source of one Python function over a plain
-dict of the field and parameter values known so far; the function
-computes on plain ints and bools and wraps its result once, or, for an
-integer or boolean argument, returns it plain.  It runs when code is
+checker validates.  Each value is an immutable tuple of its fields, a
+:class:`~wirespec.bits.FrozenFields` over a :func:`~collections.namedtuple`,
+that compares, hashes and shows as a frozen dataclass would; generated
+code builds one with ``tuple.__new__``, in one C call (see
+:func:`construct`), and everything else with its class.
+
+Field types are dependent: their arguments are expressions over earlier
+fields of the same record.  :func:`compile_expr` turns an expression into
+the source of one Python function over a plain dict of the field and
+parameter values known so far; the function computes on plain ints and
+bools and wraps its result once, or, for an integer or boolean argument,
+returns it plain.  It runs when code is
 generated or the resolver folds a constant, never once per message.
 :class:`Source`, the compiler behind it, builds every function that
 wirespec generates: it also inlines expressions into the functions of
@@ -20,58 +26,78 @@ from __future__ import annotations
 
 import hashlib
 import linecache
+from collections import namedtuple
 from contextlib import contextmanager
-from dataclasses import dataclass
 
-from .bits import BitString
+from .bits import BitString, FrozenFields, _new
 from .errors import DivisionByZero, TypeMismatch, UnboundName
 from . import syntax
 
 
 # --- value model ---------------------------------------------------------------
 
-@dataclass(frozen=True)
-class IntVal:
-    value: int
+class IntVal(FrozenFields, namedtuple("IntVal", "value")):
+    __slots__ = ()
+
+    def __new__(cls, value: int):
+        return _new(cls, (value,))
 
 
-@dataclass(frozen=True)
-class TextVal:
-    text: str
-    charset: str = "ascii"
+class TextVal(FrozenFields, namedtuple("TextVal", "text charset")):
+    __slots__ = ()
+
+    def __new__(cls, text: str, charset: str = "ascii"):
+        return _new(cls, (text, charset))
 
 
-@dataclass(frozen=True)
-class BitsVal:
-    bits: BitString
+class BitsVal(FrozenFields, namedtuple("BitsVal", "bits")):
+    __slots__ = ()
+
+    def __new__(cls, bits: BitString):
+        return _new(cls, (bits,))
 
 
-@dataclass(frozen=True)
-class BoolVal:
-    value: bool
+class BoolVal(FrozenFields, namedtuple("BoolVal", "value")):
+    __slots__ = ()
+
+    def __new__(cls, value: bool):
+        return _new(cls, (value,))
 
 
-@dataclass(frozen=True)
-class ListVal:
-    items: tuple
+class ListVal(FrozenFields, namedtuple("ListVal", "items")):
+    __slots__ = ()
+
+    def __new__(cls, items: tuple):
+        return _new(cls, (items,))
 
 
-@dataclass(frozen=True)
-class EnumVal:
-    enum: str
-    constant: str
+class EnumVal(FrozenFields, namedtuple("EnumVal", "enum constant")):
+    __slots__ = ()
+
+    def __new__(cls, enum: str, constant: str):
+        return _new(cls, (enum, constant))
 
 
-@dataclass(frozen=True)
-class RecordVal:
-    type_name: str
-    entries: tuple  # ordered (field name, value) pairs
+class RecordVal(FrozenFields, namedtuple("RecordVal", "type_name entries")):
+    __slots__ = ()
+
+    def __new__(cls, type_name: str, entries: tuple):
+        # entries: ordered (field name, value) pairs
+        return _new(cls, (type_name, entries))
 
     def get(self, name: str):
         for k, v in self.entries:
             if k == name:
                 return v
         raise KeyError(name)
+
+
+def construct(cls, *fields: str) -> str:
+    """The source that builds a ``cls``, a value class or BitString, from
+    the source of its fields, in one C call: the class's own ``__new__``
+    and its checks do not run."""
+    items = ", ".join(fields) + ("," if len(fields) == 1 else "")
+    return f"_new({cls.__name__}, ({items}))"
 
 
 class _Absent:
@@ -145,6 +171,7 @@ class Source:
         self.lines = []
         self.indent = "    "
         self.namespace = {
+            "_new": _new,
             "IntVal": IntVal,
             "BoolVal": BoolVal,
             "DivisionByZero": DivisionByZero,
@@ -206,10 +233,10 @@ class Source:
         that fails when it is not (None when it cannot fail), and the
         operand's value for a message."""
         if kind is want:
-            return code, None, f"{want.__name__}({code})"
+            return code, None, construct(want, code)
         if kind is None:
             return f"{code}.value", f"not isinstance({code}, {want.__name__})", code
-        return code, "True", f"{kind.__name__}({code})"
+        return code, "True", construct(kind, code)
 
     def compile(self, expr):
         if isinstance(expr, syntax.NameRef):
@@ -254,7 +281,7 @@ class Source:
             if test:
                 self.emit(f"if {test}: {self.ref(convert)}({shown})  # raises")
             return raw
-        result = code if kind is None else f"{kind.__name__}({code})"
+        result = code if kind is None else construct(kind, code)
         return result if convert is None else f"{self.ref(convert)}({result})"
 
 

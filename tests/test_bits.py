@@ -1,3 +1,6 @@
+import copy
+import pickle
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -99,3 +102,33 @@ def test_cursor_uint_matches_bit_string(raw, data):
         head, past = read_bits(raw, pos, n)
         assert head.value == int(bits[pos:pos + n] or "0", 2)
         assert head.to_bits() == bits[pos:pos + n] and past == pos + n
+
+
+def test_bit_string_contract():
+    bits = BitString(5, 3)
+    assert repr(bits) == "b'101'" and repr(BitString()) == "b''" and repr(BitString(10, 8)) == "X'0a'"
+    assert hash(bits) == hash((5, 3))
+    assert bits == BitString(value=5, length=3) and not bits != BitString(5, 3)
+    assert bits != BitString(5, 4) and bits != BitString(4, 3)
+    # a plain tuple of the same fields is another class
+    assert BitString(1, 1) != (1, 1) and not BitString(1, 1) == (1, 1)
+    assert (1, 1) != BitString(1, 1) and not (1, 1) == BitString(1, 1)
+    assert bits.__eq__(5) is NotImplemented and bits.__ne__(5) is NotImplemented
+    for name in ("value", "length", "other"):
+        with pytest.raises(AttributeError):
+            setattr(bits, name, 1)
+    with pytest.raises(TypeError):
+        bits < bits  # noqa: B015
+    for copied in (copy.copy(bits), copy.deepcopy(bits), pickle.loads(pickle.dumps(bits))):
+        assert type(copied) is BitString and copied == bits and len(copied) == 3
+
+
+def test_bit_string_construction():
+    assert BitString() == BitString(0, 0) == EMPTY
+    assert len(BitString(5, 3)) == 3 and len(EMPTY) == 0
+    assert not BitString() and BitString(0, 1)
+    for value, length in ((5, 2), (-1, 3), (0, -1), (2, 1)):
+        with pytest.raises(ValueError):
+            BitString(value, length)
+    with pytest.raises(ValueError):
+        BitString.from_bits("012")

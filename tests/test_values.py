@@ -1,4 +1,6 @@
+import copy
 import operator
+import pickle
 import re
 from types import SimpleNamespace
 
@@ -378,3 +380,70 @@ def test_notation_roundtrips_every_message(myp_spec, imap_spec):
                 assert message_plan(spec, m).retype(parse_value_text(format_value(v))) == v
                 count += 1
     assert count == 690
+
+
+# The value contract: each value class compares equal only to its own
+# class, hashes as the tuple of its fields, shows its fields by name, is
+# immutable and unordered, and survives copy and pickle.
+EACH_CLASS = [
+    (IntVal(5), (5,), "IntVal(value=5)"),
+    (TextVal("hi"), ("hi", "ascii"), "TextVal(text='hi', charset='ascii')"),
+    (BitsVal(BitString(5, 3)), (BitString(5, 3),), "BitsVal(bits=b'101')"),
+    (BoolVal(True), (True,), "BoolVal(value=True)"),
+    (ListVal((IntVal(1), ABSENT)), ((IntVal(1), ABSENT),), "ListVal(items=(IntVal(value=1), absent))"),
+    (EnumVal("Status", "ok"), ("Status", "ok"), "EnumVal(enum='Status', constant='ok')"),
+    (
+        RecordVal("R", (("n", IntVal(1)),)),
+        ("R", (("n", IntVal(1)),)),
+        "RecordVal(type_name='R', entries=(('n', IntVal(value=1)),))",
+    ),
+]
+
+
+@pytest.mark.parametrize("value, fields, shown", EACH_CLASS, ids=lambda x: type(x).__name__)
+def test_value_contract(value, fields, shown):
+    cls = type(value)
+    assert repr(value) == shown
+    assert hash(value) == hash(fields)
+    assert value == cls(*fields) and not value != cls(*fields)
+    # a plain tuple of the same fields is another class
+    assert value != fields and not value == fields
+    assert fields != value and not fields == value
+    assert value.__eq__(object()) is NotImplemented and value.__ne__(object()) is NotImplemented
+    for name in (cls.__match_args__[0], "other"):
+        with pytest.raises(AttributeError):
+            setattr(value, name, fields[0])
+    with pytest.raises(TypeError):
+        value < value  # noqa: B015
+    for copied in (copy.copy(value), copy.deepcopy(value), pickle.loads(pickle.dumps(value))):
+        assert type(copied) is cls and copied == value and repr(copied) == shown
+
+
+def test_values_of_other_classes_differ():
+    for a, b in ((IntVal(1), BoolVal(True)), (IntVal(0), BoolVal(False)), (IntVal(1), (1,))):
+        assert a != b and b != a
+        assert not a == b and not b == a
+    assert IntVal(1) != IntVal(2) and not IntVal(1) == IntVal(2)
+    assert RecordVal("R", (("n", IntVal(1)),)) != RecordVal("R", (("n", BoolVal(True)),))
+
+
+def test_keyword_and_default_construction():
+    assert TextVal("a") == TextVal("a", "ascii") == TextVal(text="a", charset="ascii")
+    assert TextVal("a", charset="latin-1").charset == "latin-1"
+    assert IntVal(value=3) == IntVal(3)
+    assert BoolVal(value=False) == BoolVal(False)
+    assert BitsVal(bits=BitString(1, 1)) == BitsVal(BitString(1, 1))
+    assert ListVal(items=()) == ListVal(())
+    assert EnumVal(enum="E", constant="c") == EnumVal("E", "c")
+    assert RecordVal(type_name="R", entries=()) == RecordVal("R", ())
+    with pytest.raises(TypeError):
+        IntVal()
+    with pytest.raises(TypeError):
+        TextVal("a", "ascii", "extra")
+
+
+def test_record_get():
+    record = RecordVal("R", (("n", IntVal(1)), ("t", TextVal("x"))))
+    assert record.get("t") == TextVal("x")
+    with pytest.raises(KeyError):
+        record.get("missing")
