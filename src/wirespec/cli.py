@@ -42,6 +42,11 @@ def _load(path: str) -> ResolvedSpec:
 
 def cmd_check(args) -> int:
     spec = _load(args.spec)
+    # a plan's pins and enum constants are checked when it is built, and
+    # every generated function of it compiles here, not at first use
+    for name in spec.message_types:
+        plan = message_plan(spec, name)
+        plan.encode, plan.decode, plan.generate
     print(f"module {spec.name}: {len(spec.message_types)} message types, "
           f"{len(spec.records) - len(spec.message_types)} records, "
           f"{len(spec.enums)} enums, {len(spec.actors)} actors")
@@ -210,7 +215,7 @@ def main(argv=None) -> int:
     def add_spec(p):
         p.add_argument("spec", help="spec file path, or bundled:myp / bundled:imap_subset")
 
-    p = sub.add_parser("check", help="parse and resolve a spec, print a summary")
+    p = sub.add_parser("check", help="parse, resolve and compile a spec, print a summary")
     add_spec(p)
     p.set_defaults(fn=cmd_check)
 

@@ -14,7 +14,12 @@ locals, so a whole message type, its plan, encodes, decodes or is drawn in
 one function call, which builds each value and BitString in one
 ``tuple.__new__`` call.  A record that can contain itself calls its own
 function where it recurs, as does one nested deep in the source.  A
-message plan is built on first use and cached on the spec.  Encode checks
+message plan is built on first use and cached on the spec.  Building it
+checks that every value the spec fixes is one its field codes: each pin
+that the known names fix goes through its node's own ``encode``, and each
+enum constant through the base type and the field's codec; a rejected one
+is a ResolutionError naming the field path (``X.w``) and the enum
+constant.  The resolver rejects two constants with one value.  Encode checks
 each part of the value before it writes it, into one integer; decode reads
 each part, then checks it.  Decoding reads the bytes themselves from bit
 ``pos`` and returns the value with the bit position past it, so a field
@@ -42,7 +47,8 @@ Classification lets only candidates that can still match decide.  Each
 node states the static facts about the leading bits of its wire form
 (:class:`WirePrefix`): literal bits, a known pin's encoding; "skip through
 terminator T", for an unpinned terminated text at a byte boundary, with
-the first bytes its pattern allows; and nothing past anything else.  One
+the first bytes its pattern allows; and nothing past anything else.  A
+plan computes its message's facts once.  One
 :class:`Classifier` per candidate list, a list of one included, is built
 on first use and cached on the spec.  It merges the candidates' facts into
 one tree and compiles the tree to one generated function, ``<classify
@@ -72,6 +78,7 @@ from .errors import (
     IncompleteInput,
     MissingTerminator,
     NotByteAligned,
+    ResolutionError,
     TerminatorInPayload,
     TypeMismatch,
     Underrun,
@@ -212,8 +219,8 @@ class _Function(Source):
     outside any record, other names are looked up in ``env``.  An argument
     whose value is fixed is computed once, here, into a literal.
     ``inlining`` lists the records whose fields are being inlined.  The
-    walk that finds wire-prefix facts keeps its known names in one that
-    is never compiled."""
+    walks that check a plan and find its wire-prefix facts keep their
+    known names in one that is never compiled."""
 
     def __init__(self, node: "Node", kind: str):
         super().__init__(node.constants, kind)
@@ -384,13 +391,27 @@ def compile_node(rtype: RType, rcodec: RCodec | None, spec: ResolvedSpec) -> "No
 
 
 def message_plan(spec: ResolvedSpec, msg_type: str) -> "RecordNode":
-    """The node of a whole message type, compiled on first use and cached on the spec."""
+    """The node of a whole message type, built on first use and cached on
+    the spec.  It is checked when it is built, before any of its functions
+    compiles: a value the spec fixes that its own field cannot code is a
+    ResolutionError (see :meth:`Node.check`)."""
     plan = spec.plans.get(msg_type)
     if plan is None:
         record = spec.message_record(msg_type)
         plan = compile_node(RType("Record", {}, record=record.name), None, spec)
+        _check(plan, msg_type, [])
         spec.plans[msg_type] = plan
     return plan
+
+
+def _check(node: "Node", path: str, alone: list):
+    """Check ``node`` as its own generated functions see it, from no known
+    names (see :meth:`Node.check`).  ``alone`` lists the records, as (name,
+    arguments) pairs, that a walk has checked so: each is compiled on its own
+    where it recurs, and a walk checks it once."""
+    fn = _Function(node, "check")
+    fn.alone = alone
+    node.check(fn, path)
 
 
 # --- wire-prefix facts ------------------------------------------------------------
@@ -480,14 +501,20 @@ class Node:
     ``seen`` holds the records added so far.  ``retype(value)`` fills in the
     record and enum names value literals omit, and keeps a value of another kind.
 
-    A known pin is its encoding: :meth:`fixed` gives the pin and the bits
-    that the node's own ``encode`` writes for it, when the node is
-    ``canonical`` (each value has one encoding and decode accepts no
-    other).  Such a pin decodes by one guarded comparison with those bits,
-    and ``wire_prefix(fn, facts)`` appends them to the :class:`WirePrefix`
-    ``facts`` as a literal.  ``wire_prefix`` appends what the node's wire
-    form starts with and returns the value that any successful decode
-    yields when the facts fix it, else None; the :class:`_Function` ``fn``
+    A value the spec fixes must be one its field codes: ``check(fn,
+    path)`` runs each pin that the known names fix through the node's own
+    ``encode``, and an enum node each constant through its base type and
+    codec, and raises ResolutionError, naming the field ``path``, where one
+    is rejected; a pin whose ``encode`` needs a name the walk does not know
+    is left to the functions that run.  Every plan is checked this way
+    when it is built.  A known pin is then its encoding: :meth:`fixed`
+    gives the pin and the bits that the node's own ``encode`` writes for
+    it.  Where the node is ``canonical`` (each value has one encoding and
+    decode accepts no other), such a pin decodes by one guarded comparison
+    with those bits, and ``wire_prefix(fn, facts)`` appends them to the
+    :class:`WirePrefix` ``facts`` as a literal.  ``wire_prefix`` appends
+    what the node's wire form starts with and returns the value that any
+    successful decode yields when the facts fix it, else None; the :class:`_Function` ``fn``
     holds the names known so far, and where the facts end it raises
     EndOfFacts.  TextInteger is not canonical, as it reads ``05`` and ``-0``
     too; an unpinned terminated text gives a skip through its terminator,
@@ -533,21 +560,34 @@ class Node:
         return value
 
     def fixed(self, fn):
-        """``(value, bits)``: the value every successful decode of a
-        canonical node yields, and its one encoding, written by the node's
-        own ``encode``, which checks it too; _UNKNOWN when the known names
-        do not fix the pin or that ``encode`` rejects it."""
-        pin = fn.static(self.args, "value", self.convert) if self.canonical else _UNKNOWN
+        """``(value, bits)``: the pin that the known names fix, and the bits
+        the node's own ``encode`` writes for it, which checks it too;
+        _UNKNOWN when they fix no pin, or when that ``encode`` needs a name
+        they do not fix.  A pin that ``encode`` rejects raises its error,
+        which :meth:`check` makes a ResolutionError before any compile."""
+        pin = fn.static(self.args, "value", self.convert)
         if pin is _UNKNOWN:
             return _UNKNOWN
         value = self.pinned(pin)
         try:
             return value, self.encode(value, fn.known)
-        except WirespecError:
+        except EvalError:
             return _UNKNOWN
 
+    def check(self, fn, path: str):
+        """Raise ResolutionError, naming the field ``path``, where a value
+        that the spec fixes, here a pin that the known names fix, is one that
+        the node's own ``encode`` rejects.  Give that pin, else _UNKNOWN, as
+        generating binds it for later fields."""
+        try:
+            self.fixed(fn)
+        except WirespecError as e:
+            raise ResolutionError(f"{path}: the pinned value cannot be coded: {e}") from None
+        pin = fn.static(self.args, "value", self.convert)
+        return pin if pin is _UNKNOWN else self.pinned(pin)
+
     def wire_prefix(self, fn, facts):
-        fixed = self.fixed(fn)
+        fixed = self.fixed(fn) if self.canonical else _UNKNOWN
         if fixed is _UNKNOWN:
             raise EndOfFacts
         facts.literal(fixed[1])
@@ -602,7 +642,7 @@ class Node:
         return pin
 
     def emit_decode(self, fn):
-        fixed = self.fixed(fn)
+        fixed = self.fixed(fn) if self.canonical else _UNKNOWN
         if fixed is not _UNKNOWN:
             return self.emit_pinned(fn, *fixed)
         payload = self.emit_payload(fn)
@@ -1012,6 +1052,10 @@ class ListNode(Node):
         value = fn.temp(construct(ListVal, f"tuple({items})"))
         return value, (value, None, _UNKNOWN)
 
+    def check(self, fn, path):
+        self.elem.check(fn, f"{path}[]")
+        return _UNKNOWN
+
     def add_goals(self, cov, key, seen):
         self.elem.add_goals(cov, key, seen)
 
@@ -1054,7 +1098,10 @@ class CountPrefixListNode(ListNode):
 
 
 class EnumNode(Node):
-    """Maps constants to and from their values, which code as the enum's base type."""
+    """Maps constants to and from their values, which code as the enum's
+    base type.  Each constant's value has its own encoding, which decodes as
+    that constant alone: the resolver rejects two constants with one value,
+    and :meth:`check` a value that the base type and codec reject."""
 
     def __init__(self, rtype, rcodec, spec):
         super().__init__(rtype, rcodec, spec)
@@ -1065,10 +1112,9 @@ class EnumNode(Node):
         self.base = compile_node(enum.base, rcodec, spec)
         self.canonical = self.base.canonical
         self.convert = self.as_constant
-        # each constant's payload, and the constant each payload decodes as:
-        # the first of two constants with one value wins
+        # each constant's payload, and the constant each payload decodes as
         self.payloads = {c: getattr(v, self.base.payload) for c, v in enum.constants.items()}
-        self.by_payload = {self.payloads[c.constant]: c for c in reversed(self.choices)}
+        self.by_payload = {self.payloads[c.constant]: c for c in self.choices}
 
     @property
     def title(self):
@@ -1108,22 +1154,24 @@ class EnumNode(Node):
     def known(self, fn, value):
         return fn.ref(value), (fn.ref(value), None, value)
 
-    def shadowed(self, fn, pin: EnumVal) -> bool:
-        """Whether a pin's bits decode as something else, or not at all: an
-        earlier constant with its value takes them, or its value breaks the
-        base type's rules, which the enum's own encode does not check."""
-        value = self.values[pin.constant]
-        if self.by_payload[getattr(value, self.base.payload)] != pin:
-            return True
-        try:
-            self.base.encode(value, fn.known)
-        except WirespecError:
-            return True
-        return False
+    def check(self, fn, path):
+        """Every constant, through the base type and the field's codec:
+        the enum's own ``encode`` writes a value without the base type's
+        checks, and decode applies them."""
+        for constant, value in self.values.items():
+            try:
+                self.base.encode(value, fn.known)
+            except EvalError:
+                pass  # the codec needs a name the walk does not know
+            except WirespecError as e:
+                raise ResolutionError(
+                    f"{path}: enum {self.name} constant {constant!r} cannot be coded: {e}"
+                ) from None
+        return super().check(fn, path)
 
     def emit_decode(self, fn):
-        fixed = self.fixed(fn)
-        if fixed is not _UNKNOWN and not self.shadowed(fn, fixed[0]):
+        fixed = self.fixed(fn) if self.canonical else _UNKNOWN
+        if fixed is not _UNKNOWN:
             return self.emit_pinned(fn, *fixed)
         constant = self.emit_payload(fn)
         return constant, (constant, None, _UNKNOWN)
@@ -1177,6 +1225,10 @@ class OptionalNode(Node):
 
     def emit_decode(self, fn):
         return self.emit_guarded(fn, lambda: self.subject.emit_decode(fn))
+
+    def check(self, fn, path):
+        self.subject.check(fn, path)
+        return _UNKNOWN
 
     def emit_generate(self, fn, path):
         return self.emit_guarded(fn, lambda: self.subject.emit_generate(fn, path))
@@ -1295,6 +1347,20 @@ class RecordNode(Node):
             return value, (value, None, _UNKNOWN)
         return self.emit_fields(fn, lambda name, node: node.emit_generate(fn, (*path, f".{name}")))
 
+    def check(self, fn, path):
+        target = self.recurs(fn)
+        if target is None:
+            with fn.record(self):
+                for name, node in self.fields:
+                    value = node.check(fn, f"{path}.{name}")
+                    if value is not _UNKNOWN:
+                        fn.bind(name, fn.ref(value), None, value)
+        elif target is self and (self.name, self.rtype.args) not in fn.alone:
+            # where it recurs with other arguments, it is compiled on its own
+            fn.alone.append((self.name, self.rtype.args))
+            _check(self, path, fn.alone)
+        return _UNKNOWN
+
     def wire_prefix(self, fn, facts):
         with fn.record(self):
             for name, node in self.fields:
@@ -1302,6 +1368,21 @@ class RecordNode(Node):
                 if value is not None:
                     fn.bind(name, fn.ref(value), None, value)
         return None
+
+    @cached_property
+    def prefix_segments(self) -> tuple:
+        """The :class:`WirePrefix` segments that every wire form of this
+        record starts with, from no known names, up to its last literal: a
+        skip past that rules out nothing."""
+        facts = WirePrefix()
+        try:
+            self.wire_prefix(_Function(self, "wire_prefix"), facts)
+        except EndOfFacts:
+            pass  # the facts found so far hold
+        segments = facts.segments
+        while segments and segments[-1][0] == "skip":
+            segments.pop()
+        return tuple(segments)
 
     def add_goals(self, cov, key, seen):
         if self.name in seen:
@@ -1366,17 +1447,9 @@ class InvalidFormat:
 
 def wire_prefix(spec: ResolvedSpec, msg_type: str) -> list:
     """The segments of :class:`WirePrefix` that every wire form of a message
-    type starts with, up to its last literal: a skip past that rules out
-    nothing."""
-    facts, plan = WirePrefix(), message_plan(spec, msg_type)
-    try:
-        plan.wire_prefix(_Function(plan, "wire_prefix"), facts)
-    except (EndOfFacts, WirespecError):
-        pass  # the facts found so far hold
-    segments = facts.segments
-    while segments and segments[-1][0] == "skip":
-        segments.pop()
-    return segments
+    type starts with, up to its last literal, computed once per plan (see
+    :meth:`RecordNode.prefix_segments`); a fresh list on each call."""
+    return list(message_plan(spec, msg_type).prefix_segments)
 
 
 class _Branch:

@@ -231,7 +231,12 @@ class _Resolver:
             if _LITERAL_KINDS.get(type(literal)) != kind:
                 raise ResolutionError(f"enum {decl.name}: constants must be {base.base} literals")
             value = literal_value(literal)
-            constants[cname] = TextVal(value.text, charset) if isinstance(value, TextVal) else value
+            value = TextVal(value.text, charset) if isinstance(value, TextVal) else value
+            # a value decodes as one constant only
+            same = next((c for c, v in constants.items() if v == value), None)
+            if same is not None:
+                raise ResolutionError(f"enum {decl.name}: constants {same!r} and {cname!r} have one value")
+            constants[cname] = value
             self.constants[cname] = EnumVal(decl.name, cname)
         return EnumDef(decl.name, base, constants)
 

@@ -49,6 +49,14 @@ def test_check_reports_resolution_errors(tmp_path):
     assert "later field 'b'" in err
 
 
+def test_check_reports_a_pin_its_codec_cannot_code(tmp_path):
+    bad = tmp_path / "pin.wspec"
+    bad.write_text("message module M message X with w is Integer(value=300) as BigEndian(length=8) end end")
+    code, out, err = run_cli("check", str(bad))
+    assert (code, out) == (1, "")
+    assert err == "error: X.w: the pinned value cannot be coded: 300 does not fit 8-bit unsigned\n"
+
+
 def test_graph_dumps_edges():
     code, out, _ = run_cli("graph", MYP, "--actor", "Server")
     assert code == 0
