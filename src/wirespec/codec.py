@@ -14,12 +14,14 @@ locals, so a whole message type, its plan, encodes, decodes or is drawn in
 one function call, which builds each value and BitString in one
 ``tuple.__new__`` call.  A record that can contain itself calls its own
 function where it recurs, as does one nested deep in the source.  A
-message plan is built on first use and cached on the spec.  Building it
-checks that every value the spec fixes is one its field codes: each pin
-that the known names fix goes through its node's own ``encode``, and each
-enum constant through the base type and the field's codec; a rejected one
-is a ResolutionError naming the field path (``X.w``) and the enum
-constant.  The resolver rejects two constants with one value.  Encode checks
+message plan is built on first use and cached on the spec.  One walk of
+it (:meth:`Node.walk`), before any of its functions compiles, records its
+wire-prefix facts and coverage goals and checks that every value the spec
+fixes is one its field codes: each pin that the known names fix goes
+through its node's own ``encode``, and each enum constant through the
+base type and the field's codec; a rejected one is a ResolutionError
+naming the field path (``X.w``) and the enum constant.  The resolver
+rejects two constants with one value.  Encode checks
 each part of the value before it writes it, into one integer; decode reads
 each part, then checks it.  Decoding reads the bytes themselves from bit
 ``pos`` and returns the value with the bit position past it, so a field
@@ -45,10 +47,10 @@ so tracebacks and debuggers show the emitted lines.
 
 Classification lets only candidates that can still match decide.  Each
 node states the static facts about the leading bits of its wire form
-(:class:`WirePrefix`): literal bits, a known pin's encoding; "skip through
+(:class:`PlanFacts`): literal bits, a known pin's encoding; "skip through
 terminator T", for an unpinned terminated text at a byte boundary, with
 the first bytes its pattern allows; and nothing past anything else.  A
-plan computes its message's facts once.  One
+plan's walk records its message's facts.  One
 :class:`Classifier` per candidate list, a list of one included, is built
 on first use and cached on the spec.  It merges the candidates' facts into
 one tree and compiles the tree to one generated function, ``<classify
@@ -217,19 +219,19 @@ class _Function(Source):
     holds their values (see :class:`~wirespec.values.Source`), and
     ``known`` those whose values are fixed when the source is generated;
     outside any record, other names are looked up in ``env``.  An argument
-    whose value is fixed is computed once, here, into a literal.
+    whose value is fixed is computed once, here, into a literal, by
+    ``evaluators``, those the spec's functions share (else its own).
     ``inlining`` lists the records whose fields are being inlined.  The
-    walks that check a plan and find its wire-prefix facts keep their
-    known names in one that is never compiled."""
+    walk of a plan keeps its known names in one that is never compiled."""
 
-    def __init__(self, node: "Node", kind: str):
+    def __init__(self, node: "Node", kind: str, evaluators: dict | None = None):
         super().__init__(node.constants, kind)
         self.namespace.update(_RUNTIME)
         self.names = {}
         self.known = {}
         self.from_env = True
         self.inlining = []
-        self.evaluators = {}  # (id of an expression, converter) -> its compiled function
+        self.evaluators = {} if evaluators is None else evaluators
 
     def lookup(self, name):
         found = self.names.get(name)
@@ -242,14 +244,15 @@ class _Function(Source):
         if name not in args:
             return _UNKNOWN
         literal = literal_value(args[name])
+        # the expression stays beside its evaluator, so its id is never reused
         key = id(args[name]), convert
-        evaluate = self.evaluators.get(key)
-        if evaluate is None and literal is None:
-            evaluate = self.evaluators[key] = compile_expr(args[name], self.constants, convert)
+        found = self.evaluators.get(key)
+        if found is None and literal is None:
+            found = self.evaluators[key] = args[name], compile_expr(args[name], self.constants, convert)
         try:
             if literal is not None:
                 return literal if convert is None else convert(literal)
-            return evaluate(self.known)
+            return found[1](self.known)
         except EvalError:
             return _UNKNOWN
 
@@ -364,7 +367,7 @@ class _Function(Source):
 def _generate(node: "Node", kind: str):
     """The generated function ``kind`` of ``node``: ``encode``, ``decode``
     or ``generate``."""
-    fn = _Function(node, kind)
+    fn = _Function(node, kind, node.spec.evaluators)
     if kind == "encode":
         fn.emit("acc = size = 0")
         node.emit_encode(fn, "value", None)
@@ -392,55 +395,67 @@ def compile_node(rtype: RType, rcodec: RCodec | None, spec: ResolvedSpec) -> "No
 
 def message_plan(spec: ResolvedSpec, msg_type: str) -> "RecordNode":
     """The node of a whole message type, built on first use and cached on
-    the spec.  It is checked when it is built, before any of its functions
-    compiles: a value the spec fixes that its own field cannot code is a
-    ResolutionError (see :meth:`Node.check`)."""
+    the spec.  One walk of it (see :meth:`Node.walk`), before any of its
+    functions compiles, checks it, where a value the spec fixes that its own
+    field cannot code is a ResolutionError, and leaves what it finds on the
+    plan as ``facts``, its :class:`PlanFacts`."""
     plan = spec.plans.get(msg_type)
     if plan is None:
         record = spec.message_record(msg_type)
         plan = compile_node(RType("Record", {}, record=record.name), None, spec)
-        _check(plan, msg_type, [])
+        plan.facts = PlanFacts()
+        plan.facts.walk(plan, msg_type)
+        segments = plan.facts.segments
+        while segments and segments[-1][0] == "skip":
+            segments.pop()  # a skip past the last literal rules out nothing
         spec.plans[msg_type] = plan
     return plan
 
 
-def _check(node: "Node", path: str, alone: list):
-    """Check ``node`` as its own generated functions see it, from no known
-    names (see :meth:`Node.check`).  ``alone`` lists the records, as (name,
-    arguments) pairs, that a walk has checked so: each is compiled on its own
-    where it recurs, and a walk checks it once."""
-    fn = _Function(node, "check")
-    fn.alone = alone
-    node.check(fn, path)
+class PlanFacts:
+    """What the walk of one plan finds before any byte moves.
 
+    ``segments`` is what every wire form of its message starts with, in
+    order: ``("lit", bits)``, bits that every successful decode reads there,
+    and ``("skip", terminator, first)``, bytes through the first
+    ``terminator`` that start with a byte in the set ``first``, or any byte
+    when it is None.  The facts start at bit 0, a skip starts and ends on a
+    byte boundary and adjacent literals merge, so every literal starts on a
+    byte boundary and only the last one may end inside a byte.  Once they
+    have ended (``open`` is False), later literals and skips add nothing.
 
-# --- wire-prefix facts ------------------------------------------------------------
-
-class EndOfFacts(Exception):
-    """Raised by a node where the static facts about a wire form end."""
-
-
-class WirePrefix:
-    """What every wire form of a message starts with, as segments in order:
-    ``("lit", bits)``, bits that every successful decode reads there, and
-    ``("skip", terminator, first)``, bytes through the first ``terminator``
-    that start with a byte in the set ``first``, or any byte when it is None.
-    The facts start at bit 0, a skip starts and ends on a byte boundary and
-    adjacent literals merge, so every literal starts on a byte boundary and
-    only the last one may end inside a byte."""
+    The coverage goals are the keys of ``fields`` and ``optional``, (record,
+    field) pairs, and of ``enums``, (enum, constant) pairs, in walk order.
+    ``alone`` lists the records, as (name, arguments) pairs, walked on their
+    own, once, as each is compiled on its own where it recurs."""
 
     def __init__(self):
-        self.segments = []
+        self.segments, self.open = [], True
+        self.fields, self.optional, self.enums = {}, {}, {}
+        self.alone = []
+
+    def walk(self, node: "Node", path: str):
+        """Walk ``node`` as its own generated functions see it, from no known
+        names (see :meth:`Node.walk`)."""
+        fn = _Function(node, "walk", node.spec.evaluators)
+        fn.facts = self
+        node.walk(fn, path, None)
 
     def literal(self, bits: BitString):
+        if not self.open:
+            return
         if self.segments and self.segments[-1][0] == "lit":
             bits = self.segments.pop()[1].append(bits)
         self.segments.append(("lit", bits))
 
     def skip(self, terminator: bytes, first: frozenset | None):
         if self.segments and self.segments[-1][0] == "lit" and self.segments[-1][1].length % 8:
-            raise EndOfFacts
-        self.segments.append(("skip", terminator, first))
+            self.open = False
+        if self.open:
+            self.segments.append(("skip", terminator, first))
+
+    def end(self):
+        self.open = False
 
 
 # --- field nodes ------------------------------------------------------------------
@@ -496,29 +511,26 @@ class Node:
     pin, a literal where the known names fix it; a leaf draws otherwise by
     ``emit_draw``.  ``env`` maps the enclosing record's parameters and
     earlier fields to their values.
-    ``add_goals(cov, key, seen)`` adds the goals of the field ``key``, a
-    (record, field) pair, to the :class:`~wirespec.coverage.Coverage` ``cov``;
-    ``seen`` holds the records added so far.  ``retype(value)`` fills in the
-    record and enum names value literals omit, and keeps a value of another kind.
+    ``retype(value)`` fills in the record and enum names value literals
+    omit, and keeps a value of another kind.
 
-    A value the spec fixes must be one its field codes: ``check(fn,
-    path)`` runs each pin that the known names fix through the node's own
-    ``encode``, and an enum node each constant through its base type and
-    codec, and raises ResolutionError, naming the field ``path``, where one
-    is rejected; a pin whose ``encode`` needs a name the walk does not know
-    is left to the functions that run.  Every plan is checked this way
-    when it is built.  A known pin is then its encoding: :meth:`fixed`
-    gives the pin and the bits that the node's own ``encode`` writes for
-    it.  Where the node is ``canonical`` (each value has one encoding and
-    decode accepts no other), such a pin decodes by one guarded comparison
-    with those bits, and ``wire_prefix(fn, facts)`` appends them to the
-    :class:`WirePrefix` ``facts`` as a literal.  ``wire_prefix`` appends
-    what the node's wire form starts with and returns the value that any
-    successful decode yields when the facts fix it, else None; the :class:`_Function` ``fn``
-    holds the names known so far, and where the facts end it raises
-    EndOfFacts.  TextInteger is not canonical, as it reads ``05`` and ``-0``
-    too; an unpinned terminated text gives a skip through its terminator,
-    with the first bytes its pattern allows.
+    ``walk(fn, path, key)`` is the one static walk of a plan (see
+    :func:`message_plan`); the :class:`_Function` ``fn`` holds the names
+    known so far and the :class:`PlanFacts` ``fn.facts``.  It gives the pin
+    the known names fix, else _UNKNOWN, as generating binds it for later
+    fields.  It checks that each such pin, and each constant of an enum
+    through its base type and codec, is one the node's own ``encode``
+    codes, else raises ResolutionError naming the field ``path``; a pin
+    whose ``encode`` needs a name the walk does not know is left to the
+    functions that run.  It adds the goals of the field ``key``, a (record,
+    field) pair, and appends to the facts what the node's wire form starts
+    with, or ends them.  A known pin is its encoding: :meth:`fixed` gives
+    its bits.  Where the node is ``canonical`` (each value has one encoding
+    and decode accepts no other), such a pin decodes by one guarded
+    comparison with them, and is a literal of the facts.  TextInteger is
+    not canonical, as it reads ``05`` and ``-0`` too; an unpinned
+    terminated text gives a skip through its terminator, with the first
+    bytes its pattern allows.
     Each subclass is named after the type or codec it codes.
     """
 
@@ -536,6 +548,7 @@ class Node:
         self.args = rtype.args
         self.codec_args = rcodec.args if rcodec is not None else {}
         self.constants = spec.constants
+        self.spec = spec
 
     @property
     def title(self) -> str:
@@ -553,9 +566,6 @@ class Node:
     def generate(self):
         return _generate(self, "generate")
 
-    def add_goals(self, cov, key, seen):
-        pass
-
     def retype(self, value):
         return value
 
@@ -564,7 +574,7 @@ class Node:
         the node's own ``encode`` writes for it, which checks it too;
         _UNKNOWN when they fix no pin, or when that ``encode`` needs a name
         they do not fix.  A pin that ``encode`` rejects raises its error,
-        which :meth:`check` makes a ResolutionError before any compile."""
+        which :meth:`walk` makes a ResolutionError before any compile."""
         pin = fn.static(self.args, "value", self.convert)
         if pin is _UNKNOWN:
             return _UNKNOWN
@@ -574,24 +584,21 @@ class Node:
         except EvalError:
             return _UNKNOWN
 
-    def check(self, fn, path: str):
-        """Raise ResolutionError, naming the field ``path``, where a value
-        that the spec fixes, here a pin that the known names fix, is one that
-        the node's own ``encode`` rejects.  Give that pin, else _UNKNOWN, as
-        generating binds it for later fields."""
+    def walk(self, fn, path: str, key):
         try:
-            self.fixed(fn)
+            fixed = self.fixed(fn)
         except WirespecError as e:
             raise ResolutionError(f"{path}: the pinned value cannot be coded: {e}") from None
+        self.prefix(fn.facts, fixed)
         pin = fn.static(self.args, "value", self.convert)
         return pin if pin is _UNKNOWN else self.pinned(pin)
 
-    def wire_prefix(self, fn, facts):
-        fixed = self.fixed(fn) if self.canonical else _UNKNOWN
-        if fixed is _UNKNOWN:
-            raise EndOfFacts
-        facts.literal(fixed[1])
-        return fixed[0]
+    def prefix(self, facts: PlanFacts, fixed):
+        """Append what the wire form starts with, given :meth:`fixed`, or end the facts."""
+        if self.canonical and fixed is not _UNKNOWN:
+            facts.literal(fixed[1])
+        else:
+            facts.end()
 
     # leaves
 
@@ -783,10 +790,9 @@ class TextIntegerNode(IntegerNode):
                        _message(_shown(text), " is not a decimal integer"))
         return fn.temp(f"int({text})")
 
-    def wire_prefix(self, fn, facts):
+    def prefix(self, facts, fixed):
         # the text codec fixes where the digits end, never which they are
-        self.text.wire_prefix(fn, facts)
-        return None
+        self.text.prefix(facts, _UNKNOWN)
 
 
 class TextNode(Node):
@@ -898,11 +904,11 @@ class TerminatedTextNode(TextNode):
             fn.emit(f"raise MissingTerminator({f'terminator {self.terminator!r} not found'!r})")
         return fn.temp(f"{data}[:-{size}].decode('latin-1')")
 
-    def wire_prefix(self, fn, facts):
+    def prefix(self, facts, fixed):
         if "value" in self.args:
-            return super().wire_prefix(fn, facts)
-        facts.skip(self.terminator_bytes, self.first_bytes)
-        return None
+            super().prefix(facts, fixed)
+        elif facts.open:
+            facts.skip(self.terminator_bytes, self.first_bytes)
 
     @cached_property
     def first_bytes(self) -> frozenset | None:
@@ -1052,12 +1058,10 @@ class ListNode(Node):
         value = fn.temp(construct(ListVal, f"tuple({items})"))
         return value, (value, None, _UNKNOWN)
 
-    def check(self, fn, path):
-        self.elem.check(fn, f"{path}[]")
+    def walk(self, fn, path, key):
+        fn.facts.end()
+        self.elem.walk(fn, f"{path}[]", key)
         return _UNKNOWN
-
-    def add_goals(self, cov, key, seen):
-        self.elem.add_goals(cov, key, seen)
 
     def retype(self, value):
         if not isinstance(value, ListVal):
@@ -1101,7 +1105,7 @@ class EnumNode(Node):
     """Maps constants to and from their values, which code as the enum's
     base type.  Each constant's value has its own encoding, which decodes as
     that constant alone: the resolver rejects two constants with one value,
-    and :meth:`check` a value that the base type and codec reject."""
+    and :meth:`walk` a value that the base type and codec reject."""
 
     def __init__(self, rtype, rcodec, spec):
         super().__init__(rtype, rcodec, spec)
@@ -1154,11 +1158,12 @@ class EnumNode(Node):
     def known(self, fn, value):
         return fn.ref(value), (fn.ref(value), None, value)
 
-    def check(self, fn, path):
-        """Every constant, through the base type and the field's codec:
+    def walk(self, fn, path, key):
+        """Every constant too, through the base type and the field's codec:
         the enum's own ``encode`` writes a value without the base type's
         checks, and decode applies them."""
         for constant, value in self.values.items():
+            fn.facts.enums[self.name, constant] = None
             try:
                 self.base.encode(value, fn.known)
             except EvalError:
@@ -1167,7 +1172,7 @@ class EnumNode(Node):
                 raise ResolutionError(
                     f"{path}: enum {self.name} constant {constant!r} cannot be coded: {e}"
                 ) from None
-        return super().check(fn, path)
+        return super().walk(fn, path, key)
 
     def emit_decode(self, fn):
         fixed = self.fixed(fn) if self.canonical else _UNKNOWN
@@ -1188,10 +1193,6 @@ class EnumNode(Node):
         else:
             value = fn.temp(f"{fn.ref(self.choices)}[{fn.below(len(self.choices))}]")
         return value, (value, None, _UNKNOWN)
-
-    def add_goals(self, cov, key, seen):
-        for constant in self.values:
-            cov.enums.setdefault((self.name, constant), 0)
 
     def retype(self, value):
         return EnumVal(self.name, value.constant) if isinstance(value, EnumVal) else value
@@ -1226,16 +1227,14 @@ class OptionalNode(Node):
     def emit_decode(self, fn):
         return self.emit_guarded(fn, lambda: self.subject.emit_decode(fn))
 
-    def check(self, fn, path):
-        self.subject.check(fn, path)
+    def walk(self, fn, path, key):
+        fn.facts.end()
+        fn.facts.optional[key] = None
+        self.subject.walk(fn, path, key)
         return _UNKNOWN
 
     def emit_generate(self, fn, path):
         return self.emit_guarded(fn, lambda: self.subject.emit_generate(fn, path))
-
-    def add_goals(self, cov, key, seen):
-        cov.optional.setdefault(key, [0, 0])
-        self.subject.add_goals(cov, key, seen)
 
     def retype(self, value):
         return value if value is ABSENT else self.subject.retype(value)
@@ -1250,7 +1249,6 @@ class RecordNode(Node):
         self.rtype = rtype
         self.record = spec.records[rtype.record]
         self.name = self.record.name
-        self.spec = spec
         self.names = [f.name for f in self.record.fields]
 
     @property
@@ -1347,50 +1345,22 @@ class RecordNode(Node):
             return value, (value, None, _UNKNOWN)
         return self.emit_fields(fn, lambda name, node: node.emit_generate(fn, (*path, f".{name}")))
 
-    def check(self, fn, path):
+    def walk(self, fn, path, key):
         target = self.recurs(fn)
         if target is None:
             with fn.record(self):
                 for name, node in self.fields:
-                    value = node.check(fn, f"{path}.{name}")
+                    fn.facts.fields[self.name, name] = None
+                    value = node.walk(fn, f"{path}.{name}", (self.name, name))
                     if value is not _UNKNOWN:
                         fn.bind(name, fn.ref(value), None, value)
-        elif target is self and (self.name, self.rtype.args) not in fn.alone:
+            return _UNKNOWN
+        fn.facts.end()  # the record's function is called here
+        if target is self and (self.name, self.rtype.args) not in fn.facts.alone:
             # where it recurs with other arguments, it is compiled on its own
-            fn.alone.append((self.name, self.rtype.args))
-            _check(self, path, fn.alone)
+            fn.facts.alone.append((self.name, self.rtype.args))
+            fn.facts.walk(self, path)
         return _UNKNOWN
-
-    def wire_prefix(self, fn, facts):
-        with fn.record(self):
-            for name, node in self.fields:
-                value = node.wire_prefix(fn, facts)
-                if value is not None:
-                    fn.bind(name, fn.ref(value), None, value)
-        return None
-
-    @cached_property
-    def prefix_segments(self) -> tuple:
-        """The :class:`WirePrefix` segments that every wire form of this
-        record starts with, from no known names, up to its last literal: a
-        skip past that rules out nothing."""
-        facts = WirePrefix()
-        try:
-            self.wire_prefix(_Function(self, "wire_prefix"), facts)
-        except EndOfFacts:
-            pass  # the facts found so far hold
-        segments = facts.segments
-        while segments and segments[-1][0] == "skip":
-            segments.pop()
-        return tuple(segments)
-
-    def add_goals(self, cov, key, seen):
-        if self.name in seen:
-            return
-        seen.add(self.name)
-        for name, node in self.fields:
-            cov.fields.setdefault((self.name, name), 0)
-            node.add_goals(cov, (self.name, name), seen)
 
     def retype(self, value):
         if not isinstance(value, RecordVal):
@@ -1446,10 +1416,10 @@ class InvalidFormat:
 
 
 def wire_prefix(spec: ResolvedSpec, msg_type: str) -> list:
-    """The segments of :class:`WirePrefix` that every wire form of a message
-    type starts with, up to its last literal, computed once per plan (see
-    :meth:`RecordNode.prefix_segments`); a fresh list on each call."""
-    return list(message_plan(spec, msg_type).prefix_segments)
+    """The segments of :class:`PlanFacts` that every wire form of a message
+    type starts with, up to its last literal, recorded once per plan (see
+    :func:`message_plan`); a fresh list on each call."""
+    return list(message_plan(spec, msg_type).facts.segments)
 
 
 class _Branch:

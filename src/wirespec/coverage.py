@@ -3,8 +3,9 @@
 Goals are: every transition of the tested actor's LTS, every field of
 every message/record type the actor can exchange, the presence AND the
 absence of every optional field, and every constant of every referenced
-enum.  The compiled message plans (:func:`wirespec.codec.message_plan`)
-add the field, optional and enum goals, so no type walk lives here.  A
+enum.  Each compiled message plan (:func:`wirespec.codec.message_plan`)
+lists its field, optional and enum goals, found by the one static walk
+that also checks it, and a Coverage reads them, so no walk lives here.  A
 field counts as covered once it occurs in some exchanged message; an
 absent optional field feeds the separate absence goal.  A message of a
 type the actor never exchanges, as the engine may classify for
@@ -26,7 +27,13 @@ class Coverage:
         self.optional = {}  # (type, field) -> [present, absent]
         self.enums = {}
         for msg in actor.message_types():
-            message_plan(spec, msg).add_goals(self, None, set())
+            facts = message_plan(spec, msg).facts
+            for key in facts.fields:
+                self.fields.setdefault(key, 0)
+            for key in facts.optional:
+                self.optional.setdefault(key, [0, 0])
+            for key in facts.enums:
+                self.enums.setdefault(key, 0)
 
     # --- recording ------------------------------------------------------------
 

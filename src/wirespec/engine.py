@@ -23,7 +23,7 @@ from . import channel as chan
 from .codec import Classified, InvalidFormat, NEED_MORE, decode_message, encode_message
 from .coverage import Coverage
 from .errors import ChannelError
-from .generate import GenConfig, Generator
+from .generate import Generator
 from .lts import QUIT
 from .resolve import ResolvedSpec
 
@@ -61,7 +61,8 @@ class EngineConfig:
     max_consecutive_timeouts: int = 5
     seed: int = 0
     # No effect: run_test's rng, seeded from ``seed``, overrides its seed.
-    gen: GenConfig | None = None
+    # Kept for callers that still pass a wirespec.generate.GenConfig.
+    gen: object = None
 
 
 @dataclass
@@ -98,7 +99,7 @@ def run_test(
 ) -> TestReport:
     lts = spec.actor(actor)
     rng = Random(cfg.seed)
-    gen = Generator(spec, cfg.gen or GenConfig(), rng=rng)
+    gen = Generator(spec, rng=rng)
     cov = Coverage(spec, lts)
     recv_dir = "!" if role is Role.TESTER else "?"
     send_dir = "?" if role is Role.TESTER else "!"
@@ -265,7 +266,6 @@ def selfplay(
         receive_timeout_ms=cfg.receive_timeout_ms,
         max_consecutive_timeouts=cfg.max_consecutive_timeouts * 4,
         seed=cfg.seed + 1,
-        gen=cfg.gen,
     )
 
     def run_b():

@@ -119,6 +119,9 @@ class ResolvedSpec:
     plans: dict = field(default_factory=dict, compare=False, repr=False)
     # candidate tuple -> wirespec.codec.Classifier, built by decode_message
     classifiers: dict = field(default_factory=dict, compare=False, repr=False)
+    # (id of an expression, converter) -> the expression and its compiled
+    # evaluator, shared by every generated function and plan walk
+    evaluators: dict = field(default_factory=dict, compare=False, repr=False)
 
     def message_record(self, name: str) -> RecordDef:
         rec = self.records.get(name)

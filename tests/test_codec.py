@@ -1,11 +1,13 @@
 import functools
 import hashlib
 import re
+from collections import Counter
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from wirespec import codec
 from wirespec.bits import BitString
 from wirespec.cli import bundled_spec_path
 from wirespec.codec import (
@@ -20,6 +22,7 @@ from wirespec.codec import (
     message_plan,
     wire_prefix,
 )
+from wirespec.coverage import Coverage
 from wirespec.errors import (
     ConstraintViolation,
     DivisionByZero,
@@ -48,6 +51,7 @@ from wirespec.values import (
     ListVal,
     RecordVal,
     TextVal,
+    compile_expr,
 )
 
 INT = RType("Integer", {})
@@ -1114,6 +1118,63 @@ def test_pin_whose_codec_needs_an_unknown_name_round_trips():
     wire = encode_message("X", value, spec)
     assert wire == b"\x02\x01\x2c"
     assert decode_message(wire, ["X"], spec) == Classified("X", value, 3)
+
+
+# Node recurs through an Optional with other arguments, so a walk of Tree
+# meets it twice: inlined with d=0, and on its own, as its generated code
+# compiles it where it recurs.  A List of an enum sits past the Optional.
+RECURSIVE_SPEC = """
+message module M
+  message Tree with
+    magic is Integer(value=7) as BigEndian(length=8)
+    root  is Node(d=0, stop=false)
+  end
+  message Leaf with magic is Integer(value=8) as BigEndian(length=8) end
+  record Node(d, stop) with
+    depth   is Integer(value=d) as BigEndian(length=8)
+    child   is Optional(is_empty=stop, subject=Node(d=d + 1, stop=true))
+    tags    is List(elem=Color, max_length=2) as CountPrefixList(count_codec=BigEndian(length=8))
+    trailer is Integer(value=9) as BigEndian(length=8)
+  end
+  enum Color of Binary(length=8) with red as X'01'  green as X'02' end
+end
+interactions module M
+  actor Server with init state S where on Tree do send Leaf continue end end
+end
+"""
+
+
+def test_plan_walk_of_a_recursive_record():
+    spec = resolve(parse_spec(RECURSIVE_SPEC))
+    cov = Coverage(spec, spec.actors["Server"])
+    assert list(cov.fields) == [
+        ("Tree", "magic"), ("Tree", "root"), ("Node", "depth"), ("Node", "child"),
+        ("Node", "tags"), ("Node", "trailer"), ("Leaf", "magic"),
+    ]
+    assert list(cov.optional) == [("Node", "child")]
+    assert list(cov.enums) == [("Color", "red"), ("Color", "green")]
+    # the facts end at the Optional: the pinned trailer past it is no literal
+    assert wire_prefix(spec, "Tree") == [("lit", BitString.from_bytes(b"\x07\x00"))]
+    value = Generator(spec, GenConfig(seed=3)).message("Tree")
+    wire = encode_message("Tree", value, spec)
+    assert decode_message(wire, ["Tree"], spec) == Classified("Tree", value, len(wire))
+
+
+def test_each_argument_expression_compiles_once_per_spec(monkeypatch):
+    # every plan walk and generated function of a spec shares one evaluator
+    # per statically evaluated expression and converter
+    spec = resolve(parse_spec(bundled_spec_path("imap_subset").read_text()))
+    compiled = Counter()
+
+    def counting(expr, constants, convert=None):
+        compiled[id(expr), convert] += 1
+        return compile_expr(expr, constants, convert)
+
+    monkeypatch.setattr(codec, "compile_expr", counting)
+    for name in spec.message_types:
+        plan = message_plan(spec, name)
+        plan.encode, plan.decode, plan.generate
+    assert compiled and max(compiled.values()) == 1
 
 
 PYTHON_NAMES_SPEC = r'''
