@@ -26,9 +26,13 @@ each part of the value before it writes it, into one integer; decode reads
 each part, then checks it.  Decoding reads the bytes themselves from bit
 ``pos`` and returns the value with the bit position past it, so a field
 costs time in its own size, not the buffer's; a terminated text is one
-``bytes.find``.  A known pin is its encoding, the bits its node's own
-``encode`` writes for it: it decodes by one guarded comparison with them,
-and a record whose fields are all such decodes to one prebuilt constant.
+``bytes.find``.  A valid unpinned terminated text decodes and encodes
+through one guard, a match of its pattern narrowed to the characters it
+may hold, and the ordered checks run only to say why a text is not valid
+(see :class:`TerminatedTextNode`).  A known pin is its encoding, the bits
+its node's own ``encode`` writes for it: it decodes by one guarded
+comparison with them, and a record whose fields are all such decodes to
+one prebuilt constant.
 Decoding is incremental: running out of input raises an
 :class:`IncompleteInput` subclass so that callers feeding a growing stream
 buffer can distinguish "wait for more bytes" from a malformed message, and
@@ -88,7 +92,7 @@ from .errors import (
     Unrepresentable,
     WirespecError,
 )
-from .patterns import Pattern, alphabet_for_charset, compile_pattern, language
+from .patterns import Pattern, alphabet_for_charset, compile_pattern, language, narrowed
 from .resolve import CODED_TYPES, RCodec, RType, ResolvedSpec
 from .syntax import NameRef
 from .values import (
@@ -872,6 +876,26 @@ class TextNode(Node):
 
 
 class TerminatedTextNode(TextNode):
+    """A text and then its terminator.
+
+    An unpinned text whose ``max_count``, if it has one, the known names
+    fix decodes and encodes a valid text through one guard.  Its regex is
+    the pattern with its character classes narrowed to the charset and to
+    what the encoding codes (see :func:`~wirespec.patterns.narrowed`), so
+    one match checks the bytes or characters, the charset and the pattern.
+    Decode, at a byte boundary, looks for the terminator once, no further
+    than a text of ``max_count`` characters reaches, and accepts when the
+    ``bytes`` regex fullmatches the text before it in place; no regex runs
+    before the terminator is found.  Encode tests the length and matches
+    the ``str`` regex.  The guard searches for the exclusion, and encode
+    tests for the terminator, only where the text's automaton cannot rule
+    them out (:attr:`~wirespec.patterns.LanguageSampler.never_contains`);
+    a decoded text never holds its first terminator.  Every other input, an
+    unaligned start or a missing terminator included, takes the general
+    read and the ordered checks, which say why it is not valid, so values,
+    positions and diagnostics are those of the general path alone.  The
+    regexes and the proof are built when the plan's functions compile."""
+
     canonical = True
 
     def __init__(self, rtype, rcodec, spec):
@@ -880,13 +904,80 @@ class TerminatedTextNode(TextNode):
         # the resolver guarantees the terminator is encodable in the encoding
         self.terminator_bytes = self.terminator.encode(self.python_encoding)
         self.excludes += (_literal_pattern(self.terminator),)
+        # the characters of a valid text: in the charset, and coded by the encoding
+        self.coded = "".join(c for c in alphabet_for_charset(self.charset) if c in self.readable)
+
+    def guarded(self, fn):
+        """The ``max_count`` that the guard tests, None when the type gives
+        none; _UNKNOWN where there is no guard: for a pin, or a
+        ``max_count`` that the known names do not fix."""
+        if "value" in self.args:
+            return _UNKNOWN
+        count = fn.static(self.args, "max_count", as_int)
+        if count is _UNKNOWN:
+            return _UNKNOWN if "max_count" in self.args else None
+        return count
+
+    @cached_property
+    def may_contain(self) -> tuple:
+        """Whether a text of the pattern may contain a match of the
+        exclusion (False when there is none) and its terminator."""
+        sampler = language(self.pattern, alphabet_for_charset(self.charset), self.excludes)
+        return (self.exclude is not None and not sampler.never_contains[0], not sampler.never_contains[-1])
+
+    def emit_encode(self, fn, v, path):
+        count = self.guarded(fn)
+        if count is _UNKNOWN:
+            return super().emit_encode(fn, v, path)
+        text = self.emit_kind(fn, v, path)
+        tests = [] if count is None else [f"len({text}) <= {count}"]
+        tests.append(f"{fn.ref(narrowed(self.pattern, self.coded, False).fullmatch)}({text}) is not None")
+        excluded, terminated = self.may_contain
+        if excluded:
+            tests.append(f"{fn.ref(self.exclude.regex.search)}({text}) is None")
+        if terminated:
+            tests.append(f"{self.terminator!r} not in {text}")
+        data = fn.fresh("b")
+        with fn.block(f"if {' and '.join(tests)}:"):
+            fn.emit(f"{data} = ({text} + {self.terminator!r}).encode({self.python_encoding!r})")
+        with fn.block("else:"):  # the ordered checks, to say why not
+            self.emit_checks(fn, text, path)
+            fn.emit(f"{data} = {self.emit_terminated(fn, text)}")
+        fn.write(f"int.from_bytes({data}, 'big')", fn.temp(f"len({data}) << 3"))
+        return self.entry(v, text)
 
     def emit_write(self, fn, text):
+        data = self.emit_terminated(fn, text)
+        fn.write(f"int.from_bytes({data}, 'big')", fn.temp(f"len({data}) << 3"))
+
+    def emit_terminated(self, fn, text) -> str:
+        """The code of the encoded bytes of a text and its terminator, after
+        the test that the text does not contain it."""
         terminator = self.terminator
         fn.emit(f"if {terminator!r} in {text}: raise TerminatorInPayload("
                 f"{_message('text ', _shown(text), f' contains its terminator {terminator!r}')})")
-        data = self.emit_bytes(fn, fn.temp(f"{text} + {terminator!r}"))
-        fn.write(f"int.from_bytes({data}, 'big')", fn.temp(f"len({data}) << 3"))
+        return self.emit_bytes(fn, fn.temp(f"{text} + {terminator!r}"))
+
+    def emit_payload(self, fn):
+        count = self.guarded(fn)
+        if count is _UNKNOWN:
+            return super().emit_payload(fn)
+        terminator = self.terminator_bytes
+        start = fn.temp("pos >> 3")
+        # a terminator that starts past max_count characters is not looked for
+        limit = "" if count is None else f", {start} + {count + len(terminator)}"
+        stop = fn.temp(f"data.find({terminator!r}, {start}{limit}) if pos & 7 == 0 else -1")
+        window = f"data, {start}, {stop}"
+        tests = [f"{stop} >= 0", f"{fn.ref(narrowed(self.pattern, self.coded, True).fullmatch)}({window}) is not None"]
+        if self.exclude is not None and self.may_contain[0]:
+            tests.append(f"{fn.ref(narrowed(self.exclude, self.coded, True).search)}({window}) is None")
+        text = fn.fresh()
+        with fn.block(f"if {' and '.join(tests)}:"):
+            fn.emit(f"{text} = data[{start}:{stop}].decode('latin-1')")
+            fn.emit(f"pos = {stop} + {len(terminator)} << 3")
+        with fn.block("else:"):  # the general read and the ordered checks, to say why not
+            fn.emit(f"{text} = {super().emit_payload(fn)}")
+        return text
 
     def emit_read(self, fn):
         terminator, size = self.terminator_bytes, len(self.terminator_bytes)

@@ -10,7 +10,12 @@ fields (char8_pattern) are written.
 Two backends share one parser: checking goes through a translation to
 Python's ``re`` module, while generation determinizes the NFAs of a pattern
 and its exclusions in one subset construction over the field's alphabet,
-and samples accepted strings by counting them per length.
+and samples accepted strings by counting them per length.  The same
+construction tells which exclusions no string of the pattern can contain
+(:attr:`LanguageSampler.never_contains`), and :func:`narrowed` translates a
+pattern with its character classes cut down to an alphabet, as a ``str``
+or a ``bytes`` regex, so one match both checks the characters and the
+pattern.
 """
 
 from __future__ import annotations
@@ -211,23 +216,59 @@ def _py_char(ch: str, in_class: bool) -> str:
     return f"\\x{o:02x}" if o < 256 else f"\\u{o:04x}"
 
 
-def _to_python(node) -> str:
+def _py_ranges(chars) -> str:
+    """The inside of a regex class of ``chars``, runs of codes as ranges."""
+    codes = sorted(map(ord, chars))
+    out, i = [], 0
+    while i < len(codes):
+        j = i
+        while j + 1 < len(codes) and codes[j + 1] == codes[j] + 1:
+            j += 1
+        low, high = _py_char(chr(codes[i]), True), _py_char(chr(codes[j]), True)
+        out.append(low if i == j else f"{low}-{high}")
+        i = j + 1
+    return "".join(out)
+
+
+def _py_class(chars) -> str:
+    """A regex item that reads one of ``chars``; one that reads nothing
+    when there are none."""
+    if not chars:
+        return "(?!)"
+    if len(chars) == 1:
+        return _py_char(next(iter(chars)), in_class=False)
+    return f"[{_py_ranges(chars)}]"
+
+
+def _step_chars(node, alphabet: frozenset) -> frozenset:
+    """The characters of ``alphabet`` that the one-character step ``node``
+    (a Dot, Lit or _NegClass) reads."""
+    if isinstance(node, Dot):
+        return alphabet
+    if isinstance(node, Lit):
+        return node.chars & alphabet
+    return alphabet - node.chars
+
+
+def _to_python(node, alphabet: frozenset | None = None) -> str:
+    """``node`` as Python ``re`` source; with ``alphabet``, each step reads
+    only the characters of it that it reads."""
     if isinstance(node, Empty):
         return ""
+    if isinstance(node, (Dot, Lit, _NegClass)) and alphabet is not None:
+        return _py_class(_step_chars(node, alphabet))
     if isinstance(node, Dot):
         return "(?s:.)"
     if isinstance(node, Lit):
-        if len(node.chars) == 1:
-            return _py_char(next(iter(node.chars)), in_class=False)
-        return "[" + "".join(_py_char(c, True) for c in sorted(node.chars)) + "]"
+        return _py_class(node.chars)
     if isinstance(node, _NegClass):
-        return "[^" + "".join(_py_char(c, True) for c in sorted(node.chars)) + "]"
+        return f"[^{_py_ranges(node.chars)}]"
     if isinstance(node, Seq):
-        return "".join(f"(?:{_to_python(p)})" for p in node.parts)
+        return "".join(f"(?:{_to_python(p, alphabet)})" for p in node.parts)
     if isinstance(node, Alt):
-        return "|".join(f"(?:{_to_python(o)})" for o in node.options)
+        return "|".join(f"(?:{_to_python(o, alphabet)})" for o in node.options)
     if isinstance(node, Star):
-        return f"(?:{_to_python(node.inner)})*"
+        return f"(?:{_to_python(node.inner, alphabet)})*"
     raise PatternError(f"unknown node {node!r}")
 
 
@@ -246,6 +287,19 @@ class Pattern:
 @lru_cache(maxsize=512)
 def compile_pattern(source: str) -> Pattern:
     return Pattern(source)
+
+
+@lru_cache(maxsize=256)
+def narrowed(pattern: Pattern | None, alphabet: str, binary: bool) -> re.Pattern:
+    """The ``re`` pattern of ``pattern`` (of any string when None) whose
+    every step reads only characters of ``alphabet``: it fullmatches a
+    string exactly when the string's characters are all in the alphabet
+    and ``pattern`` fullmatches it, and it finds a match in it exactly where
+    ``pattern`` finds one that reads only such characters.  With ``binary``
+    it is a ``bytes`` pattern that reads each character as the byte of its
+    code, for an alphabet within Latin-1."""
+    source = _to_python(Star(Dot()) if pattern is None else pattern.ast, frozenset(alphabet))
+    return re.compile(source.encode("latin-1") if binary else source)
 
 
 # --- alphabets ---------------------------------------------------------------
@@ -304,12 +358,8 @@ def _build_nfa(node, nfa: _Nfa, alphabet: frozenset) -> tuple[int, int]:
     i, o = nfa.new_state(), nfa.new_state()
     if isinstance(node, Empty):
         nfa.add_eps(i, o)
-    elif isinstance(node, Dot):
-        nfa.add(i, alphabet, o)
-    elif isinstance(node, Lit):
-        nfa.add(i, node.chars & alphabet, o)
-    elif isinstance(node, _NegClass):
-        nfa.add(i, alphabet - node.chars, o)
+    elif isinstance(node, (Dot, Lit, _NegClass)):
+        nfa.add(i, _step_chars(node, alphabet), o)
     elif isinstance(node, Seq):
         prev = i
         for part in node.parts:
@@ -351,11 +401,12 @@ def _nfa_for(pattern: Pattern | None, alphabet: frozenset, substring: bool) -> t
 def _determinize(machines: list, alphabet: str) -> tuple[list, list]:
     """One subset construction (Rabin & Scott, 1959) over ``(nfa, entry,
     exit)`` machines: the pattern's, then one substring machine per
-    exclusion.  A state is a tuple of closures, one per machine; it accepts
-    when the pattern's exit is in the first and no exclusion's exit is in
-    the others.  Returns ``(rows, accepting)`` with state 0 the start; a row
-    holds one ``(chars, successor)`` pair per successor, its chars in
-    alphabet order, and the pairs come in order of their first character."""
+    exclusion.  A state is a tuple of closures, one per machine.  Returns
+    ``(rows, exits)`` with state 0 the start; a row holds one ``(chars,
+    successor)`` pair per successor, its chars in alphabet order, and the
+    pairs come in order of their first character; ``exits[s]`` tells, per
+    machine, whether state ``s`` holds its exit: the pattern accepts the
+    strings that lead there, or they contain a match of the exclusion."""
     # Successors are computed once per class: characters that every
     # machine's edge sets treat alike.
     sets = list({chars for nfa, _, _ in machines for edges in nfa.edges for chars, _ in edges})
@@ -379,11 +430,8 @@ def _determinize(machines: list, alphabet: str) -> tuple[list, list]:
         for ch, c in zip(alphabet, class_of):
             row.setdefault(successors[c], []).append(ch)
         rows.append([(tuple(chars), t) for t, chars in row.items()])
-    accepting = [
-        machines[0][2] in cur[0] and not any(m[2] in c for m, c in zip(machines[1:], cur[1:]))
-        for cur in states
-    ]
-    return rows, accepting
+    exits = [tuple(m[2] in c for m, c in zip(machines, cur)) for cur in states]
+    return rows, exits
 
 
 class LanguageSampler:
@@ -404,15 +452,24 @@ class LanguageSampler:
     The length and each character are drawn with ``getrandbits`` and
     rejection, the algorithm ``choice`` and ``randrange`` run, so a seeded
     ``Random`` draws what they would have drawn.
+
+    ``never_contains`` holds, per exclusion, whether no string of the
+    pattern over the alphabet contains a match of it: whether no state of
+    the construction holds both the pattern's exit and the exclusion's.
+    The construction reaches a state for every string, so where that holds
+    a check of the exclusion after a check of the pattern never fails.
     """
 
     def __init__(self, pattern: Pattern | None, alphabet: str, excludes: tuple[Pattern, ...] = ()):
         alpha = frozenset(alphabet)
         machines = [_nfa_for(pattern, alpha, False)]
         machines.extend(_nfa_for(ex, alpha, True) for ex in excludes)
-        self._rows, accepting = _determinize(machines, alphabet)
+        self._rows, exits = _determinize(machines, alphabet)
+        self.never_contains = tuple(
+            not any(held[0] and held[i] for held in exits) for i in range(1, len(machines))
+        )
         # _columns[ln][s]: accepted strings of length ln from state s
-        self._columns = [[1 if acc else 0 for acc in accepting]]
+        self._columns = [[1 if held[0] and not any(held[1:]) else 0 for held in exits]]
         # _steps[ln][s]: the step from state s with ln + 1 characters left
         self._steps = []
         self._lock = Lock()

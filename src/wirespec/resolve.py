@@ -165,6 +165,7 @@ class _Resolver:
         for rname, decl in self.record_decls.items():
             self.records[rname] = self._resolve_record(decl)
         for record in self.records.values():
+            self._check_finite(record.name)
             for f in record.fields:
                 self._check_list_bound(f"{record.name}.{f.name}", f.type, f.codec)
         actors = {}
@@ -465,6 +466,26 @@ class _Resolver:
             self._check_coding(where, RType("Integer", {}), rcodec.args["count_codec"])
         if rcodec.base == "TextInteger":
             self._check_coding(where, RType("Text", {}), rcodec.args["text_codec"])
+
+    def _check_finite(self, name: str) -> None:
+        """Reject a record that contains itself on every path: through fields
+        that are records, with no Optional or List between, every value of
+        it would hold another, so none is finite."""
+        stack, seen = [(name, ())], {name}
+        while stack:
+            at, path = stack.pop()
+            for f in self.records[at].fields:
+                if f.type.base != "Record":
+                    continue
+                step = (*path, f"{at}.{f.name}")
+                if f.type.record == name:
+                    raise ResolutionError(
+                        f"{', '.join(step)}: record {name} contains itself on every path, "
+                        "with no Optional or List between"
+                    )
+                if f.type.record not in seen:
+                    seen.add(f.type.record)
+                    stack.append((f.type.record, step))
 
     def _check_list_bound(self, where: str, rtype: RType, rcodec: RCodec | None) -> None:
         """Reject a counted list without a max_length whose element can

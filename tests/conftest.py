@@ -1,4 +1,7 @@
+import os
+
 import pytest
+from hypothesis import settings
 
 from wirespec.channel import in_process_pair
 from wirespec.cli import bundled_spec_path
@@ -6,6 +9,13 @@ from wirespec.engine import EngineConfig, run_test
 from wirespec.iuts import start_in_thread
 from wirespec.resolve import resolve
 from wirespec.syntax import parse_spec
+
+# With HYPOTHESIS_PROFILE=ci (the CI workflow sets it), a failing property
+# prints the blob that reproduces it, and no example fails on a slow runner
+# for its time alone; local runs keep Hypothesis's defaults.
+settings.register_profile("ci", print_blob=True, deadline=None)
+if os.environ.get("HYPOTHESIS_PROFILE") == "ci":
+    settings.load_profile("ci")
 
 # Short receive timeout: the reference IUTs answer in microseconds, and the
 # request/response models keep the engine from sending while a reply is due.

@@ -54,6 +54,8 @@ from wirespec.values import (
     compile_expr,
 )
 
+from test_patterns import DIALECT
+
 INT = RType("Integer", {})
 
 
@@ -580,6 +582,188 @@ def test_ascii_text_codecs_reject_non_ascii_bytes():
         encode_message("A", RecordVal("A", (("t", TextVal("\xe9a", "latin-1")),)), spec)
     assert decode_message(b"\xe9a", ["A"], spec) == InvalidFormat({"A": "byte 0xe9 is not ASCII"})
     assert decode_message(b"\xe9a\n", ["B"], spec) == InvalidFormat({"B": "byte 0xe9 is not ASCII"})
+
+
+# --- the guarded terminated text against the ordered checks -------------------
+
+GUARD_TERMINATORS = [" ", "\r\n", "b", "ab"]
+
+
+@functools.lru_cache(maxsize=64)
+def _guard_spec(pattern, exclude, charset, encoding, terminator, count, width):
+    args = [f"charset='{charset}'", f"pattern=/{pattern}/"]
+    if exclude is not None:
+        args.append(f"exclude_pattern=/{exclude}/")
+    if count is not None:
+        args.append(f"max_count={count}")
+    written = terminator.replace("\r", "\\r").replace("\n", "\\n")
+    return resolve(parse_spec(
+        f"message module M message X with p is Integer as BigEndian(length={width}) "
+        f"t is Text({', '.join(args)}) as TerminatedText(encoding='{encoding}', terminator='{written}') "
+        f"q is Integer as BigEndian(length={-width % 8}) end end"
+    ))
+
+
+def _packed(width: int, p: int, payload: bytes, q: int) -> bytes:
+    """p in ``width`` bits, the payload's bytes, then q in the bits left of the last byte."""
+    n = ((p << 8 * len(payload) | int.from_bytes(payload, "big")) << -width % 8) | q
+    return n.to_bytes((width + 8 * len(payload) + 7) // 8, "big")
+
+
+class _GuardOracle:
+    """The field's checks, written with ``re`` on str in the codec's order:
+    charset, max_count, pattern, exclusion, then the terminator and the
+    encoding on encode; the bytes' encoding, then the same checks on decode."""
+
+    def __init__(self, pattern, exclude, charset, encoding, terminator, count, width):
+        # the dialect of these patterns reads as Python's, with . any character
+        self.pattern = re.compile(pattern, re.DOTALL)
+        self.exclude = None if exclude is None else re.compile(exclude, re.DOTALL)
+        self.charset = charset
+        self.alphabet = set(map(chr, range(128 if charset == "ascii" else 256)))
+        self.encoding = encoding
+        self.terminator = terminator
+        self.count = count
+        self.width = width
+
+    def valid(self, text) -> bool:
+        return (set(text) <= self.alphabet and (self.count is None or len(text) <= self.count)
+                and self.pattern.fullmatch(text) is not None
+                and (self.exclude is None or self.exclude.search(text) is None))
+
+    def encode(self, text):
+        """The wire bytes of X with p = q = 0, or the class of the error."""
+        if not self.valid(text):
+            return ConstraintViolation
+        if self.terminator in text:
+            return TerminatorInPayload
+        try:
+            payload = (text + self.terminator).encode(self.encoding)
+        except UnicodeEncodeError:
+            return Unrepresentable
+        return _packed(self.width, 0, payload, 0)
+
+    def decode(self, buf: bytes):
+        """Classified, NEED_MORE or InvalidFormat (the class)."""
+        total, n, width = 8 * len(buf), int.from_bytes(buf, "big"), self.width
+
+        def read(pos, bits):
+            return n >> (total - pos - bits) & ((1 << bits) - 1)
+
+        if width > total:
+            return NEED_MORE
+        # the whole bytes from bit `width` on, read across byte boundaries
+        scanned = bytes(read(width + 8 * i, 8) for i in range((total - width) // 8))
+        terminator = self.terminator.encode("latin-1")
+        stop = scanned.find(terminator)
+        if stop >= 0:
+            scanned = scanned[:stop + len(terminator)]
+        if self.encoding == "ascii" and not scanned.isascii():
+            return InvalidFormat
+        if stop < 0:
+            if self.count is not None and len(scanned) - len(terminator) >= self.count:
+                return InvalidFormat
+            return NEED_MORE
+        text = scanned[:stop].decode("latin-1")
+        if not self.valid(text):
+            return InvalidFormat
+        pos = width + 8 * len(scanned)
+        if pos + -width % 8 > total:
+            return NEED_MORE
+        fields = (("p", IntVal(read(0, width))), ("t", TextVal(text, self.charset)),
+                  ("q", IntVal(read(pos, -width % 8))))
+        return Classified("X", RecordVal("X", fields), (pos + -width % 8) // 8)
+
+
+def _outcome(out):
+    return out if isinstance(out, Classified) or out is NEED_MORE else type(out)
+
+
+GUARD_CHARS = "ab \r\n*\xe9\u0100"
+
+
+@st.composite
+def _guard_text(draw, pattern: str) -> str:
+    """Any text, or one the pattern fullmatches, so the guard's accepting
+    path runs as often as the ordered checks' rejecting ones."""
+    matching = st.from_regex(re.compile(pattern, re.DOTALL), fullmatch=True, alphabet=GUARD_CHARS)
+    return draw(st.text(GUARD_CHARS, max_size=8) | matching.filter(lambda t: len(t) <= 10))
+
+
+@given(
+    pattern=st.shared(DIALECT, key="guard"),
+    exclusions=st.lists(DIALECT, max_size=2),
+    charset=st.sampled_from(["ascii", "latin-1"]),
+    encoding=st.sampled_from(["ascii", "latin-1"]),
+    terminator=st.sampled_from(GUARD_TERMINATORS),
+    slack=st.none() | st.integers(-2, 2),
+    width=st.sampled_from([0, 3]),
+    text=st.shared(DIALECT, key="guard").flatmap(_guard_text),
+    p=st.integers(0, 7),
+    q=st.integers(0, 31),
+    flip=st.integers(0, 127),
+    extra=st.binary(max_size=3),
+)
+@settings(max_examples=500, deadline=None)
+def test_guarded_terminated_text_matches_the_ordered_checks(
+    pattern, exclusions, charset, encoding, terminator, slack, width, text, p, q, flip, extra,
+):
+    """Decode and encode of a terminated text give what the ordered checks
+    give: at a byte boundary (after 0 bits) and off it (after 3 bits), on
+    valid encodings, bit flips, truncations and extensions of them, with
+    no max_count or one within two of the text's length."""
+    exclude = "|".join(f"({e})" for e in exclusions) or None
+    count = None if slack is None else len(text) + slack
+    args = (pattern, exclude, charset, encoding, terminator, count, width)
+    spec, oracle = _guard_spec(*args), _GuardOracle(*args)
+    value = RecordVal("X", (("p", IntVal(0)), ("t", TextVal(text, charset)), ("q", IntVal(0))))
+    try:
+        got = encode_message("X", value, spec)
+    except WirespecError as e:
+        got = type(e)
+    assert got == oracle.encode(text)
+    payload = (text + terminator).encode("latin-1", "ignore")
+    wire = _packed(width, p % (1 << width), payload, q % (1 << -width % 8))
+    flipped = bytearray(wire)
+    flipped[flip // 8 % len(wire)] ^= 0x80 >> flip % 8
+    # raw bytes that start with the terminator, which a read from bit 3 does not see
+    shifted = terminator.encode("latin-1") + wire
+    for buf in (wire, bytes(flipped), wire + extra, shifted, *(wire[:k] for k in range(len(wire)))):
+        assert _outcome(decode_message(buf, ["X"], spec)) == oracle.decode(buf), buf
+
+
+def test_exclusion_the_pattern_allows_stays_in_the_guard():
+    spec = resolve(parse_spec(
+        "message module M message X with t is Text(pattern=/[!-~]+/, exclude_pattern=/\\*/, max_count=8) "
+        "as TerminatedText(terminator=' ') end end"
+    ))
+    node = message_plan(spec, "X").fields[0][1]
+    # [!-~]+ reads '*', and never ' '
+    assert node.may_contain == (True, False)
+    reason = "'A*B' contains a substring matching /\\*/"
+    with pytest.raises(ConstraintViolation) as e:
+        encode_message("X", RecordVal("X", (("t", TextVal("A*B")),)), spec)
+    assert str(e.value) == f"X: X.t: {reason}"
+    assert decode_message(b"A*B ", ["X"], spec) == InvalidFormat({"X": reason})
+    value = RecordVal("X", (("t", TextVal("A-B")),))
+    assert encode_message("X", value, spec) == b"A-B "
+    assert decode_message(b"A-B ", ["X"], spec) == Classified("X", value, 4)
+
+
+def test_imap_text_guards_search_for_nothing(imap_spec):
+    # no text of an unpinned IMAP field's pattern can hold its exclusion or
+    # its terminator, so its guards are one find and one match, or one match
+    unpinned = {}
+    for record in imap_spec.records.values():
+        for f in record.fields:
+            if f.type.base == "Text" and f.codec.base == "TerminatedText" and "value" not in f.type.args:
+                node = compile_node(f.type, f.codec, imap_spec)
+                unpinned[str(node.pattern)] = node.may_contain
+    assert unpinned == dict.fromkeys(
+        ["/[0-9a-zA-Z]+/", "/INBOX|NOBOX/", "/tester/", "/sesame|letmein/",
+         "/\\\\Seen|\\\\Deleted|\\\\Flagged/", "/[ -~]*/"],
+        (False, False),
+    )
 
 
 @pytest.mark.parametrize("buf", [b"a1 XYZW", b"a1 LOGOUX", b"a1 LOGOUX\r\n"])

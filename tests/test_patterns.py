@@ -19,6 +19,8 @@ from wirespec.patterns import (
     PatternError,
     alphabet_for_charset,
     compile_pattern,
+    language,
+    narrowed,
 )
 
 ASCII = alphabet_for_charset("ascii")
@@ -251,3 +253,39 @@ def test_sampler_draws_what_randrange_drew(source, exclusions, cap, seed):
     for _ in range(10):
         assert sampler.sample(drawn, cap) == randrange_sample(sampler, reference, cap)
     assert drawn.getstate() == reference.getstate()
+
+
+@pytest.mark.parametrize("source, exclusion, proved", [
+    ("[0-9a-zA-Z]+", r" |\r\n|\*", True),  # IMAP's Tag and Identifier exclusion
+    ("[ -~]*", r"\r\n", True),  # IMAP's InfoText and its line terminator
+    ("[!-~]+", r"\*", False),
+    (None, r"\r\n", False),
+])
+def test_never_contains_over_ascii(source, exclusion, proved):
+    pattern = None if source is None else compile_pattern(source)
+    sampler = language(pattern, ASCII, (compile_pattern(exclusion),))
+    assert sampler.never_contains == (proved,)
+
+
+@settings(max_examples=150, deadline=None)
+@given(DIALECT, st.lists(DIALECT, max_size=2))
+def test_never_contains_agrees_with_brute_force(source, exclusions):
+    pat = compile_pattern(source)
+    excludes = tuple(compile_pattern(e) for e in exclusions)
+    never = LanguageSampler(pat, "ab", excludes).never_contains
+    assert len(never) == len(excludes)
+    texts = [t for ln in range(7) for t in map("".join, product("ab", repeat=ln)) if pat.regex.fullmatch(t)]
+    for ex, proved in zip(excludes, never):
+        # a proof holds for every length, so no short string breaks it
+        assert not (proved and any(ex.regex.search(t) for t in texts))
+
+
+@settings(max_examples=150, deadline=None)
+@given(DIALECT, st.sampled_from(["a", "b", "ab", "a\xe9\x7f", ASCII]), st.text("ab\xe9\u0100", max_size=5))
+def test_narrowed_fullmatches_the_pattern_within_its_alphabet(source, alphabet, text):
+    pat = compile_pattern(source)
+    within = set(text) <= set(alphabet) and pat.regex.fullmatch(text) is not None
+    assert (narrowed(pat, alphabet, False).fullmatch(text) is not None) == within
+    if all(ord(c) < 256 for c in text):
+        data = b"<" + text.encode("latin-1") + b">"
+        assert (narrowed(pat, alphabet, True).fullmatch(data, 1, len(data) - 1) is not None) == within

@@ -359,6 +359,39 @@ def test_field_pin_of_a_record_that_nests_itself():
     assert "flag" in spec.records["A"].fields[0].type.args
 
 
+BYTE = "Integer as BigEndian(length=8)"
+FLAG = "Bool as BoolBits(truth_string=b'1', falsehood_string=b'0')"
+
+
+@pytest.mark.parametrize("decls, path, record", [
+    ("record R with b is Integer(value=2) as BigEndian(length=8) r is R end message X with r is R end",
+     "R.r", "R"),
+    (f"message X with a is A end record A with n is {BYTE} b is B end record B with a is A end",
+     "A.b, B.a", "A"),
+    (f"record A with n is {BYTE} b is B(n=n) end record B(n) with a is A end message X with n is {BYTE} end",
+     "A.b, B.a", "A"),
+])
+def test_record_that_contains_itself_on_every_path_rejected(tmp_path, capsys, decls, path, record):
+    from wirespec.cli import main
+
+    # every value of the record would hold another: none is finite
+    reason = f"{path}: record {record} contains itself on every path, with no Optional or List between"
+    with pytest.raises(ResolutionError, match=f"^{re.escape(reason)}$"):
+        rs(decls)
+    spec = tmp_path / "rec.wspec"
+    spec.write_text(f"message module M {decls} end")
+    assert main(["check", str(spec)]) == 1
+    assert capsys.readouterr().err == f"error: {reason}\n"
+
+
+@pytest.mark.parametrize("field", [
+    "r is Optional(is_empty=!more, subject=R)",
+    "rs is List(elem=R, max_length=2) as CountPrefixList(count_codec=BigEndian(length=8))",
+])
+def test_record_that_contains_itself_through_an_optional_or_a_list_resolves(field):
+    rs(f"record R with more is {FLAG} pad is Binary(length=7) {field} end message X with r is R end")
+
+
 def test_field_pin_merges_value_constraint():
     spec = rs(
         """
