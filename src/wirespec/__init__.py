@@ -4,7 +4,7 @@ models, and a model-based conformance test engine."""
 from .bits import BitString
 from .channel import Channel, connect_tcp, in_process_pair
 from .codec import Classified, InvalidFormat, decode_message, encode_message
-from .engine import EngineConfig, Role, TestReport, Verdict, run_test, selfplay
+from .engine import EngineConfig, TestReport, Verdict, run_test
 from .generate import GenConfig, Generator
 from .resolve import ResolvedSpec, load_spec, resolve
 from .syntax import parse_spec
@@ -20,7 +20,6 @@ __all__ = [
     "Generator",
     "InvalidFormat",
     "ResolvedSpec",
-    "Role",
     "TestReport",
     "Verdict",
     "connect_tcp",
@@ -31,5 +30,4 @@ __all__ = [
     "parse_spec",
     "resolve",
     "run_test",
-    "selfplay",
 ]

@@ -12,16 +12,12 @@ from importlib import resources
 
 from . import channel as chan
 from .codec import Classified, InvalidFormat, decode_message, encode_message, message_plan
-from .engine import (
-    CHANNEL_ERROR_EXIT,
-    EngineConfig,
-    run_test,
-    selfplay,
-)
+from .engine import CHANNEL_ERROR_EXIT, EngineConfig, Verdict, run_test
 from .errors import ChannelError, WirespecError
 from .generate import GenConfig, Generator
 from .iuts.miniimap import run_mini_imap
 from .iuts.myp import FAULT_FORMAT, FAULT_TRACE, IutBehavior, run_myp_client, run_myp_server
+from .lts import QUEUE_BOUND, check_fit
 from .report import render
 from .resolve import ResolvedSpec, load_spec, resolve
 from .syntax import parse_spec
@@ -121,14 +117,6 @@ def cmd_decode(args) -> int:
     return 1
 
 
-def _engine_config(args) -> EngineConfig:
-    return EngineConfig(
-        max_steps=args.max_steps,
-        receive_timeout_ms=args.timeout_ms,
-        seed=args.seed,
-    )
-
-
 def cmd_test(args) -> int:
     spec = _load(args.spec)
     spec.actor(args.actor)  # before any channel opens
@@ -144,7 +132,8 @@ def cmd_test(args) -> int:
         else:
             channel = chan.connect_tcp(host or "127.0.0.1", int(port))
         with channel:
-            report = run_test(spec, args.actor, channel, _engine_config(args))
+            cfg = EngineConfig(args.max_steps, args.timeout_ms, seed=args.seed)
+            report = run_test(spec, args.actor, channel, cfg)
     except ChannelError as e:
         print(f"channel error: {e}", file=sys.stderr)
         return CHANNEL_ERROR_EXIT
@@ -154,13 +143,15 @@ def cmd_test(args) -> int:
 
 def cmd_selfplay(args) -> int:
     spec = _load(args.spec)
-    try:
-        report = selfplay(spec, args.actor_a, args.actor_b, _engine_config(args))
-    except ChannelError as e:
-        print(f"channel error: {e}", file=sys.stderr)
-        return CHANNEL_ERROR_EXIT
-    print(render(report, spec, args.format), end="")
-    return report.verdict.exit_code
+    fit = check_fit(spec.actor(args.actor_a), spec.actor(args.actor_b))
+    print(fit.problem or f"fit: {fit.configurations} configurations")
+    for i, (actor, label) in enumerate(fit.trace, 1):
+        print(i, actor, label)
+    if fit.bound_reached:
+        print(f"queue bound of {QUEUE_BOUND} reached: sends into a full queue not explored")
+    if not fit.problem:
+        return Verdict.PASS.exit_code
+    return (Verdict.INCONCLUSIVE if fit.deadlock else Verdict.INVALID_TRACE).exit_code
 
 
 def cmd_serve(args) -> int:
@@ -257,14 +248,10 @@ def main(argv=None) -> int:
     p.add_argument("--format", choices=("text", "machine"), default="text")
     p.set_defaults(fn=cmd_test)
 
-    p = sub.add_parser("selfplay", help="animate two actors against each other")
+    p = sub.add_parser("selfplay", help="check that two actors fit, at every message delay")
     add_spec(p)
     p.add_argument("actor_a")
     p.add_argument("actor_b")
-    p.add_argument("--max-steps", type=_int_at_least(0), default=100)
-    p.add_argument("--timeout-ms", type=_int_at_least(1), default=50)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--format", choices=("text", "machine"), default="text")
     p.set_defaults(fn=cmd_selfplay)
 
     p = sub.add_parser("serve", help="launch a reference IUT")
@@ -280,6 +267,10 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     if args.command == "test" and bool(args.connect) == (args.listen is not None):
         parser.error("test needs exactly one of --connect or --listen")
+    if args.command == "serve":
+        for option, iut in (("fault", "myp-server"), ("bug", "mini-imap")):
+            if getattr(args, option) is not None and args.iut != iut:
+                parser.error(f"--{option} applies only to {iut}")
     try:
         return args.fn(args)
     except WirespecError as e:

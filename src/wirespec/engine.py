@@ -6,11 +6,10 @@ chooses messages to send via a strategy when the IUT is quiet, maintains
 the trace and the set of possible model states, and reports one of four
 verdicts plus coverage.
 
-Two roles share the loop.  As ``TESTER`` (the normal case) the engine
-plays the environment of the modeled actor and judges the peer against
-that model.  As ``ACTOR`` it animates the model itself, sending outputs
-and expecting its declared inputs; wiring two ACTOR engines back to back
-is how selfplay checks that two actor models fit each other.
+The engine plays the environment of the modeled actor: it sends the
+actor's inputs and judges what the peer sends against the actor's
+outputs.  Whether two actor models fit each other is decided without a
+channel, by ``wirespec.lts.check_fit``.
 """
 
 from __future__ import annotations
@@ -22,17 +21,9 @@ from random import Random
 from . import channel as chan
 from .codec import Classified, InvalidFormat, NEED_MORE, decode_message, encode_message
 from .coverage import Coverage
-from .errors import ChannelError
 from .generate import Generator
-from .lts import QUIT
+from .lts import QUIT, format_states
 from .resolve import ResolvedSpec
-
-QUIT_CHOICE = "quit"
-
-
-class Role(enum.Enum):
-    TESTER = "tester"
-    ACTOR = "actor"
 
 
 class Verdict(enum.Enum):
@@ -70,7 +61,6 @@ class TestReport:
     verdict: Verdict
     detail: str
     actor: str
-    role: Role
     seed: int
     steps: int
     step_log: list  # (direction, message type, state set) per step; see trace
@@ -95,14 +85,11 @@ def run_test(
     channel: chan.Channel,
     cfg: EngineConfig,
     strategy=default_strategy,
-    role: Role = Role.TESTER,
 ) -> TestReport:
     lts = spec.actor(actor)
     rng = Random(cfg.seed)
     gen = Generator(spec, rng=rng)
     cov = Coverage(spec, lts)
-    recv_dir = "!" if role is Role.TESTER else "?"
-    send_dir = "?" if role is Role.TESTER else "!"
 
     S, tau_used = lts.tau_closure_edges({lts.initial})
     cov.hit_edges(tau_used)
@@ -113,7 +100,7 @@ def run_test(
     closed = False  # the peer has closed; what is in buf is all there is
 
     def report(verdict: Verdict, detail: str = "", offending: bytes | None = None):
-        return TestReport(verdict, detail, actor, role, cfg.seed, steps, step_log, cov, offending)
+        return TestReport(verdict, detail, actor, cfg.seed, steps, step_log, cov, offending)
 
     def advance(direction: str, msg: str | None, value) -> TestReport | None:
         """Extend the step log and state set; returns an InvalidTrace report or None."""
@@ -125,10 +112,9 @@ def run_test(
         cov.hit_edges(used)
         if not moved:
             step_log.append((direction, msg, moved))
-            shown = "quit" if direction == "quit" else f"{direction}{msg}"
             return report(
                 Verdict.INVALID_TRACE,
-                f"no transition for {shown} from states {{{', '.join(sorted(S))}}}",
+                f"no transition for {direction}{msg} from states {format_states(S)}",
             )
         S, tau_edges = lts.tau_closure_edges(moved)
         cov.hit_edges(tau_edges)
@@ -138,7 +124,7 @@ def run_test(
 
     def classify(final: bool):
         """('msg', Classified) | ('wait', None) | ('invalid', diagnostics)."""
-        enabled = lts.enabled(S, recv_dir)
+        enabled = lts.enabled(S, "!")
         diagnostics = {}
         if enabled:
             outcome = decode_message(buf, enabled, spec)
@@ -174,7 +160,7 @@ def run_test(
             kind, outcome = classify(final=closed)
             if kind == "msg":
                 buf = buf[outcome.consumed :]
-                bad = advance(recv_dir, outcome.msg_type, outcome.value)
+                bad = advance("!", outcome.msg_type, outcome.value)
                 if bad:
                     return bad
                 continue
@@ -200,11 +186,7 @@ def run_test(
                 if quiet > cfg.max_consecutive_timeouts:
                     return report(Verdict.INVALID_FORMAT, "stalled mid-message", offending=buf)
                 continue
-            choices = list(
-                lts.enabled_inputs(S) if role is Role.TESTER else lts.enabled_outputs(S)
-            )
-            if role is Role.ACTOR and lts.quit_enabled(S):
-                choices.append(QUIT_CHOICE)
+            choices = lts.enabled_inputs(S)
             if not choices:
                 quiet += 1
                 if quiet > cfg.max_consecutive_timeouts:
@@ -215,71 +197,20 @@ def run_test(
                 continue
             quiet = 0
             choice = strategy(S, choices, cov, rng)
-            if choice == QUIT_CHOICE:
-                channel.close()
-                bad = advance("quit", None, None)
-                if bad:
-                    return bad
-                return report(Verdict.PASS, "closed the connection per the model")
             value = gen.message(choice)
             channel.send(encode_message(choice, value, spec))
-            bad = advance(send_dir, choice, value)
+            bad = advance("?", choice, value)
             if bad:
                 return bad
             continue
 
         closed = True  # the top of the loop classifies what is left in buf
 
-    if role is Role.ACTOR:
-        return report(Verdict.PASS, "peer ended the session")
     if lts.quit_enabled(S):
-        bad = advance("quit", None, None)
-        if bad:
-            return bad
+        advance("quit", None, None)  # cannot fail: quit is enabled
         return report(Verdict.PASS, "IUT closed the connection per the model")
     step_log.append(("quit", None, frozenset()))
     return report(
         Verdict.INVALID_TRACE,
-        f"IUT closed the connection but no quit is allowed in {{{', '.join(sorted(S))}}}",
+        f"IUT closed the connection but no quit is allowed in {format_states(S)}",
     )
-
-
-def selfplay(
-    spec: ResolvedSpec,
-    actor_a: str,
-    actor_b: str,
-    cfg: EngineConfig,
-) -> TestReport:
-    """Animate both actors against each other over an in-process pair.
-
-    Side B runs in a background thread as a conforming peer; side A's
-    report is returned, so a verdict flags a point where the two models
-    stop fitting together.
-    """
-    import threading
-
-    for name in (actor_a, actor_b):
-        spec.actor(name)  # an unknown actor fails before any thread starts
-    ch_a, ch_b = chan.in_process_pair()
-    cfg_b = EngineConfig(
-        max_steps=cfg.max_steps * 2 + 10,
-        receive_timeout_ms=cfg.receive_timeout_ms,
-        max_consecutive_timeouts=cfg.max_consecutive_timeouts * 4,
-        seed=cfg.seed + 1,
-    )
-
-    def run_b():
-        try:
-            run_test(spec, actor_b, ch_b, cfg_b, role=Role.ACTOR)
-        except ChannelError:
-            pass
-        finally:
-            ch_b.close()
-
-    thread = threading.Thread(target=run_b, daemon=True)
-    thread.start()
-    try:
-        return run_test(spec, actor_a, ch_a, cfg, role=Role.ACTOR)
-    finally:
-        ch_a.close()
-        thread.join(timeout=5)

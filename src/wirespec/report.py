@@ -24,7 +24,6 @@ def render_machine(rep: TestReport, spec: ResolvedSpec) -> str:
         f"verdict: {rep.verdict.value}",
         f"detail: {rep.detail}",
         f"actor: {rep.actor}",
-        f"role: {rep.role.value}",
         f"seed: {rep.seed}",
         f"steps: {rep.steps}",
     ]
@@ -55,9 +54,7 @@ def render_machine(rep: TestReport, spec: ResolvedSpec) -> str:
 def render_text(rep: TestReport, spec: ResolvedSpec) -> str:
     cov = rep.coverage
     out = [f"=== {rep.verdict.value} === ({rep.detail})"]
-    out.append(
-        f"actor {rep.actor} as {rep.role.value}, seed {rep.seed}, {rep.steps} steps"
-    )
+    out.append(f"actor {rep.actor}, seed {rep.seed}, {rep.steps} steps")
     if rep.offending is not None:
         out.append(f"offending bytes: {rep.offending.hex()}")
     shown = [

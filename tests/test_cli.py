@@ -1,3 +1,4 @@
+import os
 import socket
 import subprocess
 import sys
@@ -6,7 +7,7 @@ import time
 
 import pytest
 
-from wirespec.cli import main
+from wirespec.cli import bundled_spec_path, main
 
 MYP = "bundled:myp"
 IMAP = "bundled:imap_subset"
@@ -217,20 +218,44 @@ def test_gen_deterministic_per_seed():
 
 
 def test_selfplay_pass():
-    code, out, _ = run_cli(
-        "selfplay", MYP, "Client", "Server",
-        "--max-steps", "30", "--seed", "3", "--timeout-ms", "10", "--format", "machine",
-    )
-    assert code == 0
-    assert out.startswith("verdict: Pass")
+    for actors in (("Client", "Server"), ("Server", "Client")):
+        assert run_cli("selfplay", MYP, *actors) == (0, "fit: 9 configurations\n", "")
 
 
-def test_selfplay_deterministic_reports():
-    args = (
-        "selfplay", MYP, "Client", "Server",
-        "--max-steps", "25", "--seed", "4", "--timeout-ms", "10", "--format", "machine",
+def test_selfplay_deterministic_reports(tmp_path):
+    # the Server model edited to answer Ask with Done instead of Data
+    broken = tmp_path / "broken.wspec"
+    broken.write_text(bundled_spec_path("myp").read_text().replace(
+        "on Ask  do send Data continue", "on Ask do send Done continue"
+    ))
+    args = ("selfplay", str(broken), "Client", "Server")
+    witness = (
+        "Client: no transition for ?Done from states {Waiting}\n"
+        "1 Client !Ask\n"
+        "2 Server ?Ask\n"
+        "3 Server !Done\n"
     )
-    assert run_cli(*args) == run_cli(*args)
+    assert run_cli(*args) == (2, witness, "")
+    assert run_cli(*args) == (2, witness, "")
+    # the same bytes under another string hash seed
+    proc = subprocess.run(
+        [sys.executable, "-m", "wirespec.cli", *args],
+        capture_output=True, text=True, timeout=60,
+        env={**os.environ, "PYTHONHASHSEED": "1"},
+    )
+    assert (proc.returncode, proc.stdout) == (2, witness)
+
+
+def test_selfplay_deadlock_exit_code(tmp_path):
+    spec = tmp_path / "wait.wspec"
+    spec.write_text(
+        "message module M message Ping with k is Integer(value=1) as BigEndian(length=8) end end "
+        "interactions module M "
+        "actor A with init state S where on Ping do send Ping continue end end "
+        "actor B with init state T where on Ping do send Ping continue end end end"
+    )
+    code, out, _ = run_cli("selfplay", str(spec), "A", "B")
+    assert (code, out) == (3, "deadlock: A waits in {S} and B waits in {T}, no message in flight\n")
 
 
 def serve_in_thread(*args):
@@ -312,12 +337,12 @@ def test_console_script_entry_point():
 @pytest.mark.parametrize(
     "args, option",
     [
-        (["selfplay", MYP, "Client", "Server", "--timeout-ms", "-5"], "--timeout-ms"),
-        (["selfplay", MYP, "Client", "Server", "--timeout-ms", "0"], "--timeout-ms"),
-        (["selfplay", MYP, "Client", "Server", "--max-steps", "-2"], "--max-steps"),
+        (["test", MYP, "Server", "--connect", "127.0.0.1:1", "--timeout-ms", "-5"], "--timeout-ms"),
+        (["test", MYP, "Server", "--connect", "127.0.0.1:1", "--timeout-ms", "0"], "--timeout-ms"),
+        (["test", MYP, "Server", "--connect", "127.0.0.1:1", "--max-steps", "-2"], "--max-steps"),
         (["test", MYP, "Server", "--connect", "127.0.0.1:1", "--timeout-ms", "0"], "--timeout-ms"),
         (["test", MYP, "Server", "--connect", "127.0.0.1:1", "--max-steps", "-1"], "--max-steps"),
-        (["selfplay", MYP, "Client", "Server", "--timeout-ms", "soon"], "--timeout-ms"),
+        (["test", MYP, "Server", "--connect", "127.0.0.1:1", "--timeout-ms", "soon"], "--timeout-ms"),
     ],
 )
 def test_engine_limits_out_of_range_are_usage_errors(args, option, capsys):
@@ -330,6 +355,29 @@ def test_engine_limits_out_of_range_are_usage_errors(args, option, capsys):
 
 
 def test_zero_max_steps_is_allowed():
-    code, out, _ = run_cli("selfplay", MYP, "Client", "Server", "--max-steps", "0")
+    port = free_port()
+    serve_in_thread("serve", "myp-server", "--port", str(port))
+    wait_for_port(port)
+    code, out, _ = run_cli(
+        "test", MYP, "Server", "--connect", f"127.0.0.1:{port}", "--max-steps", "0"
+    )
     assert code == 0
     assert "0 steps" in out
+
+
+@pytest.mark.parametrize(
+    "args, message",
+    [
+        (["mini-imap", "--fault", "trace"], "--fault applies only to myp-server"),
+        (["myp-client", "--fault", "format"], "--fault applies only to myp-server"),
+        (["myp-server", "--bug", "select-after-delete-inbox"], "--bug applies only to mini-imap"),
+        (["myp-client", "--bug", "select-after-delete-inbox"], "--bug applies only to mini-imap"),
+    ],
+)
+def test_serve_rejects_an_option_of_another_iut(args, message, capsys, monkeypatch):
+    # were the option accepted, serve would return here instead of listening
+    monkeypatch.setattr("wirespec.cli.cmd_serve", lambda args: "served")
+    with pytest.raises(SystemExit) as stop:
+        main(["serve", *args])
+    assert stop.value.code == 2
+    assert capsys.readouterr().err.endswith(f"wirespec: error: {message}\n")
