@@ -80,7 +80,10 @@ class BitString(FrozenFields, namedtuple("BitString", "value length")):
     def from_hex(cls, hexdigits: str) -> "BitString":
         if len(hexdigits) % 2:
             raise ValueError(f"odd-length hex literal: {hexdigits!r}")
-        return cls.from_bytes(bytes.fromhex(hexdigits))
+        data = bytes.fromhex(hexdigits)
+        if 2 * len(data) != len(hexdigits):  # fromhex skips whitespace
+            raise ValueError(f"not a hex string: {hexdigits!r}")
+        return cls.from_bytes(data)
 
     def append(self, other: "BitString") -> "BitString":
         return BitString((self.value << other.length) | other.value, self.length + other.length)

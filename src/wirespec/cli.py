@@ -159,9 +159,9 @@ def cmd_serve(args) -> int:
         "myp-server": lambda ch: run_myp_server(
             ch,
             IutBehavior("myp-server", "server", args.fault),
-            seed=args.seed,
+            seed=args.seed or 0,
         ),
-        "myp-client": lambda ch: run_myp_client(ch, seed=args.seed),
+        "myp-client": lambda ch: run_myp_client(ch, seed=args.seed or 0),
         "mini-imap": lambda ch: run_mini_imap(ch, bug=args.bug),
     }
     target = behaviors[args.iut]
@@ -258,7 +258,7 @@ def main(argv=None) -> int:
     p.add_argument("iut", choices=("myp-server", "myp-client", "mini-imap"))
     p.add_argument("--port", type=int, default=0)
     p.add_argument("--host", default="127.0.0.1")
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=int, help="seed of a MyP IUT (default 0)")
     p.add_argument("--fault", choices=(FAULT_FORMAT, FAULT_TRACE))
     p.add_argument("--bug", choices=("select-after-delete-inbox",))
     p.add_argument("--once", action="store_true", help="exit after one connection")
@@ -268,9 +268,10 @@ def main(argv=None) -> int:
     if args.command == "test" and bool(args.connect) == (args.listen is not None):
         parser.error("test needs exactly one of --connect or --listen")
     if args.command == "serve":
-        for option, iut in (("fault", "myp-server"), ("bug", "mini-imap")):
-            if getattr(args, option) is not None and args.iut != iut:
-                parser.error(f"--{option} applies only to {iut}")
+        for option, iuts in (("fault", ["myp-server"]), ("bug", ["mini-imap"]),
+                             ("seed", ["myp-server", "myp-client"])):
+            if getattr(args, option) is not None and args.iut not in iuts:
+                parser.error(f"--{option} applies only to {' and '.join(iuts)}")
     try:
         return args.fn(args)
     except WirespecError as e:

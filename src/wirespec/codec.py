@@ -910,13 +910,14 @@ class TerminatedTextNode(TextNode):
     def guarded(self, fn):
         """The ``max_count`` that the guard tests, None when the type gives
         none; _UNKNOWN where there is no guard: for a pin, or a
-        ``max_count`` that the known names do not fix."""
+        ``max_count`` that the known names do not fix or that is negative
+        (the end of the guard's search would count from the buffer's end)."""
         if "value" in self.args:
             return _UNKNOWN
         count = fn.static(self.args, "max_count", as_int)
         if count is _UNKNOWN:
             return _UNKNOWN if "max_count" in self.args else None
-        return count
+        return _UNKNOWN if count < 0 else count
 
     @cached_property
     def may_contain(self) -> tuple:

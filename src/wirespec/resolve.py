@@ -469,23 +469,28 @@ class _Resolver:
 
     def _check_finite(self, name: str) -> None:
         """Reject a record that contains itself on every path: through fields
-        that are records, with no Optional or List between, every value of
-        it would hold another, so none is finite."""
-        stack, seen = [(name, ())], {name}
+        that are records, or Optionals of one whose ``is_empty`` is the
+        literal ``false``, with no List or other Optional between, every
+        value of it would hold another, so none is finite."""
+        stack, seen = [(name, (), False)], {name}
         while stack:
-            at, path = stack.pop()
+            at, path, optional = stack.pop()
             for f in self.records[at].fields:
-                if f.type.base != "Record":
+                rtype, through = f.type, optional
+                while rtype.base == "Optional" and rtype.args["is_empty"] == syntax.NameRef("false"):
+                    rtype, through = rtype.args["subject"], True
+                if rtype.base != "Record":
                     continue
                 step = (*path, f"{at}.{f.name}")
-                if f.type.record == name:
+                if rtype.record == name:
+                    between = "Optional that can be empty" if through else "Optional"
                     raise ResolutionError(
                         f"{', '.join(step)}: record {name} contains itself on every path, "
-                        "with no Optional or List between"
+                        f"with no {between} or List between"
                     )
-                if f.type.record not in seen:
-                    seen.add(f.type.record)
-                    stack.append((f.type.record, step))
+                if rtype.record not in seen:
+                    seen.add(rtype.record)
+                    stack.append((rtype.record, step, through))
 
     def _check_list_bound(self, where: str, rtype: RType, rcodec: RCodec | None) -> None:
         """Reject a counted list without a max_length whose element can

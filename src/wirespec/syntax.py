@@ -5,11 +5,15 @@ codec and enum declarations) and an interactions module (actor state
 machines).  Parsing produces a plain AST; name resolution and actor
 compilation live in :mod:`wirespec.resolve`.  The same lexer reads the
 value literals of :func:`wirespec.values.parse_value_text`, so quoted text,
-bit and hex literals and integers are scanned here only.
+bit and hex literals and integers are scanned here only.  The lexer is one
+regular expression whose alternatives are the token kinds, matched in turn
+from the start of the source; a bit, hex or regex literal ends at the end
+of its line.
 """
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass, field
 
 from .bits import BitString
@@ -20,9 +24,6 @@ KEYWORDS = {
     "of", "with", "as", "is", "end", "actor", "init", "state", "where",
     "anytime", "on", "do", "send", "next", "continue", "quit", "or",
 }
-
-PUNCT = set("()=,+-*%!{}[]")  # braces and brackets appear only in value literals
-
 
 # --- AST -----------------------------------------------------------------
 
@@ -158,126 +159,80 @@ class SpecAST:
 
 @dataclass
 class Token:
-    kind: str  # NAME KEYWORD INT TEXT BITS HEX REGEX PUNCT EOF
+    kind: str  # NAME KEYWORD INT TEXT BITS REGEX PUNCT EOF
     value: object
     line: int
     col: int
 
 
 _TEXT_ESCAPES = {"n": "\n", "r": "\r", "t": "\t", "\\": "\\", "'": "'"}
+_ESCAPE = re.compile(r"\\(.)", re.S)
+
+# The lexical grammar: blanks and a comment, then one token, whose kind is
+# the empty group that ends its alternative (the engine tests an alternative's
+# first character before entering it only when no group opens it).  A text
+# literal reads an escaped newline only to report it as an unknown escape.
+_TOKEN = re.compile(
+    r"""
+    ([ \t\r]* (?:\#[^\n]*)?)
+    (?:
+      \n (?P<NEWLINE>)
+    | (?P<radix>[bxX])' (?P<digits>[^'\n]*) (?P<bits_end>')? (?P<BITS>)
+    | [0-9]+ (?P<INT>)                          # not \d, which takes '٣'
+    | \w+ (?P<WORD>)
+    | ' (?P<text>[^'\\\n]* (?:\\[\s\S] [^'\\\n]*)*) (?P<text_end>')? (?P<TEXT>)
+    | / (?P<regex>[^/\\\n]* (?:\\. [^/\\\n]*)*) (?P<regex_end>/)? (?P<REGEX>)
+    | [()=,+\-*%!{}\[\]] (?P<PUNCT>)          # braces and brackets: value literals only
+    | \Z (?P<EOF>)
+    | . (?P<OTHER>)
+    )
+    """,
+    re.X,
+)
 
 
 def tokenize(source: str) -> list[Token]:
     tokens = []
-    line, col, i = 1, 1, 0
-    n = len(source)
-
-    def err(msg):
-        return SpecSyntaxError(msg, line, col)
-
-    while i < n:
-        ch = source[i]
-        if ch == "\n":
-            i += 1
+    line, line_start = 1, 0
+    for m in _TOKEN.finditer(source):
+        kind = m.lastgroup
+        start = m.end(1)
+        if kind == "NEWLINE":
             line += 1
-            col = 1
+            line_start = start + 1
             continue
-        if ch in " \t\r":
-            i += 1
-            col += 1
-            continue
-        if ch == "#":
-            while i < n and source[i] != "\n":
-                i += 1
-            continue
-        start_line, start_col = line, col
-        if ch.isalpha() or ch == "_":
-            j = i
-            while j < n and (source[j].isalnum() or source[j] == "_"):
-                j += 1
-            word = source[i:j]
-            if word in ("b", "X", "x") and j < n and source[j] == "'":
-                # bit / hex literal
-                k = j + 1
-                lit_start = k
-                while k < n and source[k] != "'":
-                    k += 1
-                if k >= n:
-                    raise err("unterminated bit literal")
-                body = source[lit_start:k]
-                try:
-                    bits = (
-                        BitString.from_bits(body)
-                        if word == "b"
-                        else BitString.from_hex(body)
-                    )
-                except ValueError as e:
-                    raise err(str(e)) from None
-                tokens.append(Token("BITS", bits, start_line, start_col))
-                col += k + 1 - i
-                i = k + 1
-                continue
-            kind = "KEYWORD" if word in KEYWORDS else "NAME"
-            tokens.append(Token(kind, word, start_line, start_col))
-            col += j - i
-            i = j
-            continue
-        if "0" <= ch <= "9":  # not str.isdigit, which takes '²' and int() does not
-            j = i
-            while j < n and "0" <= source[j] <= "9":
-                j += 1
-            tokens.append(Token("INT", int(source[i:j]), start_line, start_col))
-            col += j - i
-            i = j
-            continue
-        if ch == "'":
-            j = i + 1
-            out = []
-            while j < n and source[j] != "'":
-                c = source[j]
-                if c == "\\":
-                    j += 1
-                    if j >= n:
-                        raise err("unterminated text literal")
-                    esc = source[j]
-                    if esc not in _TEXT_ESCAPES:
-                        raise err(f"unknown escape \\{esc} in text literal")
-                    out.append(_TEXT_ESCAPES[esc])
-                elif c == "\n":
-                    raise err("unterminated text literal")
-                else:
-                    out.append(c)
-                j += 1
-            if j >= n:
-                raise err("unterminated text literal")
-            tokens.append(Token("TEXT", "".join(out), start_line, start_col))
-            col += j + 1 - i
-            i = j + 1
-            continue
-        if ch == "/":
-            j = i + 1
-            while j < n and source[j] != "/":
-                if source[j] == "\n":
-                    raise err("unterminated regular expression")
-                if source[j] == "\\":
-                    j += 1
-                    if j >= n:
-                        raise err("unterminated regular expression")
-                j += 1
-            if j >= n:
-                raise err("unterminated regular expression")
-            raw = source[i + 1 : j].replace("\\/", "/")
-            tokens.append(Token("REGEX", raw, start_line, start_col))
-            col += j + 1 - i
-            i = j + 1
-            continue
-        if ch in PUNCT:
-            tokens.append(Token("PUNCT", ch, start_line, start_col))
-            i += 1
-            col += 1
-            continue
-        raise err(f"unexpected character {ch!r}")
-    tokens.append(Token("EOF", None, line, col))
+        col = start - line_start + 1
+        value = source[start : m.end()]
+        if kind == "WORD":
+            if not (value[0].isalpha() or value[0] == "_"):  # '²' and '٣' are \w
+                raise SpecSyntaxError(f"unexpected character {value[0]!r}", line, col)
+            kind = "KEYWORD" if value in KEYWORDS else "NAME"
+        elif kind == "INT":
+            value = int(value)
+        elif kind == "TEXT":
+            try:
+                value = _ESCAPE.sub(lambda e: _TEXT_ESCAPES[e[1]], m["text"])
+            except KeyError as e:
+                raise SpecSyntaxError(f"unknown escape \\{e.args[0]} in text literal", line, col) from None
+            if m["text_end"] is None:
+                raise SpecSyntaxError("unterminated text literal", line, col)
+        elif kind == "REGEX":
+            if m["regex_end"] is None:
+                raise SpecSyntaxError("unterminated regular expression", line, col)
+            value = m["regex"].replace("\\/", "/")
+        elif kind == "BITS":
+            if m["bits_end"] is None:
+                raise SpecSyntaxError("unterminated bit literal", line, col)
+            try:
+                value = (BitString.from_bits if m["radix"] == "b" else BitString.from_hex)(m["digits"])
+            except ValueError as e:
+                raise SpecSyntaxError(str(e), line, col) from None
+        elif kind == "EOF":  # finditer would match the empty end once more
+            tokens.append(Token(kind, None, line, col))
+            break
+        elif kind == "OTHER":
+            raise SpecSyntaxError(f"unexpected character {value!r}", line, col)
+        tokens.append(Token(kind, value, line, col))
     return tokens
 
 

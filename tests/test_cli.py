@@ -4,6 +4,7 @@ import subprocess
 import sys
 import threading
 import time
+from contextlib import contextmanager
 
 import pytest
 
@@ -258,10 +259,20 @@ def test_selfplay_deadlock_exit_code(tmp_path):
     assert (code, out) == (3, "deadlock: A waits in {S} and B waits in {T}, no message in flight\n")
 
 
-def serve_in_thread(*args):
-    thread = threading.Thread(target=run_cli, args=args, daemon=True)
+@contextmanager
+def serving(*args):
+    """Run ``wirespec serve ... --once`` on a free port on a thread for the
+    block, which connects to it once; the thread has ended when the block has."""
+    port = free_port()
+    thread = threading.Thread(
+        target=main, args=(["serve", *args, "--port", str(port), "--once"],), daemon=True
+    )
     thread.start()
-    return thread
+    try:
+        yield port
+    finally:
+        thread.join(timeout=10)
+    assert not thread.is_alive()
 
 
 def free_port():
@@ -270,40 +281,32 @@ def free_port():
         return s.getsockname()[1]
 
 
-def wait_for_port(port, timeout=5.0):
+def run_client(*args, timeout=5.0):
+    """run_cli, run again while the served IUT is not yet listening."""
     deadline = time.monotonic() + timeout
-    while time.monotonic() < deadline:
-        try:
-            socket.create_connection(("127.0.0.1", port), timeout=0.2).close()
-            return
-        except OSError:
-            time.sleep(0.02)
-    raise TimeoutError(f"nothing listening on {port}")
+    while True:
+        code, out, err = run_cli(*args)
+        if code != 4 or "Connection refused" not in err or time.monotonic() > deadline:
+            return code, out, err
+        time.sleep(0.02)
 
 
 def test_tcp_test_run_against_served_iut():
-    port = free_port()
-    serve_in_thread("serve", "myp-server", "--port", str(port), "--seed", "5")
-    wait_for_port(port)  # the probe connection is served and dropped; serve re-accepts
-    code, out, _ = run_cli(
-        "test", MYP, "Server", "--connect", f"127.0.0.1:{port}",
-        "--max-steps", "40", "--timeout-ms", "15", "--seed", "2", "--format", "machine",
-    )
+    with serving("myp-server", "--seed", "5") as port:
+        code, out, _ = run_client(
+            "test", MYP, "Server", "--connect", f"127.0.0.1:{port}",
+            "--max-steps", "40", "--timeout-ms", "15", "--seed", "2", "--format", "machine",
+        )
     assert code == 0
     assert "verdict: Pass" in out
 
 
 def test_exit_code_field_fault():
-    port = free_port()
-    serve_in_thread(
-        "serve", "myp-server", "--port", str(port), "--seed", "5",
-        "--fault", "format",
-    )
-    wait_for_port(port)
-    code, out, _ = run_cli(
-        "test", MYP, "Server", "--connect", f"127.0.0.1:{port}",
-        "--max-steps", "40", "--timeout-ms", "15", "--seed", "2",
-    )
+    with serving("myp-server", "--seed", "5", "--fault", "format") as port:
+        code, out, _ = run_client(
+            "test", MYP, "Server", "--connect", f"127.0.0.1:{port}",
+            "--max-steps", "40", "--timeout-ms", "15", "--seed", "2",
+        )
     assert code == 1
     assert "InvalidFormat" in out
 
@@ -355,12 +358,10 @@ def test_engine_limits_out_of_range_are_usage_errors(args, option, capsys):
 
 
 def test_zero_max_steps_is_allowed():
-    port = free_port()
-    serve_in_thread("serve", "myp-server", "--port", str(port))
-    wait_for_port(port)
-    code, out, _ = run_cli(
-        "test", MYP, "Server", "--connect", f"127.0.0.1:{port}", "--max-steps", "0"
-    )
+    with serving("myp-server") as port:
+        code, out, _ = run_client(
+            "test", MYP, "Server", "--connect", f"127.0.0.1:{port}", "--max-steps", "0"
+        )
     assert code == 0
     assert "0 steps" in out
 
@@ -372,6 +373,7 @@ def test_zero_max_steps_is_allowed():
         (["myp-client", "--fault", "format"], "--fault applies only to myp-server"),
         (["myp-server", "--bug", "select-after-delete-inbox"], "--bug applies only to mini-imap"),
         (["myp-client", "--bug", "select-after-delete-inbox"], "--bug applies only to mini-imap"),
+        (["mini-imap", "--seed", "5"], "--seed applies only to myp-server and myp-client"),
     ],
 )
 def test_serve_rejects_an_option_of_another_iut(args, message, capsys, monkeypatch):

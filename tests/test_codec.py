@@ -4,7 +4,7 @@ import re
 from collections import Counter
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from wirespec import codec
@@ -704,6 +704,8 @@ def _guard_text(draw, pattern: str) -> str:
     flip=st.integers(0, 127),
     extra=st.binary(max_size=3),
 )
+@example(pattern="(a)*", exclusions=[], charset="ascii", encoding="ascii", terminator=" ",
+         slack=-2, width=0, text="", p=0, q=0, flip=0, extra=b"")
 @settings(max_examples=500, deadline=None)
 def test_guarded_terminated_text_matches_the_ordered_checks(
     pattern, exclusions, charset, encoding, terminator, slack, width, text, p, q, flip, extra,
@@ -730,6 +732,21 @@ def test_guarded_terminated_text_matches_the_ordered_checks(
     shifted = terminator.encode("latin-1") + wire
     for buf in (wire, bytes(flipped), wire + extra, shifted, *(wire[:k] for k in range(len(wire)))):
         assert _outcome(decode_message(buf, ["X"], spec)) == oracle.decode(buf), buf
+
+
+@pytest.mark.parametrize("count", [-1, -2, -5])
+def test_negative_max_count_is_rejected_by_decode_as_by_encode(count):
+    # a negative end would make the guard's terminator search count from the buffer's end
+    spec = resolve(parse_spec(
+        f"message module M message X with t is Text(pattern=/(a)*/, max_count={count}) "
+        "as TerminatedText(terminator=' ') end end"
+    ))
+    for text, wire in (("aa", b"aa b"), ("", b"  ")):
+        reason = f"{len(text)} characters exceeds max_count"
+        assert decode_message(wire, ["X"], spec) == InvalidFormat({"X": reason})
+        with pytest.raises(ConstraintViolation) as e:
+            encode_message("X", RecordVal("X", (("t", TextVal(text)),)), spec)
+        assert str(e.value) == f"X: X.t: {reason}"
 
 
 def test_exclusion_the_pattern_allows_stays_in_the_guard():

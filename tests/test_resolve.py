@@ -370,12 +370,19 @@ FLAG = "Bool as BoolBits(truth_string=b'1', falsehood_string=b'0')"
      "A.b, B.a", "A"),
     (f"record A with n is {BYTE} b is B(n=n) end record B(n) with a is A end message X with n is {BYTE} end",
      "A.b, B.a", "A"),
+    # an Optional that is never empty holds its subject as a field does
+    ("record R with o is Optional(is_empty=false, subject=R) end message X with r is R end", "R.o", "R"),
+    (f"record R with n is {BYTE} o is Optional(is_empty=false, subject=Optional(is_empty=false, subject=R)) end "
+     "message X with r is R end", "R.o", "R"),
+    (f"message X with a is A end record A with n is {BYTE} b is Optional(is_empty=false, subject=B) end "
+     "record B with a is A end", "A.b, B.a", "A"),
 ])
 def test_record_that_contains_itself_on_every_path_rejected(tmp_path, capsys, decls, path, record):
     from wirespec.cli import main
 
     # every value of the record would hold another: none is finite
-    reason = f"{path}: record {record} contains itself on every path, with no Optional or List between"
+    between = "Optional that can be empty" if "is_empty=false" in decls else "Optional"
+    reason = f"{path}: record {record} contains itself on every path, with no {between} or List between"
     with pytest.raises(ResolutionError, match=f"^{re.escape(reason)}$"):
         rs(decls)
     spec = tmp_path / "rec.wspec"
@@ -386,6 +393,7 @@ def test_record_that_contains_itself_on_every_path_rejected(tmp_path, capsys, de
 
 @pytest.mark.parametrize("field", [
     "r is Optional(is_empty=!more, subject=R)",
+    "r is Optional(is_empty=true, subject=R)",
     "rs is List(elem=R, max_length=2) as CountPrefixList(count_codec=BigEndian(length=8))",
 ])
 def test_record_that_contains_itself_through_an_optional_or_a_list_resolves(field):

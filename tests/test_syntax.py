@@ -11,6 +11,7 @@ from wirespec.syntax import (
     MessageDecl,
     format_expr,
     parse_spec,
+    tokenize,
 )
 
 
@@ -140,3 +141,43 @@ def test_format_expr_roundtrip():
         else:
             again = parse_spec(f"message module M type T is X(v={text}) end")
             assert again.message_modules[0].decls[0].expr.args[0][1] == expr, text
+
+
+@pytest.mark.parametrize("source, line, col, message", [
+    ("a b'012'", 1, 3, "not a bit string: '012'"),
+    ("b'01", 1, 1, "unterminated bit literal"),
+    ("\n  X'abc'", 2, 3, "odd-length hex literal: 'abc'"),
+    ("x'zz'", 1, 1, "non-hexadecimal number found in fromhex() arg at position 0"),
+    ("'abc", 1, 1, "unterminated text literal"),
+    ("x = 'abc\n'", 1, 5, "unterminated text literal"),
+    ("'abc\\", 1, 1, "unterminated text literal"),
+    ("\t'a\\q'", 1, 2, "unknown escape \\q in text literal"),
+    ("'a\\q", 1, 1, "unknown escape \\q in text literal"),  # before the missing quote
+    ("'a\\\nb'", 1, 1, "unknown escape \\\n in text literal"),
+    ("/ab", 1, 1, "unterminated regular expression"),
+    ("p=/a\nb/", 1, 3, "unterminated regular expression"),
+    ("/a\\", 1, 1, "unterminated regular expression"),
+    ("a\r\n\tb $", 2, 4, "unexpected character '$'"),
+    ("\u00b2", 1, 1, "unexpected character '\u00b2'"),  # str.isalnum, not str.isalpha
+    ("12\u00b2", 1, 3, "unexpected character '\u00b2'"),
+    ("\u0663", 1, 1, "unexpected character '\u0663'"),  # a digit, but not ASCII
+    ("# note\n\x0c", 2, 1, "unexpected character '\\x0c'"),
+])
+def test_tokenizer_errors_name_their_line_and_column(source, line, col, message):
+    with pytest.raises(SpecSyntaxError) as e:
+        tokenize(source)
+    assert (e.value.line, e.value.column, str(e.value)) == (line, col, f"{line}:{col}: {message}")
+
+
+def test_literals_end_at_their_line_and_hex_holds_hex_digits_only():
+    for source, col, message in [
+        # the unterminated literal is named where it starts, not on a later line
+        ("X'00\n\n11' foo\n  $", 1, "unterminated bit literal"),
+        ("t is X(p=/a\\\nb/) $", 10, "unterminated regular expression"),
+        ("x'ab  cd'", 1, "not a hex string: 'ab  cd'"),
+    ]:
+        with pytest.raises(SpecSyntaxError) as e:
+            tokenize(source)
+        assert str(e.value) == f"1:{col}: {message}"
+    # the end of input after a comment is past the comment
+    assert tokenize("a # note")[-1].col == 9
