@@ -26,13 +26,19 @@ each part of the value before it writes it, into one integer; decode reads
 each part, then checks it.  Decoding reads the bytes themselves from bit
 ``pos`` and returns the value with the bit position past it, so a field
 costs time in its own size, not the buffer's; a terminated text is one
-``bytes.find``.  A valid unpinned terminated text decodes and encodes
-through one guard, a match of its pattern narrowed to the characters it
-may hold, and the ordered checks run only to say why a text is not valid
-(see :class:`TerminatedTextNode`).  A known pin is its encoding, the bits
-its node's own ``encode`` writes for it: it decodes by one guarded
-comparison with them, and a record whose fields are all such decodes to
-one prebuilt constant.
+``bytes.find``.  A byte-aligned run of fields decodes through one guard:
+where a node's wire form is one ``bytes`` regex (see :meth:`Node.run`),
+the outermost such node is one compiled ``match`` at a byte boundary, with
+the values built from its groups, so each bundled IMAP message is one
+match, and the general reads and ordered checks run only to say why the
+bytes are not valid (see :meth:`_Function.decode`).  A valid unpinned
+terminated text encodes through one match of its pattern narrowed to the
+characters it may hold (see :class:`TerminatedTextNode`).  A known pin is
+its encoding, the bits its node's own ``encode`` writes for it: a whole
+byte one is a literal of a run, one that ends inside a byte decodes by one
+guarded comparison with them, a pinned text encodes by one comparison
+with its text, and a record whose fields are all such decodes to one
+prebuilt constant.
 Decoding is incremental: running out of input raises an
 :class:`IncompleteInput` subclass so that callers feeding a growing stream
 buffer can distinguish "wait for more bytes" from a malformed message, and
@@ -73,9 +79,11 @@ their diagnostics.
 
 from __future__ import annotations
 
+import re
 from contextlib import contextmanager
 from dataclasses import dataclass
 from functools import cached_property
+from typing import Callable, NamedTuple
 
 from .bits import BitString
 from .errors import (
@@ -92,7 +100,7 @@ from .errors import (
     Unrepresentable,
     WirespecError,
 )
-from .patterns import Pattern, alphabet_for_charset, compile_pattern, language, narrowed
+from .patterns import Pattern, alphabet_for_charset, chars_read, compile_pattern, language, narrowed
 from .resolve import CODED_TYPES, RCodec, RType, ResolvedSpec
 from .syntax import NameRef
 from .values import (
@@ -125,6 +133,10 @@ MAX_LIST_LEN = 4
 # Blocks a generated function nests before a record calls its own function,
 # or a subtree of a classifier's walk becomes a function of its own.
 MAX_INLINED_DEPTH = 12
+
+# The greatest max_count of a terminated text that joins a decode's run, as
+# the regex bounds its scan by it (see TerminatedTextNode).
+MAX_RUN_COUNT = 1 << 16
 
 
 def signed_range(width: int, signed: bool) -> tuple[int, int]:
@@ -226,16 +238,24 @@ class _Function(Source):
     whose value is fixed is computed once, here, into a literal, by
     ``evaluators``, those the spec's functions share (else its own).
     ``inlining`` lists the records whose fields are being inlined.  The
-    walk of a plan keeps its known names in one that is never compiled."""
+    walk of a plan keeps its known names in one that is never compiled.
+
+    While a decode's run is built (see :meth:`decode`), ``match`` is the
+    local of its match, ``groups`` the locals of its groups in order and
+    ``tests`` what its values must pass besides; ``general`` holds in a
+    guard's general path, where no node is guarded again."""
 
     def __init__(self, node: "Node", kind: str, evaluators: dict | None = None):
         super().__init__(node.constants, kind)
         self.namespace.update(_RUNTIME)
+        self.root = node
         self.names = {}
         self.known = {}
         self.from_env = True
         self.inlining = []
         self.evaluators = {} if evaluators is None else evaluators
+        self.general = False
+        self.match, self.groups, self.tests = None, [], []
 
     def lookup(self, name):
         found = self.names.get(name)
@@ -326,6 +346,48 @@ class _Function(Source):
         self.emit(f"pos = {stop}")
         return raw
 
+    def decode(self, node: "Node") -> tuple:
+        """``node.emit_decode(self)``, behind one guard where the node's
+        wire form is a run (see :meth:`Node.run`) and no enclosing node's
+        is: at a byte boundary, one match of the run's regex, its tests,
+        and the value built from its groups; the general read and checks
+        run only where that misses, so they alone say why not."""
+        if self.general:
+            return node.emit_decode(self)
+        self.match, self.groups, self.tests = self.fresh("m"), [], []
+        run = node.run(self)
+        if run is None:
+            return node.emit_decode(self)
+        m, groups = self.match, self.groups
+        matched = f"({m} := {self.ref(re.compile(run.source).match)}(data, pos >> 3)) is not None"
+        with self.block(f"if {' and '.join(['pos & 7 == 0', matched, *self.tests])}:"):
+            if len(groups) == 1:
+                self.emit(f"{groups[0]} = {m}[1]")
+            elif groups:
+                self.emit(f"{', '.join(groups)} = {m}.groups()")
+            value, entry = run.build(self)
+            # a known value is one constant; else the value, and the entry
+            # that binds the field where it differs, go in shared locals
+            codes = [] if run.known is not _UNKNOWN else [value] if entry[0] == value else [value, entry[0]]
+            shared = [self.fresh() for _ in codes]
+            for name, code in zip(shared, codes):
+                self.emit(f"{name} = {code}")
+            self.emit(f"pos = {m}.end() << 3")
+        with self.block("else:"):
+            self.general = True
+            general, general_entry = node.emit_decode(self)
+            self.general = False
+            for name, code in zip(shared, (general, general_entry[0])):
+                self.emit(f"{name} = {code}")
+        if not shared:
+            return value, entry
+        return shared[0], (shared[-1], entry[1], _UNKNOWN)
+
+    def group(self) -> tuple[int, str]:
+        """The number of the run's next group, and the local that holds it."""
+        self.groups.append(self.fresh("g"))
+        return len(self.groups), self.groups[-1]
+
     @contextmanager
     def unless_next(self, bits: BitString):
         """A block that runs unless the next bits, read as :meth:`read`
@@ -379,7 +441,7 @@ def _generate(node: "Node", kind: str):
         return fn.finish(f"encode {node.title}", "value, env")
     if kind == "decode":
         fn.emit("end = len(data) << 3")
-        value, _ = node.emit_decode(fn)
+        value, _ = fn.decode(node)
         fn.emit(f"return {value}, pos")
         return fn.finish(f"decode {node.title}", "data, pos, env")
     fn.emit("getrandbits = rng.getrandbits")
@@ -487,6 +549,18 @@ def _within(path, code: str) -> str:
     return code if path is None else f"{path} + {code}"
 
 
+class _Run(NamedTuple):
+    """A node's wire form from a byte boundary as one ``bytes`` regex (see
+    :meth:`Node.run`): ``source``, and ``build(fn)``, which gives the code of
+    the value from the locals of its groups, and its entry, as
+    :meth:`Node.emit_decode` does; ``known`` is the value where the known
+    names fix it."""
+
+    source: bytes
+    build: Callable
+    known: object = _UNKNOWN
+
+
 class Node:
     """One field's type and codec, compiled.
 
@@ -530,11 +604,27 @@ class Node:
     field) pair, and appends to the facts what the node's wire form starts
     with, or ends them.  A known pin is its encoding: :meth:`fixed` gives
     its bits.  Where the node is ``canonical`` (each value has one encoding
-    and decode accepts no other), such a pin decodes by one guarded
-    comparison with them, and is a literal of the facts.  TextInteger is
-    not canonical, as it reads ``05`` and ``-0`` too; an unpinned
-    terminated text gives a skip through its terminator, with the first
-    bytes its pattern allows.
+    and decode accepts no other), such a pin is a literal of the facts, and
+    decodes as one: in a run, where its bits are whole bytes, else by one
+    guarded comparison with them.  TextInteger is not canonical, as it
+    reads ``05`` and ``-0`` too; an unpinned terminated text gives a skip
+    through its terminator, with the first bytes its pattern allows.
+
+    ``run(fn)`` is the node's wire form from a byte boundary as one
+    ``bytes`` regex, a :class:`_Run`, where a match of it at a byte
+    boundary decodes exactly as the general read and checks would, and
+    consumes the same bytes; None where there is none.  The outermost node
+    of a decode that has one is read behind one guard of it (see
+    :meth:`_Function.decode`).  A known whole-byte pin is its literal; an
+    unpinned terminated text whose pattern never reads the terminator's
+    first byte (see :class:`TerminatedTextNode`), an enum of such texts and
+    a terminated TextInteger each have a regex of their own; a record of
+    such fields whose arguments the known names fix is their
+    concatenation.  No other node joins a run: not a pin that ends inside
+    a byte, an unpinned BigEndian, Binary, Bool or fixed-count text, a
+    List, an Optional or a record that recurs.  A record that holds one is
+    read field by field, each field behind a guard of its own where it has
+    a run, as MyP's ``Data.foot`` is.
     Each subclass is named after the type or codec it codes.
     """
 
@@ -661,11 +751,23 @@ class Node:
         return value, self.entry(value, payload)
 
     def emit_pinned(self, fn, value, bits: BitString):
-        """A known pin: one comparison with its bits, and the read and
-        checks only to say why not, as no other bits decode as the pin."""
-        with fn.unless_next(bits):
+        """A known pin: the read and checks, as no other bits decode as the
+        pin; one that ends inside a byte, which is no run, runs them only
+        unless one comparison with its bits holds."""
+        if bits.length % 8 == 0:
             self.emit_payload(fn)
+        else:
+            with fn.unless_next(bits):
+                self.emit_payload(fn)
         return self.known(fn, value)
+
+    def run(self, fn):
+        fixed = self.fixed(fn) if self.canonical else _UNKNOWN
+        if fixed is _UNKNOWN or fixed[1].length % 8:
+            return None
+        value, bits = fixed
+        code, entry = self.known(fn, value)
+        return _Run(re.escape(bits.to_bytes()), lambda fn: (code, entry), value)
 
 
 class IntegerNode(Node):
@@ -798,6 +900,29 @@ class TextIntegerNode(IntegerNode):
         # the text codec fixes where the digits end, never which they are
         self.text.prefix(facts, _UNKNOWN)
 
+    def run(self, fn):
+        """What the read accepts, ``-?[0-9]+`` and a terminator that starts
+        with neither, and the pin and bounds as tests past the match."""
+        text = self.text
+        if not isinstance(text, TerminatedTextNode) or text.terminator_bytes[0] in b"-0123456789":
+            return None
+        bounds = [(op, fn.static(self.args, name, as_int))
+                  for name, op in (("value", "=="), ("min", ">="), ("max", "<=")) if name in self.args]
+        if any(bound is _UNKNOWN for _, bound in bounds):
+            return None
+        index, group = fn.group()
+        n = fn.fresh("n")
+        if bounds:  # the first test reads the integer
+            read = f"({n} := int({fn.match}[{index}]))"
+            fn.tests.append(" and ".join(f"{n if i else read} {op} {bound}" for i, (op, bound) in enumerate(bounds)))
+
+        def build(fn):
+            if not bounds:
+                fn.emit(f"{n} = int({group})")
+            return construct(IntVal, n), (n, IntVal, _UNKNOWN)
+
+        return _Run(rb"(-?[0-9]+)" + re.escape(text.terminator_bytes), build)
+
 
 class TextNode(Node):
     kind, payload, convert, what = TextVal, "text", staticmethod(as_text), "text"
@@ -821,6 +946,21 @@ class TextNode(Node):
 
     def pinned(self, pin):
         return TextVal(pin.text, self.charset)
+
+    def emit_encode(self, fn, v, path):
+        """A known pin: one comparison of the text with it, then the bits
+        :meth:`fixed` holds; the kind and the ordered checks run only to
+        say why not.  The node's own ``encode``, which :meth:`fixed` runs,
+        writes them itself."""
+        fixed = self.fixed(fn) if self.canonical and fn.root is not self else _UNKNOWN
+        if fixed is _UNKNOWN:
+            return super().emit_encode(fn, v, path)
+        pin, bits = fixed
+        with fn.block(f"if isinstance({v}, TextVal) and {v}.text == {pin.text!r}:"):
+            fn.write(repr(bits.value), repr(bits.length))
+        with fn.block("else:"):
+            entry = super().emit_encode(fn, v, path)
+        return entry
 
     def pin_payload(self, pin):
         return f"{pin}.text"
@@ -879,22 +1019,32 @@ class TerminatedTextNode(TextNode):
     """A text and then its terminator.
 
     An unpinned text whose ``max_count``, if it has one, the known names
-    fix decodes and encodes a valid text through one guard.  Its regex is
-    the pattern with its character classes narrowed to the charset and to
-    what the encoding codes (see :func:`~wirespec.patterns.narrowed`), so
-    one match checks the bytes or characters, the charset and the pattern.
-    Decode, at a byte boundary, looks for the terminator once, no further
-    than a text of ``max_count`` characters reaches, and accepts when the
-    ``bytes`` regex fullmatches the text before it in place; no regex runs
-    before the terminator is found.  Encode tests the length and matches
-    the ``str`` regex.  The guard searches for the exclusion, and encode
-    tests for the terminator, only where the text's automaton cannot rule
-    them out (:attr:`~wirespec.patterns.LanguageSampler.never_contains`);
-    a decoded text never holds its first terminator.  Every other input, an
-    unaligned start or a missing terminator included, takes the general
-    read and the ordered checks, which say why it is not valid, so values,
-    positions and diagnostics are those of the general path alone.  The
-    regexes and the proof are built when the plan's functions compile."""
+    fix encodes a valid text through one guard, and may join a decode's run
+    (see :meth:`Node.run`).  Its regex is the pattern with its character
+    classes narrowed to the charset and to what the encoding codes (see
+    :func:`~wirespec.patterns.narrowed`), so one match checks the bytes or
+    characters, the charset and the pattern.  Encode tests the length and
+    matches the ``str`` regex; it tests for the exclusion and the
+    terminator only where the text's automaton cannot rule them out
+    (:attr:`~wirespec.patterns.LanguageSampler.never_contains`).  In a run,
+    the text is a lookahead that finds the terminator no further than a
+    text of ``max_count`` characters reaches, so the scan stops there, and
+    holds the text in a group; a lookahead that matches the ``bytes`` regex
+    and then the terminator; and a backreference to the group and the
+    terminator, which step past them.  A lookahead never backtracks, so a
+    later field's miss does not make an ambiguous pattern parse the text
+    again.  The text joins only where the pattern never reads the
+    terminator's first byte and never holds the exclusion
+    (:attr:`splits`): then a match splits the bytes where the read's
+    ``bytes.find`` does and holds a text the checks accept.  A pattern that
+    may read that byte or hold the exclusion, or a ``max_count`` the known
+    names do not fix, that is negative or above MAX_RUN_COUNT, joins no run:
+    its text is read and checked field by field.  A known pin joins as its
+    literal.  Every input the guard misses, an unaligned start or
+    a missing terminator included, takes the general read and the ordered
+    checks, which say why it is not valid, so values, positions and
+    diagnostics are those of the general path alone.  The regexes and the
+    proofs are built when the plan's functions compile."""
 
     canonical = True
 
@@ -908,10 +1058,10 @@ class TerminatedTextNode(TextNode):
         self.coded = "".join(c for c in alphabet_for_charset(self.charset) if c in self.readable)
 
     def guarded(self, fn):
-        """The ``max_count`` that the guard tests, None when the type gives
+        """The ``max_count`` that the guards test, None when the type gives
         none; _UNKNOWN where there is no guard: for a pin, or a
         ``max_count`` that the known names do not fix or that is negative
-        (the end of the guard's search would count from the buffer's end)."""
+        (a run's lookahead would read no text)."""
         if "value" in self.args:
             return _UNKNOWN
         count = fn.static(self.args, "max_count", as_int)
@@ -959,26 +1109,30 @@ class TerminatedTextNode(TextNode):
                 f"{_message('text ', _shown(text), f' contains its terminator {terminator!r}')})")
         return self.emit_bytes(fn, fn.temp(f"{text} + {terminator!r}"))
 
-    def emit_payload(self, fn):
+    @cached_property
+    def splits(self) -> bool:
+        """Whether a match of the narrowed pattern and then the terminator
+        ends where the read's search does and holds a text the checks
+        accept: the pattern reads no character that starts the terminator,
+        and no text of it holds the exclusion."""
+        return self.terminator[0] not in chars_read(self.pattern, self.coded) and not self.may_contain[0]
+
+    def run(self, fn):
+        if "value" in self.args:
+            return super().run(fn)
         count = self.guarded(fn)
-        if count is _UNKNOWN:
-            return super().emit_payload(fn)
-        terminator = self.terminator_bytes
-        start = fn.temp("pos >> 3")
-        # a terminator that starts past max_count characters is not looked for
-        limit = "" if count is None else f", {start} + {count + len(terminator)}"
-        stop = fn.temp(f"data.find({terminator!r}, {start}{limit}) if pos & 7 == 0 else -1")
-        window = f"data, {start}, {stop}"
-        tests = [f"{stop} >= 0", f"{fn.ref(narrowed(self.pattern, self.coded, True).fullmatch)}({window}) is not None"]
-        if self.exclude is not None and self.may_contain[0]:
-            tests.append(f"{fn.ref(narrowed(self.exclude, self.coded, True).search)}({window}) is None")
-        text = fn.fresh()
-        with fn.block(f"if {' and '.join(tests)}:"):
-            fn.emit(f"{text} = data[{start}:{stop}].decode('latin-1')")
-            fn.emit(f"pos = {stop} + {len(terminator)} << 3")
-        with fn.block("else:"):  # the general read and the ordered checks, to say why not
-            fn.emit(f"{text} = {super().emit_payload(fn)}")
-        return text
+        if count is _UNKNOWN or not self.splits or (count or 0) > MAX_RUN_COUNT:
+            return None
+        first, terminator = re.escape(self.terminator_bytes[:1]), re.escape(self.terminator_bytes)
+        _, group = fn.group()
+        value = self.wrap(f"{group}.decode('latin-1')")
+        # lookaheads never backtrack: the text is found and matched once, so
+        # a later field's miss does not make its pattern parse it again
+        found = b"(?=(?P<%s>[^%s]%s)%s)" % (
+            group.encode(), first, b"*" if count is None else b"{0,%d}" % count, terminator)
+        checked = b"(?=(?:%s)%s)" % (narrowed(self.pattern, self.coded, True).pattern, terminator)
+        return _Run(b"%s%s(?P=%s)%s" % (found, checked, group.encode(), terminator),
+                    lambda fn: (value, self.entry(value, None)))
 
     def emit_read(self, fn):
         terminator, size = self.terminator_bytes, len(self.terminator_bytes)
@@ -1187,7 +1341,7 @@ class CountPrefixListNode(ListNode):
             fn.require(f"{count} > {limit}", _message("list count ", _said(count), " exceeds max_length"))
         items = fn.temp("[]")
         with fn.block(f"for _ in range({count}):"):
-            item, _ = self.elem.emit_decode(fn)
+            item, _ = fn.decode(self.elem)
             fn.emit(f"{items}.append({item})")
         value = fn.temp(construct(ListVal, f"tuple({items})"))
         return value, (value, None, _UNKNOWN)
@@ -1273,6 +1427,27 @@ class EnumNode(Node):
         constant = self.emit_payload(fn)
         return constant, (constant, None, _UNKNOWN)
 
+    @cached_property
+    def by_wire(self) -> dict | None:
+        """Each constant by its encoding, where it is a terminated text
+        without the terminator's first byte, so the read of every such
+        encoding ends where it does; else None."""
+        base = self.base
+        if not isinstance(base, TerminatedTextNode) or not self.choices:
+            return None
+        if any(base.terminator[0] in self.payloads[c.constant] for c in self.choices):
+            return None
+        return {base.encode(self.values[c.constant], {}).to_bytes(): c for c in self.choices}
+
+    def run(self, fn):
+        """An unpinned enum of text is the alternation of its constants'
+        encodings."""
+        if "value" in self.args or self.by_wire is None:
+            return super().run(fn)
+        _, group = fn.group()
+        value = f"{fn.ref(self.by_wire)}[{group}]"
+        return _Run(b"(%s)" % b"|".join(map(re.escape, self.by_wire)), lambda fn: (value, (value, None, _UNKNOWN)))
+
     def emit_generate(self, fn, path):
         pin = fn.static(self.args, "value", self.as_constant)
         if pin is not _UNKNOWN:
@@ -1317,7 +1492,7 @@ class OptionalNode(Node):
         return value, (value, None, _UNKNOWN)
 
     def emit_decode(self, fn):
-        return self.emit_guarded(fn, lambda: self.subject.emit_decode(fn))
+        return self.emit_guarded(fn, lambda: fn.decode(self.subject))
 
     def walk(self, fn, path, key):
         fn.facts.end()
@@ -1407,7 +1582,7 @@ class RecordNode(Node):
             value = fn.fresh()
             fn.emit(f"{value}, pos = {fn.ref(target)}.decode(data, pos, {fn.env()})")
             return value, (value, None, _UNKNOWN)
-        return self.emit_fields(fn, lambda name, node: node.emit_decode(fn))
+        return self.emit_fields(fn, lambda name, node: fn.decode(node))
 
     def emit_fields(self, fn, emit) -> tuple:
         """The record of the values that ``emit(name, node)`` emits for each
@@ -1425,6 +1600,33 @@ class RecordNode(Node):
         entries = "".join(f"({name!r}, {value}), " for name, (value, _) in zip(self.names, values))
         value = fn.temp(construct(RecordVal, repr(self.name), f"({entries})"))
         return value, (value, None, _UNKNOWN)
+
+    def run(self, fn):
+        """The concatenation of its fields' runs, where the known names fix
+        its arguments and it is inlined."""
+        args = self.rtype.args
+        if self.recurs(fn) is not None or any(fn.static(args, name) is _UNKNOWN for name in args):
+            return None
+        parts = []
+        with fn.record(self):
+            for name, node in self.fields:
+                part = node.run(fn)
+                if part is None:
+                    return None
+                parts.append(part)
+                fn.bind(name, "None", None, part.known)  # the code of a field in a run is never read
+        source = b"".join(part.source for part in parts)
+        if all(part.known is not _UNKNOWN for part in parts):
+            record = RecordVal(self.name, tuple((name, part.known) for name, part in zip(self.names, parts)))
+            code = fn.ref(record)
+            return _Run(source, lambda fn: (code, (code, None, record)), record)
+
+        def build(fn):
+            entries = "".join(f"({name!r}, {part.build(fn)[0]}), " for name, part in zip(self.names, parts))
+            value = construct(RecordVal, repr(self.name), f"({entries})")
+            return value, (value, None, _UNKNOWN)
+
+        return _Run(source, build)
 
     def emit_generate(self, fn, path):
         target = self.recurs(fn)
@@ -1662,11 +1864,15 @@ class Classifier:
 
 def classifier(spec: ResolvedSpec, candidates) -> Classifier:
     """The :class:`Classifier` of a candidate list, built on first use and
-    cached on the spec."""
-    key = candidates if type(candidates) is tuple else tuple(candidates)
+    cached on the spec; the spec's own ``message_types`` is found by
+    identity, with no tuple to hash."""
+    if candidates is spec.message_types:
+        key = None
+    else:
+        key = candidates if type(candidates) is tuple else tuple(candidates)
     found = spec.classifiers.get(key)
     if found is None:
-        found = spec.classifiers.setdefault(key, Classifier(spec, key))
+        found = spec.classifiers.setdefault(key, Classifier(spec, candidates if key is None else key))
     return found
 
 

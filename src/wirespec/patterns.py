@@ -302,6 +302,25 @@ def narrowed(pattern: Pattern | None, alphabet: str, binary: bool) -> re.Pattern
     return re.compile(source.encode("latin-1") if binary else source)
 
 
+def chars_read(pattern: Pattern | None, alphabet: str) -> frozenset:
+    """The characters that some step of :func:`narrowed`'s regex of
+    ``pattern`` over ``alphabet`` reads: every character its strings hold,
+    and perhaps more."""
+    alpha, found = frozenset(alphabet), set()
+    stack = [Star(Dot()) if pattern is None else pattern.ast]
+    while stack:
+        node = stack.pop()
+        if isinstance(node, (Dot, Lit, _NegClass)):
+            found |= _step_chars(node, alpha)
+        elif isinstance(node, Seq):
+            stack.extend(node.parts)
+        elif isinstance(node, Alt):
+            stack.extend(node.options)
+        elif isinstance(node, Star):
+            stack.append(node.inner)
+    return frozenset(found)
+
+
 # --- alphabets ---------------------------------------------------------------
 
 ALPHABETS = {

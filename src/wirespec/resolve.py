@@ -20,7 +20,7 @@ from .errors import (
 )
 from .lts import IOLTS, QUIT, QUIT_STATE, TAU, Edge, recv, send
 from .patterns import ALPHABETS, compile_pattern
-from .values import BitsVal, EnumVal, IntVal, TextVal, compile_expr, literal_value
+from .values import BitsVal, BoolVal, EnumVal, IntVal, TextVal, compile_expr, literal_value
 
 # Argument kinds: "type" and "codec" take an instance of one; "regex", "text
 # literal" and "bits literal" take only that literal; "int", "bool", "text"
@@ -111,13 +111,14 @@ class EnumDef:
 class ResolvedSpec:
     name: str
     records: dict  # record and message definitions by name
-    message_types: list  # declaration order
+    message_types: tuple  # declaration order
     enums: dict
     actors: dict  # actor name -> IOLTS
     constants: dict  # enum constant name -> EnumVal
     # message type -> compiled plan (see wirespec.codec.message_plan)
     plans: dict = field(default_factory=dict, compare=False, repr=False)
-    # candidate tuple -> wirespec.codec.Classifier, built by decode_message
+    # candidate tuple, or None for message_types itself ->
+    # wirespec.codec.Classifier, built by decode_message
     classifiers: dict = field(default_factory=dict, compare=False, repr=False)
     # (id of an expression, converter) -> the expression and its compiled
     # evaluator, shared by every generated function and plan walk
@@ -164,10 +165,13 @@ class _Resolver:
             self.enums[ename] = self._resolve_enum(decl)
         for rname, decl in self.record_decls.items():
             self.records[rname] = self._resolve_record(decl)
+        instances = []
         for record in self.records.values():
-            self._check_finite(record.name)
+            self._check_finite(record.name, {}, instances)
             for f in record.fields:
                 self._check_list_bound(f"{record.name}.{f.name}", f.type, f.codec)
+        for rname, known in instances:  # the list grows as the walks find more
+            self._check_finite(rname, known, instances)
         actors = {}
         for mod in self.ast.interaction_modules:
             for actor in mod.actors:
@@ -177,7 +181,7 @@ class _Resolver:
         return ResolvedSpec(
             name=name,
             records=self.records,
-            message_types=self.message_order,
+            message_types=tuple(self.message_order),
             enums=self.enums,
             actors=actors,
             constants=self.constants,
@@ -467,30 +471,59 @@ class _Resolver:
         if rcodec.base == "TextInteger":
             self._check_coding(where, RType("Text", {}), rcodec.args["text_codec"])
 
-    def _check_finite(self, name: str) -> None:
+    def _check_finite(self, name: str, known: dict, instances: list) -> None:
         """Reject a record that contains itself on every path: through fields
-        that are records, or Optionals of one whose ``is_empty`` is the
-        literal ``false``, with no List or other Optional between, every
-        value of it would hold another, so none is finite."""
-        stack, seen = [(name, (), False)], {name}
+        that are records, or Optionals of one whose ``is_empty`` is false,
+        with no List or other Optional between, every value of it would
+        hold another, so none is finite.  ``known`` holds the bools that the
+        instance's arguments give its parameters, and each instance on the
+        way gets those its own arguments give, so an ``is_empty`` they make
+        false counts as the literal ``false`` does; a return to the record
+        with at least these bools repeats the path.  Only a bool decides an
+        ``is_empty``, so there are finitely many instances: each one with
+        bools reached from here is appended to ``instances``, once, to be
+        checked in turn."""
+        stack, seen = [(name, known, (), False)], {name}
         while stack:
-            at, path, optional = stack.pop()
+            at, values, path, optional = stack.pop()
             for f in self.records[at].fields:
                 rtype, through = f.type, optional
-                while rtype.base == "Optional" and rtype.args["is_empty"] == syntax.NameRef("false"):
+                while rtype.base == "Optional" and self._value(rtype.args["is_empty"], values) == BoolVal(False):
                     rtype, through = rtype.args["subject"], True
                 if rtype.base != "Record":
                     continue
                 step = (*path, f"{at}.{f.name}")
-                if rtype.record == name:
+                args = {}
+                for arg, expr in rtype.args.items():
+                    value = self._value(expr, values)
+                    if isinstance(value, BoolVal):
+                        args[arg] = value
+                if rtype.record == name and args.items() >= known.items():
                     between = "Optional that can be empty" if through else "Optional"
                     raise ResolutionError(
                         f"{', '.join(step)}: record {name} contains itself on every path, "
                         f"with no {between} or List between"
                     )
+                if args and (rtype.record, args) not in instances:
+                    instances.append((rtype.record, args))
                 if rtype.record not in seen:
                     seen.add(rtype.record)
-                    stack.append((rtype.record, step, through))
+                    stack.append((rtype.record, args, step, through))
+
+    def _value(self, expr, values: dict):
+        """The value of an argument expression where the constants and the
+        names in ``values`` fix it, else None."""
+        if isinstance(expr, syntax.NameRef):
+            if expr.name in ("true", "false"):
+                return BoolVal(expr.name == "true")
+            return values.get(expr.name, self.constants.get(expr.name))
+        value = literal_value(expr)
+        if value is not None or any(name not in values for name in self._references(expr)):
+            return value
+        try:
+            return compile_expr(expr, self.constants)(values)
+        except EvalError:
+            return None
 
     def _check_list_bound(self, where: str, rtype: RType, rcodec: RCodec | None) -> None:
         """Reject a counted list without a max_length whose element can

@@ -1,10 +1,12 @@
 import functools
 import hashlib
+import linecache
 import re
+import time
 from collections import Counter
 
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from wirespec import codec
@@ -734,9 +736,160 @@ def test_guarded_terminated_text_matches_the_ordered_checks(
         assert _outcome(decode_message(buf, ["X"], spec)) == oracle.decode(buf), buf
 
 
+# --- a decode's run guard against the same fields off a byte boundary ---------
+
+# patterns over "ab*", some never reading a terminator's first byte
+RUN_PATTERNS = DIALECT | st.sampled_from(["a*", "(a)+", "a|aa", "[a*]{1,2}", "\\*a?"])
+
+
+def _run_codec(terminator: str, encoding: str) -> str:
+    written = terminator.replace("\r", "\\r").replace("\n", "\\n")
+    return f"TerminatedText(encoding='{encoding}', terminator='{written}')"
+
+
+@st.composite
+def _run_field(draw, i: int) -> tuple:
+    """The declaration of field ``f<i>`` of a run, and of the enum it codes, if any."""
+    encoding = draw(st.sampled_from(["ascii", "latin-1"]))
+    codec = _run_codec(draw(st.sampled_from(GUARD_TERMINATORS)), encoding)
+    kind = draw(st.sampled_from(["text", "pin", "enum", "integer"]))
+    if kind == "text":
+        # a charset the encoding codes, so every text drawn encodes
+        charset = draw(st.sampled_from(["ascii", encoding]))
+        args = [f"charset='{charset}'", f"pattern=/{draw(RUN_PATTERNS)}/"]
+        exclude = draw(st.none() | DIALECT)
+        if exclude is not None:
+            args.append(f"exclude_pattern=/{exclude}/")
+        count = draw(st.none() | st.integers(0, 4))
+        if count is not None:
+            args.append(f"max_count={count}")
+        return f"f{i} is Text({', '.join(args)}) as {codec}", ""
+    if kind == "pin":
+        return f"f{i} is Text(value='{draw(st.text('ab*', max_size=3))}') as {codec}", ""
+    if kind == "enum":
+        texts = draw(st.lists(st.text("ab*", min_size=1, max_size=2), min_size=1, max_size=3, unique=True))
+        constants = " ".join(f"k{i}_{j} as '{text}'" for j, text in enumerate(texts))
+        return f"f{i} is E{i} as {codec}", f"enum E{i} of Text with {constants} end"
+    low = draw(st.integers(-3, 3))
+    high = low + draw(st.integers(0, 12))
+    return f"f{i} is Integer(min={low}, max={high}) as TextInteger(text_codec={codec})", ""
+
+
+@functools.lru_cache(maxsize=64)
+def _run_spec(fields: tuple):
+    """X: the fields; Y: the same fields after 3 bits, then 5 bits to end on a byte."""
+    body = " ".join(declared for declared, _ in fields)
+    enums = " ".join(enum for _, enum in fields)
+    return resolve(parse_spec(
+        f"message module M message X with {body} end message Y with p is Integer as BigEndian(length=3) "
+        f"{body} q is Integer as BigEndian(length=5) end {enums} end"
+    ))
+
+
+def _plain_decode(plan, buf: bytes):
+    """The value and the bit position past it, else the kind of failure and its message."""
+    try:
+        return plan.decode(buf, 0, {})
+    except IncompleteInput as e:
+        return "incomplete", str(e)
+    except (ConstraintViolation, EvalError) as e:
+        return "invalid", str(e)
+
+
+@given(
+    fields=st.lists(st.integers(), min_size=1, max_size=4).flatmap(
+        lambda drawn: st.tuples(*(_run_field(i) for i in range(len(drawn))))
+    ),
+    seed=st.integers(0, 2**16),
+    flip=st.integers(0, 255),
+    insert=st.tuples(st.integers(0, 63), st.sampled_from(b"ab* \r\n-5")),
+    extra=st.binary(max_size=3),
+)
+# "a " grows to "aa ", past the max_count, or holding the exclusion
+@example(fields=((f"f0 is Text(pattern=/a*/, max_count=1) as {_run_codec(' ', 'ascii')}", ""),),
+         seed=0, flip=0, insert=(0, ord("a")), extra=b"")
+@example(fields=((f"f0 is Text(pattern=/a*/, exclude_pattern=/aa/) as {_run_codec(' ', 'ascii')}", ""),),
+         seed=0, flip=0, insert=(0, ord("a")), extra=b"")
+@settings(max_examples=250, deadline=None)
+def test_run_guard_matches_the_fields_off_a_byte_boundary(fields, seed, flip, insert, extra):
+    """A record of terminated texts, pins, enums of text and TextIntegers
+    decodes at a byte boundary, where its runs are guarded, as the same
+    fields do 3 bits into a byte, where every guard misses: on valid
+    encodings, a one-bit flip, an inserted byte (a text past its
+    max_count, one that holds its exclusion, another digit), truncations
+    and an extension of them."""
+    try:
+        spec = _run_spec(fields)
+        plan, oracle = message_plan(spec, "X"), message_plan(spec, "Y")
+        wire = encode_message("X", Generator(spec, GenConfig(seed=seed)).message("X"), spec)
+    except (ResolutionError, UnsatisfiableConstraint):
+        assume(False)  # a pin or a constant holds its terminator, or no text fits
+    flipped = bytearray(wire)
+    flipped[flip // 8 % len(wire)] ^= 0x80 >> flip % 8
+    at = insert[0] % (len(wire) + 1)
+    inserted = wire[:at] + bytes([insert[1]]) + wire[at:]
+    for buf in (wire, bytes(flipped), inserted, wire + extra, *(wire[:k] for k in range(len(wire)))):
+        got, want = _plain_decode(plan, buf), _plain_decode(oracle, _packed(3, 0, buf, 0))
+        if isinstance(got[0], RecordVal):
+            value, pos = got
+            q = buf[pos // 8] >> 3 if pos // 8 < len(buf) else 0
+            got = RecordVal("Y", (("p", IntVal(0)), *value.entries, ("q", IntVal(q)))), pos + 8
+        assert got == want, buf
+
+
+def _guards(plan) -> list:
+    """The indents of the run guards in a plan's decode function."""
+    source = "".join(linecache.getlines(plan.decode.__code__.co_filename))
+    return re.findall(r"^( *)if pos & 7 == 0 and \(m\d+ := ", source, re.M)
+
+
+def test_which_plans_decode_through_one_guard(myp_spec, imap_spec):
+    # every IMAP message is one run: one guard, around its whole decode
+    for m in imap_spec.message_types:
+        assert _guards(message_plan(imap_spec, m)) == ["    "], m
+    # no MyP message is: Data's footer text alone is a run, inside its Optional
+    assert {m: _guards(message_plan(myp_spec, m)) for m in myp_spec.message_types} == {
+        "Ask": [], "Done": [], "Data": ["        "],
+    }
+
+
+@pytest.mark.parametrize("pattern, terminator, text, splits", [
+    ("a*", " ", "a", True),
+    ("a*", "b", "a", True),
+    ("[ab]*", "b", "a", False),  # a text may hold the terminator
+    ("a*", "ab", "a", False),  # a text may hold the terminator's first byte
+    ("b*", "ab", "b", True),
+])
+def test_a_text_joins_a_run_where_its_terminator_splits_it(pattern, terminator, text, splits):
+    spec = resolve(parse_spec(
+        f"message module M message X with t is Text(pattern=/{pattern}/) "
+        f"as TerminatedText(terminator='{terminator}') end end"
+    ))
+    plan = message_plan(spec, "X")
+    assert plan.fields[0][1].splits == splits
+    assert _guards(plan) == (["    "] if splits else [])
+    value = RecordVal("X", (("t", TextVal(text)),))
+    wire = encode_message("X", value, spec)
+    assert decode_message(wire + b"a", ["X"], spec) == Classified("X", value, len(wire))
+
+
+def test_a_later_field_miss_does_not_reparse_a_text_of_the_run():
+    # (a|aa)* reads 36 a's in some 24 million ways; a run that tried each
+    # one again after the second field's miss would take seconds
+    spec = resolve(parse_spec(
+        "message module M message X with a is Text(pattern=/(a|aa)*/, max_count=40) "
+        "as TerminatedText(terminator=' ') b is Text(pattern=/b/) as TerminatedText(terminator=' ') end end"
+    ))
+    assert _guards(message_plan(spec, "X")) == ["    "]
+    started = time.perf_counter()
+    out = decode_message(b"a" * 36 + b" c ", ["X"], spec)
+    assert time.perf_counter() - started < 0.5
+    assert out.diagnostics == {"X": "'c' does not match /b/"}
+
+
 @pytest.mark.parametrize("count", [-1, -2, -5])
 def test_negative_max_count_is_rejected_by_decode_as_by_encode(count):
-    # a negative end would make the guard's terminator search count from the buffer's end
+    # a negative max_count joins no run: its text is read and checked field by field
     spec = resolve(parse_spec(
         f"message module M message X with t is Text(pattern=/(a)*/, max_count={count}) "
         "as TerminatedText(terminator=' ') end end"
@@ -769,7 +922,7 @@ def test_exclusion_the_pattern_allows_stays_in_the_guard():
 
 def test_imap_text_guards_search_for_nothing(imap_spec):
     # no text of an unpinned IMAP field's pattern can hold its exclusion or
-    # its terminator, so its guards are one find and one match, or one match
+    # its terminator, so its encode guard is one match, and it joins a run
     unpinned = {}
     for record in imap_spec.records.values():
         for f in record.fields:

@@ -376,12 +376,21 @@ FLAG = "Bool as BoolBits(truth_string=b'1', falsehood_string=b'0')"
      "message X with r is R end", "R.o", "R"),
     (f"message X with a is A end record A with n is {BYTE} b is Optional(is_empty=false, subject=B) end "
      "record B with a is A end", "A.b, B.a", "A"),
+    # so is one whose is_empty an argument of the instance makes false
+    ("record R(p) with o is Optional(is_empty=p, subject=R(p=false)) end "
+     "message X with r is R(p=false) end", "R.o", "R"),
+    # an int argument that changes on the way decides no is_empty
+    ("record R(n, p) with o is Optional(is_empty=p, subject=R(n=n + 1, p=p)) end "
+     "message X with r is R(n=0, p=false) end", "R.o", "R"),
+    # S(q=false) is reached only through the second of two instances of R
+    ("record S(q) with o is Optional(is_empty=q, subject=S(q=false)) end "
+     "record R(p) with s is S(q=p) end message X with a is R(p=true) b is R(p=false) end", "S.o", "S"),
 ])
 def test_record_that_contains_itself_on_every_path_rejected(tmp_path, capsys, decls, path, record):
     from wirespec.cli import main
 
     # every value of the record would hold another: none is finite
-    between = "Optional that can be empty" if "is_empty=false" in decls else "Optional"
+    between = "Optional that can be empty" if "Optional(" in decls else "Optional"
     reason = f"{path}: record {record} contains itself on every path, with no {between} or List between"
     with pytest.raises(ResolutionError, match=f"^{re.escape(reason)}$"):
         rs(decls)
@@ -389,6 +398,12 @@ def test_record_that_contains_itself_on_every_path_rejected(tmp_path, capsys, de
     spec.write_text(f"message module M {decls} end")
     assert main(["check", str(spec)]) == 1
     assert capsys.readouterr().err == f"error: {reason}\n"
+
+
+def test_argument_guarded_optional_whose_inner_instance_is_empty_is_finite():
+    # R(p=false) holds an R(p=true), whose Optional is empty
+    spec = rs("record R(p) with o is Optional(is_empty=p, subject=R(p=true)) end message X with r is R(p=false) end")
+    assert decode_message(b"", ["X"], spec).consumed == 0
 
 
 @pytest.mark.parametrize("field", [
