@@ -34,11 +34,11 @@ match, and the general reads and ordered checks run only to say why the
 bytes are not valid (see :meth:`_Function.decode`).  A valid unpinned
 terminated text encodes through one match of its pattern narrowed to the
 characters it may hold (see :class:`TerminatedTextNode`).  A known pin is
-its encoding, the bits its node's own ``encode`` writes for it: a whole
-byte one is a literal of a run, one that ends inside a byte decodes by one
-guarded comparison with them, a pinned text encodes by one comparison
-with its text, and a record whose fields are all such decodes to one
-prebuilt constant.
+its encoding, the bits its node's own ``encode`` writes for it: every
+canonical one encodes by one comparison of the value with the pin and then
+writes them, and decodes by one comparison of the next bits with them, or
+as a literal of a run where they are whole bytes; a record whose fields
+are all such decodes to one prebuilt constant.
 Decoding is incremental: running out of input raises an
 :class:`IncompleteInput` subclass so that callers feeding a growing stream
 buffer can distinguish "wait for more bytes" from a malformed message, and
@@ -388,16 +388,6 @@ class _Function(Source):
         self.groups.append(self.fresh("g"))
         return len(self.groups), self.groups[-1]
 
-    @contextmanager
-    def unless_next(self, bits: BitString):
-        """A block that runs unless the next bits, read as :meth:`read`
-        reads them, are ``bits``: then it steps past them."""
-        n = bits.length
-        self.emit(f"if pos + {n} <= end and int.from_bytes(data[pos >> 3:(pos + {n + 7}) >> 3], 'big')"
-                  f" >> (-(pos + {n}) & 7) & {(1 << n) - 1} == {bits.value}: pos += {n}")
-        with self.block("else:"):
-            yield
-
     def write(self, bits: str, width: str):
         self.emit(f"acc = acc << {width} | {bits}")
         self.emit(f"size += {width}")
@@ -582,7 +572,9 @@ class Node:
     ``emit_kind`` (the check that ``v`` is of its kind, which gives the
     payload), ``emit_checks`` (the type's rules on a payload) and its
     codec's ``emit_write`` and ``emit_read``; it encodes by kind, checks
-    and write, and decodes by read and checks.  ``generate(rng, env)``,
+    and write, and decodes by read and checks.  An enum is a leaf whose
+    payload is its value, coded through its base type's node.
+    ``generate(rng, env)``,
     generated from ``emit_generate(fn, path)``, draws a well-formed value
     with the ``random.Random`` ``rng``; ``path`` is a tuple of message
     parts (see :meth:`_Function.unsatisfiable`).  A pinned field gives its
@@ -604,11 +596,16 @@ class Node:
     field) pair, and appends to the facts what the node's wire form starts
     with, or ends them.  A known pin is its encoding: :meth:`fixed` gives
     its bits.  Where the node is ``canonical`` (each value has one encoding
-    and decode accepts no other), such a pin is a literal of the facts, and
-    decodes as one: in a run, where its bits are whole bytes, else by one
-    guarded comparison with them.  TextInteger is not canonical, as it
-    reads ``05`` and ``-0`` too; an unpinned terminated text gives a skip
-    through its terminator, with the first bytes its pattern allows.
+    and decode accepts no other), such a pin is a literal of the facts and
+    codes by one comparison, whatever its kind and bit length: encode
+    compares the value with the pin (:meth:`is_pin`) and writes its bits,
+    and binds the field as the pin for later fields; decode compares the
+    next bits with them, or matches them as a literal in a run, where they
+    are whole bytes.  The kind test, the checks, the read and the write run
+    only where the comparison fails, to say why.  TextInteger is not
+    canonical, as it reads ``05`` and ``-0`` too; an unpinned terminated
+    text gives a skip through its terminator, with the first bytes its
+    pattern allows.
 
     ``run(fn)`` is the node's wire form from a byte boundary as one
     ``bytes`` regex, a :class:`_Run`, where a match of it at a byte
@@ -704,22 +701,52 @@ class Node:
         return construct(self.kind, payload)
 
     def entry(self, value: str, payload: str, known=_UNKNOWN) -> tuple:
+        """How to bind the value for later fields: an integer or boolean as
+        its plain payload, as :meth:`~wirespec.values.Source.constant` binds
+        a known one, and any other as itself."""
+        if self.kind in (IntVal, BoolVal):
+            return payload, self.kind, known
         return value, None, known
 
     def known(self, fn, value) -> tuple:
         """The code of a value that the known names fix, and its entry."""
-        return fn.ref(value), self.entry(fn.ref(value), fn.literal(getattr(value, self.payload)), value)
+        return fn.ref(value), (*fn.constant(value), value)
+
+    def emit_value(self, fn, payload: str) -> tuple:
+        """The code of the value that holds ``payload``, and its entry."""
+        value = fn.temp(self.wrap(payload))
+        return value, self.entry(value, payload)
 
     def emit_kind(self, fn, v, path) -> str:
         fn.require(f"not isinstance({v}, {self.kind.__name__})",
                    _message(f"expected {self.what}, got ", _shown(v)), path)
         return fn.temp(f"{v}.{self.payload}")
 
+    def is_pin(self, fn, v, pin) -> str:
+        """The code of the test that ``v`` holds the pin ``pin``."""
+        payload = fn.literal(getattr(pin, self.payload))
+        return f"isinstance({v}, {self.kind.__name__}) and {v}.{self.payload} == {payload}"
+
     def emit_encode(self, fn, v, path):
+        """Kind, checks, then write; a known pin by one comparison (see
+        :class:`Node`).  The node's own ``encode``, which :meth:`fixed`
+        runs, writes a pin the first way."""
+        fixed = self.fixed(fn) if self.canonical and fn.root is not self else _UNKNOWN
+        if fixed is _UNKNOWN:
+            return self.entry(v, self.emit_written(fn, v, path))
+        pin, bits = fixed
+        with fn.block(f"if {self.is_pin(fn, v, pin)}:"):
+            fn.write(repr(bits.value), repr(bits.length))
+        with fn.block("else:"):
+            self.emit_written(fn, v, path)
+        return self.known(fn, pin)[1]
+
+    def emit_written(self, fn, v, path) -> str:
+        """Kind, checks, then write: the payload of the encoded value."""
         payload = self.emit_kind(fn, v, path)
         self.emit_checks(fn, payload, path)
         self.emit_write(fn, payload)
-        return self.entry(v, payload)
+        return payload
 
     def emit_payload(self, fn) -> str:
         """Read, then check: the payload of the decoded value."""
@@ -735,30 +762,24 @@ class Node:
             payload = fn.temp(self.pin_payload(fn.arg(self.args, "value", self.convert)))
         else:
             payload = self.emit_draw(fn, path)
-        value = fn.temp(self.wrap(payload))
-        return value, self.entry(value, payload)
+        return self.emit_value(fn, payload)
 
     def pin_payload(self, pin: str) -> str:
         """The code of the payload of a pin's converted value ``pin``."""
         return pin
 
     def emit_decode(self, fn):
+        """Read, then check; a known pin by one comparison of the next bits,
+        read as :meth:`_Function.read` reads them (see :class:`Node`)."""
         fixed = self.fixed(fn) if self.canonical else _UNKNOWN
-        if fixed is not _UNKNOWN:
-            return self.emit_pinned(fn, *fixed)
-        payload = self.emit_payload(fn)
-        value = fn.temp(self.wrap(payload))
-        return value, self.entry(value, payload)
-
-    def emit_pinned(self, fn, value, bits: BitString):
-        """A known pin: the read and checks, as no other bits decode as the
-        pin; one that ends inside a byte, which is no run, runs them only
-        unless one comparison with its bits holds."""
-        if bits.length % 8 == 0:
+        if fixed is _UNKNOWN:
+            return self.emit_value(fn, self.emit_payload(fn))
+        value, bits = fixed
+        n = bits.length
+        fn.emit(f"if pos + {n} <= end and int.from_bytes(data[pos >> 3:(pos + {n + 7}) >> 3], 'big')"
+                f" >> (-(pos + {n}) & 7) & {(1 << n) - 1} == {bits.value}: pos += {n}")
+        with fn.block("else:"):
             self.emit_payload(fn)
-        else:
-            with fn.unless_next(bits):
-                self.emit_payload(fn)
         return self.known(fn, value)
 
     def run(self, fn):
@@ -772,9 +793,6 @@ class Node:
 
 class IntegerNode(Node):
     kind, payload, convert, what = IntVal, "value", staticmethod(as_int), "an integer"
-
-    def entry(self, value, payload, known=_UNKNOWN):
-        return payload, IntVal, known
 
     def emit_checks(self, fn, n, path, read=False):
         pin = fn.arg(self.args, "value", as_int)
@@ -881,9 +899,23 @@ class BigEndianNode(IntegerNode):
 
 
 class TextIntegerNode(IntegerNode):
+    """An integer as its decimal digits, after a ``-`` where it is negative,
+    of at most ``max_digits`` digits, as Python converts no more between int
+    and str by default: encode raises Unrepresentable for more, before the
+    checks that would show it, and decode a ConstraintViolation."""
+
+    max_digits = 4300  # sys.int_info.default_max_str_digits
+
     def __init__(self, rtype, rcodec, spec):
         super().__init__(rtype, rcodec, spec)
         self.text = compile_node(RType("Text", {}), rcodec.args["text_codec"], spec)
+
+    def emit_checks(self, fn, n, path, read=False):
+        if not read:
+            limit = fn.ref(10 ** self.max_digits)
+            message = f"integer of more than {self.max_digits} digits"
+            fn.emit(f"if not -{limit} < {n} < {limit}: raise Unrepresentable({message!r})")
+        super().emit_checks(fn, n, path, read)
 
     def emit_write(self, fn, n):
         self.text.emit_write(fn, fn.temp(f"str({n})"))
@@ -894,6 +926,9 @@ class TextIntegerNode(IntegerNode):
             body = fn.temp(f"{text}[1:] if {text}[:1] == '-' else {text}")
             fn.require(f"not {body} or not {body}.isdigit()",
                        _message(_shown(text), " is not a decimal integer"))
+        digits = f"len({text}.lstrip('-'))"
+        fn.require(f"len({text}) > {self.max_digits} and {digits} > {self.max_digits}",
+                   _message(_said(digits), f" digits exceed the limit of {self.max_digits}"))
         return fn.temp(f"int({text})")
 
     def prefix(self, facts, fixed):
@@ -901,8 +936,9 @@ class TextIntegerNode(IntegerNode):
         self.text.prefix(facts, _UNKNOWN)
 
     def run(self, fn):
-        """What the read accepts, ``-?[0-9]+`` and a terminator that starts
-        with neither, and the pin and bounds as tests past the match."""
+        """What the read accepts, ``-?[0-9]{1,max_digits}`` and a terminator
+        that starts with neither, and the pin and bounds as tests past the
+        match."""
         text = self.text
         if not isinstance(text, TerminatedTextNode) or text.terminator_bytes[0] in b"-0123456789":
             return None
@@ -921,7 +957,7 @@ class TextIntegerNode(IntegerNode):
                 fn.emit(f"{n} = int({group})")
             return construct(IntVal, n), (n, IntVal, _UNKNOWN)
 
-        return _Run(rb"(-?[0-9]+)" + re.escape(text.terminator_bytes), build)
+        return _Run(rb"(-?[0-9]{1,%d})" % self.max_digits + re.escape(text.terminator_bytes), build)
 
 
 class TextNode(Node):
@@ -946,21 +982,6 @@ class TextNode(Node):
 
     def pinned(self, pin):
         return TextVal(pin.text, self.charset)
-
-    def emit_encode(self, fn, v, path):
-        """A known pin: one comparison of the text with it, then the bits
-        :meth:`fixed` holds; the kind and the ordered checks run only to
-        say why not.  The node's own ``encode``, which :meth:`fixed` runs,
-        writes them itself."""
-        fixed = self.fixed(fn) if self.canonical and fn.root is not self else _UNKNOWN
-        if fixed is _UNKNOWN:
-            return super().emit_encode(fn, v, path)
-        pin, bits = fixed
-        with fn.block(f"if isinstance({v}, TextVal) and {v}.text == {pin.text!r}:"):
-            fn.write(repr(bits.value), repr(bits.length))
-        with fn.block("else:"):
-            entry = super().emit_encode(fn, v, path)
-        return entry
 
     def pin_payload(self, pin):
         return f"{pin}.text"
@@ -1197,9 +1218,6 @@ class FixedCountTextNode(TextNode):
 class BoolNode(Node):
     kind, payload, convert, what = BoolVal, "value", staticmethod(as_bool), "a boolean"
 
-    def entry(self, value, payload, known=_UNKNOWN):
-        return payload, BoolVal, known
-
     def emit_checks(self, fn, flag, path, read=False):
         pin = fn.arg(self.args, "value", as_bool)
         if pin is not None:
@@ -1401,8 +1419,11 @@ class EnumNode(Node):
                    _message(_shown(self.base.wrap(payload)), f" is not a {self.name} constant"))
         return constant
 
-    def known(self, fn, value):
-        return fn.ref(value), (fn.ref(value), None, value)
+    def emit_value(self, fn, constant):
+        return constant, self.entry(constant, constant)
+
+    def is_pin(self, fn, v, pin):
+        return f"{v} is {fn.ref(pin)} or {v} == {fn.ref(pin)}"
 
     def walk(self, fn, path, key):
         """Every constant too, through the base type and the field's codec:
@@ -1419,13 +1440,6 @@ class EnumNode(Node):
                     f"{path}: enum {self.name} constant {constant!r} cannot be coded: {e}"
                 ) from None
         return super().walk(fn, path, key)
-
-    def emit_decode(self, fn):
-        fixed = self.fixed(fn) if self.canonical else _UNKNOWN
-        if fixed is not _UNKNOWN:
-            return self.emit_pinned(fn, *fixed)
-        constant = self.emit_payload(fn)
-        return constant, (constant, None, _UNKNOWN)
 
     @cached_property
     def by_wire(self) -> dict | None:
@@ -1448,18 +1462,11 @@ class EnumNode(Node):
         value = f"{fn.ref(self.by_wire)}[{group}]"
         return _Run(b"(%s)" % b"|".join(map(re.escape, self.by_wire)), lambda fn: (value, (value, None, _UNKNOWN)))
 
-    def emit_generate(self, fn, path):
-        pin = fn.static(self.args, "value", self.as_constant)
-        if pin is not _UNKNOWN:
-            return self.known(fn, pin)
-        if "value" in self.args:
-            value = fn.temp(fn.arg(self.args, "value", self.as_constant))
-        elif not self.choices:
+    def emit_draw(self, fn, path):
+        if not self.choices:
             fn.unsatisfiable(path, f"enum {self.name} has no constants")
-            value = "None"
-        else:
-            value = fn.temp(f"{fn.ref(self.choices)}[{fn.below(len(self.choices))}]")
-        return value, (value, None, _UNKNOWN)
+            return "None"
+        return fn.temp(f"{fn.ref(self.choices)}[{fn.below(len(self.choices))}]")
 
     def retype(self, value):
         return EnumVal(self.name, value.constant) if isinstance(value, EnumVal) else value

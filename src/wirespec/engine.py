@@ -44,12 +44,15 @@ class Verdict(enum.Enum):
 
 CHANNEL_ERROR_EXIT = 4
 
+# Receive timeouts in a row after which a quiet peer ends the run, as a
+# stall mid-message or, with nothing to send, as a livelock.
+MAX_CONSECUTIVE_TIMEOUTS = 5
+
 
 @dataclass
 class EngineConfig:
     max_steps: int = 100
     receive_timeout_ms: int = 2000
-    max_consecutive_timeouts: int = 5
     seed: int = 0
     # No effect: run_test's rng, seeded from ``seed``, overrides its seed.
     # Kept for callers that still pass a wirespec.generate.GenConfig.
@@ -183,13 +186,13 @@ def run_test(
             if buf:
                 # a partial message is pending; never send into the middle of it
                 quiet += 1
-                if quiet > cfg.max_consecutive_timeouts:
+                if quiet > MAX_CONSECUTIVE_TIMEOUTS:
                     return report(Verdict.INVALID_FORMAT, "stalled mid-message", offending=buf)
                 continue
             choices = lts.enabled_inputs(S)
             if not choices:
                 quiet += 1
-                if quiet > cfg.max_consecutive_timeouts:
+                if quiet > MAX_CONSECUTIVE_TIMEOUTS:
                     return report(
                         Verdict.INCONCLUSIVE,
                         "livelock: nothing to send and the peer stays quiet",

@@ -193,6 +193,27 @@ def test_text_integer_decimal():
         node.decode(b"4x2 ", 0, {})
 
 
+def test_text_integer_beyond_the_digit_limit_is_rejected(imap_spec):
+    # Python converts no more than 4300 digits between int and str: a longer
+    # integer is InvalidFormat on decode, in a run and outside one, and
+    # Unrepresentable on encode, on every Python version
+    out = decode_message(b"* " + b"1" * 5000 + b" EXISTS x\r\n", imap_spec.message_types, imap_spec)
+    assert isinstance(out, InvalidFormat)
+    assert out.diagnostics["ExistsResp"] == "5000 digits exceed the limit of 4300"
+    spec = resolve(parse_spec(f"message module M message X with n is Integer as TextInteger(text_codec=Sp) end {SP} end"))
+    for digits in (b"9" * 4300, b"-" + b"9" * 4300):
+        assert decode_message(digits + b" ", ["X"], spec).consumed == len(digits) + 1
+    for digits in (b"0" * 4301, b"-" + b"9" * 4301):
+        out = decode_message(digits + b" ", ["X"], spec)
+        assert out == InvalidFormat({"X": "4301 digits exceed the limit of 4300"})
+        with pytest.raises(ConstraintViolation, match="^4301 digits exceed the limit of 4300$"):
+            message_plan(spec, "X").decode(b"~" + digits + b" ", 8, {})  # outside the run
+    for n in (10**5000, -10**4300, 10**4300):
+        with pytest.raises(Unrepresentable, match="^integer of more than 4300 digits$"):
+            encode_message("X", RecordVal("X", (("n", IntVal(n)),)), spec)
+    assert encode_message("X", RecordVal("X", (("n", IntVal(1 - 10**4300)),)), spec) == b"-" + b"9" * 4300 + b" "
+
+
 # --- whole messages over the bundled MyP spec --------------------------------------
 
 def test_count_prefix_empty_list(myp_spec):
@@ -1472,6 +1493,107 @@ def test_pin_whose_codec_needs_an_unknown_name_round_trips():
     wire = encode_message("X", value, spec)
     assert wire == b"\x02\x01\x2c"
     assert decode_message(wire, ["X"], spec) == Classified("X", value, 3)
+
+
+PIN_ENUMS = ("enum Word of Text with ok as 'OK'  no as 'NO' end "
+             "enum Code of Integer with one as 1  two as 2 end")
+
+
+@pytest.mark.parametrize("decl, width, pin, wrong, kind, wire, wrong_says, kind_says, mismatch, short", [
+    pytest.param('Integer(value=5) as BigEndian(signed=false, length=4)', 4, IntVal(5), IntVal(6), TextVal('5'), '50',
+                 'must equal 5, got 6',
+                 "expected an integer, got TextVal(text='5', charset='ascii')",
+                 (ConstraintViolation, 'must equal 5, got 4'), (Underrun, 'need 4 bits, have 0'), id='big-endian-unsigned-4'),
+    pytest.param('Integer(value=5) as BigEndian(signed=false, length=16)', 16, IntVal(5), IntVal(6), TextVal('5'), '0000a0',
+                 'must equal 5, got 6',
+                 "expected an integer, got TextVal(text='5', charset='ascii')",
+                 (ConstraintViolation, 'must equal 5, got 261'), (Underrun, 'need 16 bits, have 13'), id='big-endian-unsigned-16'),
+    pytest.param('Integer(value=-3) as BigEndian(signed=true, length=5)', 5, IntVal(-3), IntVal(3), BoolVal(True), 'e8',
+                 'must equal -3, got 3',
+                 'expected an integer, got BoolVal(value=True)',
+                 (ConstraintViolation, 'must equal -3, got -4'), (Underrun, 'need 5 bits, have 0'), id='big-endian-signed-5'),
+    pytest.param('Integer(value=-3) as BigEndian(signed=true, length=8)', 8, IntVal(-3), IntVal(3), BoolVal(True), '1fa0',
+                 'must equal -3, got 3',
+                 'expected an integer, got BoolVal(value=True)',
+                 (ConstraintViolation, 'must equal -3, got -4'), (Underrun, 'need 8 bits, have 5'), id='big-endian-signed-8'),
+    pytest.param("Bool(value=true) as BoolBits(truth_string=b'101', falsehood_string=b'010')", 3, BoolVal(True), BoolVal(False), IntVal(1), 'a0',
+                 'boolean has the wrong fixed value',
+                 'expected a boolean, got IntVal(value=1)',
+                 (ConstraintViolation, "bits b'100' are neither truth nor falsehood pattern"), (Underrun, 'need 3 bits, have 0'), id='bool-bits-3'),
+    pytest.param("Bool(value=true) as BoolBits(truth_string=X'ff', falsehood_string=X'00')", 8, BoolVal(True), BoolVal(False), IntVal(1), '1fe0',
+                 'boolean has the wrong fixed value',
+                 'expected a boolean, got IntVal(value=1)',
+                 (ConstraintViolation, "bits X'fe' are neither truth nor falsehood pattern"), (Underrun, 'need 8 bits, have 5'), id='bool-bits-8'),
+    pytest.param("Binary(value=b'1011')", 4, BitsVal(BitString.from_bits('1011')), BitsVal(BitString.from_bits('1010')), IntVal(11), 'b0',
+                 "must equal b'1011', got b'1010'",
+                 'expected bits, got IntVal(value=11)',
+                 (ConstraintViolation, "must equal b'1011', got b'1010'"), (Underrun, 'need 4 bits, have 0'), id='binary-4'),
+    pytest.param("Binary(value=X'a5')", 8, BitsVal(BitString.from_hex('a5')), BitsVal(BitString.from_hex('a4')), IntVal(165), '14a0',
+                 "must equal X'a5', got X'a4'",
+                 'expected bits, got IntVal(value=165)',
+                 (ConstraintViolation, "must equal X'a5', got X'a4'"), (Underrun, 'need 8 bits, have 5'), id='binary-8'),
+    pytest.param("Text(value='ab') as FixedCountText()", 16, TextVal('ab'), TextVal('ac'), IntVal(1), '0c2c40',
+                 "must equal TextVal(text='ab', charset='ascii'), got 'ac'",
+                 'expected text, got IntVal(value=1)',
+                 (ConstraintViolation, "must equal TextVal(text='ab', charset='ascii'), got '`b'"), (Underrun, 'need 16 bits, have 13'), id='fixed-count-text-16'),
+    pytest.param("Text(value='OK') as TerminatedText(terminator=' ')", 24, TextVal('OK'), TextVal('NO'), IntVal(1), '09e96400',
+                 "must equal TextVal(text='OK', charset='ascii'), got 'NO'",
+                 'expected text, got IntVal(value=1)',
+                 (ConstraintViolation, "must equal TextVal(text='OK', charset='ascii'), got 'NK'"), (MissingTerminator, "terminator ' ' not found"), id='terminated-text-24'),
+    pytest.param("Word(value=ok) as TerminatedText(terminator=' ')", 24, EnumVal('Word', 'ok'), EnumVal('Word', 'no'), TextVal('OK'), '09e96400',
+                 "must be EnumVal(enum='Word', constant='ok'), got no",
+                 "expected a Word constant, got TextVal(text='OK', charset='ascii')",
+                 (ConstraintViolation, "TextVal(text='NK', charset='ascii') is not a Word constant"), (MissingTerminator, "terminator ' ' not found"), id='enum-of-text-24'),
+    pytest.param('Code(value=two) as BigEndian(signed=false, length=3)', 3, EnumVal('Code', 'two'), EnumVal('Code', 'one'), IntVal(2), '40',
+                 "must be EnumVal(enum='Code', constant='two'), got one",
+                 'expected a Code constant, got IntVal(value=2)',
+                 (ConstraintViolation, 'IntVal(value=3) is not a Code constant'), (Underrun, 'need 3 bits, have 0'), id='enum-of-integers-3'),
+    pytest.param('Code(value=two) as BigEndian(signed=false, length=8)', 8, EnumVal('Code', 'two'), EnumVal('Code', 'one'), IntVal(2), '0040',
+                 "must be EnumVal(enum='Code', constant='two'), got one",
+                 'expected a Code constant, got IntVal(value=2)',
+                 (ConstraintViolation, 'IntVal(value=3) is not a Code constant'), (Underrun, 'need 8 bits, have 5'), id='enum-of-integers-8'),
+])
+def test_a_pin_of_every_kind_codes_as_its_bits(decl, width, pin, wrong, kind, wire, wrong_says, kind_says,
+                                               mismatch, short):
+    # the pinned field p encodes by one comparison, and decodes by one
+    # outside a run: first where it ends inside a byte, else 3 bits into a
+    # byte, where no run is read.  A wrong value, a wrong kind, a wrong bit
+    # and a short buffer give what the kind test, the ordered checks and the
+    # read alone give
+    lead = 0 if width % 8 else 3
+    tail = -(lead + width) % 8 or 8
+    spec = resolve(parse_spec(
+        f"message module M message X with {f'lead is Binary(length={lead}) ' if lead else ''}p is {decl} "
+        f"tail is Binary(length={tail}) end {PIN_ENUMS} end"
+    ))
+
+    def value(p):
+        first = (("lead", BitsVal(BitString(0, lead))),) if lead else ()
+        return RecordVal("X", (*first, ("p", p), ("tail", BitsVal(BitString(0, tail)))))
+
+    assert encode_message("X", value(pin), spec).hex() == wire
+    for bad, says in ((wrong, wrong_says), (kind, kind_says)):
+        with pytest.raises(ConstraintViolation, match=f"^{re.escape(f'X: X.p: {says}')}$"):
+            encode_message("X", value(bad), spec)
+    decode = message_plan(spec, "X").decode
+    data = bytes.fromhex(wire)
+    assert decode(data, 0, {}) == (value(pin), len(data) * 8)
+    flipped = bytearray(data)
+    bit = lead + min(width, 8) - 1  # the last bit of the pin's first byte
+    flipped[bit >> 3] ^= 0x80 >> (bit & 7)
+    for buf, (error, says) in ((bytes(flipped), mismatch), (data[:-1], short)):
+        with pytest.raises(WirespecError) as raised:
+            decode(buf, 0, {})
+        assert (type(raised.value), str(raised.value)) == (error, says)
+
+
+@pytest.mark.parametrize("msg_type", ["OkResp", "NoResp", "BadResp", "UntaggedOk", "PreAuthGreeting", "Bye"])
+def test_a_status_message_encodes_its_pinned_id_by_one_comparison(imap_spec, msg_type):
+    source = "".join(linecache.getlines(message_plan(imap_spec, msg_type).encode.__code__.co_filename))
+    compared = re.search(r"^( *)if (f\d+) is (c\d+) or \2 == \3:\n\1    acc = acc << \d+ \| \d+\n", source, re.M)
+    assert compared is not None
+    # no kind test or table lookup of the value comes before it
+    assert not re.search(rf"isinstance\({compared[2]}\b|\b{compared[2]}\.|\[{compared[2]}", source[:compared.start()])
 
 
 # Node recurs through an Optional with other arguments, so a walk of Tree

@@ -104,7 +104,7 @@ def test_inconclusive_on_silent_peer_without_inputs(myp_spec):
 
     rep = run_in_process(
         myp_spec, "Client", mute,
-        fast_config(max_steps=50, seed=5, max_consecutive_timeouts=3),
+        fast_config(max_steps=50, seed=5),
     )
     assert rep.verdict is Verdict.INCONCLUSIVE
     assert "livelock" in rep.detail
@@ -131,7 +131,7 @@ def test_stalled_partial_message_is_format_error(myp_spec):
 
     rep = run_in_process(
         myp_spec, "Server", staller,
-        fast_config(max_steps=50, seed=7, max_consecutive_timeouts=3),
+        fast_config(max_steps=50, seed=7),
     )
     assert rep.verdict is Verdict.INVALID_FORMAT
     assert rep.detail == "stalled mid-message"
@@ -152,7 +152,7 @@ def test_reply_that_no_bytes_can_mend_is_format_error(imap_spec):
 
     rep = run_in_process(
         imap_spec, "IMAPServer", iut,
-        fast_config(max_steps=50, seed=0, max_consecutive_timeouts=3), strategy=login,
+        fast_config(max_steps=50, seed=0), strategy=login,
     )
     assert rep.verdict is Verdict.INVALID_FORMAT
     assert rep.detail != "stalled mid-message"
